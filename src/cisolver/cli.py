@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", type=float,
                          default=_env("EPSILON", float, 1e-4),
                          help="accuracy of the discounted fixed point")
-    p_solve.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
     p_solve.add_argument("--cap-prescriptions", type=int,
                          default=_env("CAP_PRESCRIPTIONS", int,
                                       DEFAULT_PRESCRIPTION_CAP),
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env("CAP_PRESCRIPTIONS", int,
                                      DEFAULT_BRANCH_CAP),
                         help="abort past this many prescription evaluations")
-    p_enum.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo rollout of a policy")
     common(p_sim)

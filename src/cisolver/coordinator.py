@@ -122,6 +122,15 @@ class StageLayout:
     def controller_actions(self, tables) -> list[np.ndarray]:
         return [table[self.y_of[i], self.m_of[i]] for i, table in enumerate(tables)]
 
+    def lift(self, rows: np.ndarray) -> np.ndarray:
+        """Full weights of beliefs over ``(x, m)``, one per row of ``rows``.
+
+        Reattaches the stage's observation law (see :func:`zeta`).
+        """
+        full = rows.reshape(-1, self.nx, 1, self.n_mem) \
+            * self.obs_prod[None, :, :, None]
+        return full.reshape(len(full), -1)
+
 
 def _strides(cards) -> np.ndarray:
     out = np.ones(len(cards), dtype=np.int64)
@@ -146,10 +155,6 @@ def stage_layout(spec: ProblemSpec, t: int) -> StageLayout:
     if t not in per_spec:
         per_spec[t] = StageLayout(spec, t)
     return per_spec[t]
-
-
-def state_dims(spec: ProblemSpec, t: int) -> tuple[int, ...]:
-    return stage_layout(spec, t).dims
 
 
 def enumerate_states(spec: ProblemSpec, t: int) -> list[CoordState]:
@@ -249,47 +254,6 @@ class PrescriptionSpace:
     def __iter__(self):
         for idx in range(self.size):
             yield self.decode(idx)
-
-
-def prescription_space(spec: ProblemSpec, t: int, cap: int | None = None) -> PrescriptionSpace:
-    return PrescriptionSpace(spec, t, cap=cap)
-
-
-# -- single-state dynamics -------------------------------------------------
-
-
-def emit_message(spec: ProblemSpec, state: CoordState, gamma: JointPrescription,
-                 t: int) -> int:
-    """Flat joint message emitted from ``state`` under ``gamma`` at stage ``t``."""
-    layout = stage_layout(spec, t)
-    if layout.msg_strides is None:
-        raise InvalidParameter(f"stage {t} has no message stage")
-    z = 0
-    for i in range(spec.n):
-        u = int(gamma.tables[i][state.obs[i], state.mem[i]])
-        zi = int(spec.msg_map(i, t)[state.mem[i], state.obs[i], u])
-        z += zi * int(layout.msg_strides[i])
-    return z
-
-
-def transition(spec: ProblemSpec, state: CoordState, gamma: JointPrescription,
-               t: int) -> np.ndarray:
-    """Distribution of the next coordinator state, flat over stage ``t + 1``."""
-    next_t = t + 1 if spec.mode == "finite" else 1
-    layout_next = stage_layout(spec, next_t)
-    actions = [int(gamma.tables[i][state.obs[i], state.mem[i]]) for i in range(spec.n)]
-    u_flat = 0
-    for i in range(spec.n):
-        u_flat += actions[i] * int(stage_layout(spec, t).act_strides[i])
-    m_next = 0
-    mem_strides = _strides(layout_next.nm)
-    for i in range(spec.n):
-        mi = int(spec.mem_update(i, t)[state.mem[i], state.obs[i], actions[i]])
-        m_next += mi * int(mem_strides[i])
-    row = spec.transition(t)[state.x, u_flat]  # (|X|,)
-    out = np.zeros((layout_next.nx, layout_next.n_obs, layout_next.n_mem))
-    out[:, :, m_next] = row[:, None] * layout_next.obs_prod
-    return out.reshape(-1)
 
 
 # -- beliefs ----------------------------------------------------------------
@@ -410,7 +374,5 @@ def zeta(spec: ProblemSpec, reduced: ReducedBelief) -> Belief:
     given the chain state, with the stage's kernel law.
     """
     layout = stage_layout(spec, reduced.t)
-    w = reduced.weights.reshape(layout.nx, layout.n_mem)
-    full = w[:, None, :] * layout.obs_prod[:, :, None]
     return Belief(t=reduced.t, n=spec.n, dims=layout.dims,
-                  weights=full.reshape(-1))
+                  weights=layout.lift(reduced.weights)[0])

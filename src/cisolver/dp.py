@@ -26,9 +26,28 @@ value or argmin:
   reachable beliefs this is lossless, so values agree with the full
   variant to floating-point accuracy and node counts can only shrink.
 
+Branches.  :func:`_successors` computes every successor of a node in
+one batch, and the node keeps its branches as four flat arrays: branch
+``b`` is class ``cls[b]`` emitting joint message ``z[b]`` with
+probability ``mass[b]`` and leading to next-stage node ``child[b]``.
+The branches are the pairs ``class * |Z| + z`` that occur on the
+node's support; the masses come from one ``np.bincount`` over each
+support entry's branch, and the successor beliefs over ``(x', m')``
+from one ``np.bincount`` per ``x'`` over ``branch * |M'| + m'``.
+Branches are sorted by ``(class, z)``, the order of a loop over classes
+and then messages, and their successors are interned in that order, so
+node creation order and node ids are those of a one-class-at-a-time
+expansion.  The backward pass is
+``costs + np.bincount(cls, weights=mass * V_next[child])``, which sums
+each class's continuation in message order, then ``argmin``, whose
+first minimum is the smallest representative because classes are
+ordered by representative.
+
 Discounted problems use the same expansion on stationary tables and a
 depth-limited fixed-point evaluation whose truncation depth is chosen
 from the discount factor so the tail is below the requested accuracy.
+The evaluation walks the belief graph depth first on an explicit stack,
+so a deep truncation does not recurse.
 """
 
 from __future__ import annotations
@@ -36,21 +55,19 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coordinator import (
+    CANON_DECIMALS,
     ZERO_MASS,
     Belief,
-    JointPrescription,
     PrescriptionSpace,
     ReducedBelief,
     chi,
     initial_belief,
     stage_layout,
-    zeta,
 )
 from .errors import Infeasible, InvalidParameter, SizeOverflow
 from .model import ControlStrategy, ProblemSpec, StrategyNode
@@ -216,30 +233,22 @@ class _ClassStructure:
         self.reps = reps
 
 
-_structure_cache: "weakref.WeakKeyDictionary[ProblemSpec, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _class_structure(spec: ProblemSpec, t: int, support: np.ndarray,
-                     terminal: bool) -> _ClassStructure:
-    per_spec = _structure_cache.setdefault(spec, {})
-    key = (t if spec.mode == "finite" else 1, terminal, support.tobytes())
-    if key not in per_spec:
-        per_spec[key] = _ClassStructure(spec, t, support, terminal)
-    return per_spec[key]
-
-
 class _ClassEnumeration:
     """Support-restricted prescription classes at one belief node.
 
     Shares the structural tables (actions, messages, representatives)
-    with every other node on the same support; only the expected stage
-    cost ``costs[c]`` depends on the belief weights.
+    with every other node on the same support through ``structures``, a
+    dict owned by one solve; only the expected stage cost ``costs[c]``
+    depends on the belief weights.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, weights: np.ndarray,
-                 support: np.ndarray, cap: int, terminal: bool):
-        structure = _class_structure(spec, t, support, terminal)
+                 support: np.ndarray, cap: int, terminal: bool,
+                 structures: dict):
+        key = (t if spec.mode == "finite" else 1, terminal, support.tobytes())
+        structure = structures.get(key)
+        if structure is None:
+            structure = structures[key] = _ClassStructure(spec, t, support, terminal)
         if structure.count > cap:
             raise SizeOverflow(
                 f"{structure.count} support-restricted prescription classes "
@@ -249,51 +258,73 @@ class _ClassEnumeration:
         self.u_flat = structure.u_flat
         self.z_flat = structure.z_flat
         self.m_next = structure.m_next
-        self.support = support
         self.x_sup = structure.x_sup
         self.w_sup = weights[support]
         self.costs = structure.cost_matrix @ self.w_sup
 
 
-def _child_weights(spec, t, enum: _ClassEnumeration, c: int):
-    """Successor beliefs of class ``c``: list of (z, mass, normalized weights)."""
-    next_t = t + 1 if spec.mode == "finite" else 1
-    layout_next = stage_layout(spec, next_t)
+def _successors(spec: ProblemSpec, t: int, enum: _ClassEnumeration):
+    """Every live (class, message) branch of one node, in (class, z) order.
+
+    Returns ``(cls, z, mass, succ)``: branch ``b`` is class ``cls[b]``
+    emitting joint message ``z[b]`` with probability ``mass[b]``, and
+    ``succ[b]`` is its normalized successor belief over ``(x', m')``,
+    flattened with ``x'`` most significant.  Messages of probability
+    <= ``ZERO_MASS`` have no branch.
+    """
+    layout = stage_layout(spec, t)
+    layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
+    n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
+    count, n_sup = enum.u_flat.shape
+    # the (class, z) pairs that occur, sorted; every support point carries
+    # more than ZERO_MASS, so every pair that occurs is a live branch
+    pairs, branch = np.unique(
+        np.arange(count, dtype=np.int64)[:, None] * n_msgs + enum.z_flat,
+        return_inverse=True)
+    branch = branch.reshape(-1)
+    w = np.broadcast_to(enum.w_sup, (count, n_sup)).reshape(-1)
+    mass = np.bincount(branch, weights=w)
+    cond = w / mass[branch]
+    slot = branch * layout_next.n_mem + enum.m_next.reshape(-1)
     kernel = spec.transition(t)
-    out = []
-    zs = enum.z_flat[c]
-    for z in np.unique(zs):
-        sel = np.nonzero(zs == z)[0]
-        mass = float(enum.w_sup[sel].sum())
-        if mass <= ZERO_MASS:
-            continue
-        child = np.zeros((layout_next.nx, layout_next.n_obs, layout_next.n_mem))
-        for k in sel:
-            row = kernel[enum.x_sup[k], enum.u_flat[c, k]]
-            child[:, :, enum.m_next[c, k]] += (enum.w_sup[k] / mass) \
-                * row[:, None] * layout_next.obs_prod
-        w = child.reshape(-1)
-        out.append((int(z), mass, w / w.sum()))
-    return out
+    succ = np.empty((len(pairs), layout_next.nx, layout_next.n_mem))
+    for xn in range(layout_next.nx):
+        p = kernel[:, :, xn][enum.x_sup[None, :], enum.u_flat].reshape(-1)
+        succ[:, xn, :] = np.bincount(
+            slot, weights=cond * p,
+            minlength=len(pairs) * layout_next.n_mem).reshape(len(pairs), -1)
+    succ = succ.reshape(len(pairs), -1)
+    succ /= succ.sum(axis=1, keepdims=True)
+    return pairs // n_msgs, pairs % n_msgs, mass, succ
 
 
-# -- finite horizon ----------------------------------------------------------
-
-
-class _StageTable:
+class _BeliefTable:
     """Deduplicated beliefs of one stage, in creation order."""
 
     def __init__(self):
         self.keys = {}
         self.weights = []
 
-    def intern(self, key, weights) -> int:
-        idx = self.keys.get(key)
-        if idx is None:
-            idx = len(self.weights)
-            self.keys[key] = idx
-            self.weights.append(weights)
-        return idx
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        """Index of every row's belief, adding new ones in row order.
+
+        Beliefs are keyed by their weights rounded to ``CANON_DECIMALS``;
+        a new belief stores a copy of its row, so the batch it came from
+        can be freed.
+        """
+        keys = np.round(rows, CANON_DECIMALS) + 0.0  # +0.0 clears -0.0
+        out = np.empty(len(rows), dtype=np.int64)
+        for b, key in enumerate(keys):
+            key = key.tobytes()
+            idx = self.keys.get(key)
+            if idx is None:
+                idx = self.keys[key] = len(self.weights)
+                self.weights.append(rows[b].copy())
+            out[b] = idx
+        return out
+
+
+# -- finite horizon ----------------------------------------------------------
 
 
 def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
@@ -302,76 +333,61 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
     started = time.perf_counter()
     T = spec.horizon
     n = spec.n
+    structures: dict = {}
 
-    def node_key(weights, t):
-        if reduced:
-            layout = stage_layout(spec, t)
-            red = weights.reshape(layout.nx, layout.n_obs, layout.n_mem).sum(axis=1)
-            red = red.reshape(-1)
-            return (t, (np.round(red, 12) + 0.0).tobytes()), red
-        return (t, (np.round(weights, 12) + 0.0).tobytes()), weights
-
-    def lift(stored, t):
-        if not reduced:
-            return stored
-        layout = stage_layout(spec, t)
-        full = stored.reshape(layout.nx, layout.n_mem)[:, None, :] \
-            * layout.obs_prod[:, :, None]
-        return full.reshape(-1)
-
-    stages = [_StageTable() for _ in range(T)]
-    roots = []
-    for prob, bel in initial_belief(spec):
-        key, stored = node_key(bel.weights, 1)
-        roots.append((float(prob), stages[0].intern(key, stored)))
+    stages = [_BeliefTable() for _ in range(T)]
+    roots = initial_belief(spec)
+    first = stages[0].intern(np.stack([chi(bel).weights if reduced else bel.weights
+                                       for _, bel in roots]))
+    roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
     expansions: list[list] = [[] for _ in range(T)]
     expanded_classes = [0] * T
     for t in range(1, T + 1):
+        layout = stage_layout(spec, t)
         table = stages[t - 1]
         idx = 0
         while idx < len(table.weights):
-            w_full = lift(table.weights[idx], t)
+            w_full = table.weights[idx]
+            if reduced:
+                w_full = layout.lift(w_full)[0]
             support = np.nonzero(w_full > ZERO_MASS)[0]
-            enum = _ClassEnumeration(spec, t, w_full, support, cap, terminal=(t == T))
+            enum = _ClassEnumeration(spec, t, w_full, support, cap,
+                                     terminal=(t == T), structures=structures)
             expanded_classes[t - 1] += enum.count
             branches = None
             if t < T:
-                branches = []
-                for c in range(enum.count):
-                    per_class = []
-                    for z, mass, child_w in _child_weights(spec, t, enum, c):
-                        key, stored = node_key(child_w, t + 1)
-                        per_class.append((z, mass, stages[t].intern(key, stored)))
-                    branches.append(per_class)
+                cls, z, mass, succ = _successors(spec, t, enum)
+                if not reduced:
+                    succ = stage_layout(spec, t + 1).lift(succ)
+                branches = (cls, z, mass, stages[t].intern(succ))
             expansions[t - 1].append((enum.reps, enum.costs, branches))
             idx += 1
 
-    values = [np.zeros(len(stages[t - 1].weights)) for t in range(1, T + 1)]
-    chosen = [[None] * len(stages[t - 1].weights) for t in range(1, T + 1)]
+    values = [np.zeros(len(table.weights)) for table in stages]
+    chosen = [[] for _ in range(T)]  # per node: (representative, {z: child})
     for t in range(T, 0, -1):
         for idx, (reps, costs, branches) in enumerate(expansions[t - 1]):
             if branches is None:
-                q = costs
-            else:
-                q = costs.copy()
-                for c, per_class in enumerate(branches):
-                    q[c] += sum(mass * values[t][child] for _, mass, child in per_class)
+                best = int(np.argmin(costs))
+                values[t - 1][idx] = costs[best]
+                chosen[t - 1].append((reps[best], {}))
+                continue
+            cls, z, mass, child = branches
+            q = costs + np.bincount(cls, weights=mass * values[t][child],
+                                    minlength=len(costs))
             best = int(np.argmin(q))  # first occurrence = smallest representative
+            lo, hi = np.searchsorted(cls, (best, best + 1))
             values[t - 1][idx] = q[best]
-            chosen[t - 1][idx] = (reps[best],
-                                  {} if branches is None else
-                                  {z: child for z, _, child in branches[best]})
+            chosen[t - 1].append(
+                (reps[best], dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
 
     total = sum(prob * values[0][idx] for prob, idx in roots)
 
-    # assemble the tree with globally sequential node ids, stage by stage
-    node_ids = []
-    counter = 0
-    for t in range(1, T + 1):
-        ids = list(range(counter, counter + len(stages[t - 1].weights)))
-        counter += len(ids)
-        node_ids.append(ids)
+    # globally sequential node ids, stage by stage
+    offset = [0]
+    for table in stages:
+        offset.append(offset[-1] + len(table.weights))
     tree_stages = []
     for t in range(1, T + 1):
         layout = stage_layout(spec, t)
@@ -384,16 +400,16 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
             else:
                 bel = Belief(t=t, n=n, dims=layout.dims, weights=stored)
             nodes.append(TreeNode(
-                node_id=node_ids[t - 1][idx], t=t, belief=bel,
+                node_id=offset[t - 1] + idx, t=t, belief=bel,
                 gamma_index=rep, value=float(values[t - 1][idx]),
-                children={z: node_ids[t][child] for z, child in children.items()},
+                children={z: offset[t] + child for z, child in children.items()},
             ))
         tree_stages.append(nodes)
 
     tree = PolicyTree(
         variant="reduced" if reduced else "full",
         horizon=T,
-        roots=tuple((prob, node_ids[0][idx]) for prob, idx in roots),
+        roots=tuple(roots),
         stages=tree_stages,
     ).finalize()
     report = ValueReport(
@@ -489,75 +505,90 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     tail = 0.0 if beta == 0.0 else (beta ** K) * max_c / (1.0 - beta)
 
     layout = stage_layout(spec, 1)
-    cache: dict[bytes, tuple] = {}  # key -> (weights, enum-lite)
-    order: list[bytes] = []
+    structures: dict = {}
+    table = _BeliefTable()
+    expansions: dict[int, tuple] = {}  # belief -> (reps, costs, cls, z, mass, child)
 
-    def intern(weights) -> bytes:
-        key = (np.round(weights, 12) + 0.0).tobytes()
-        if key not in cache:
-            if len(cache) >= cap_beliefs:
-                raise Infeasible(
-                    f"reachable stationary beliefs exceed cap {cap_beliefs}",
-                    count=len(cache))
-            cache[key] = [weights, None]
-            order.append(key)
-        return key
+    def intern(rows):
+        out = table.intern(rows)
+        if len(table.weights) > cap_beliefs:
+            raise Infeasible(
+                f"reachable stationary beliefs exceed cap {cap_beliefs}",
+                count=len(table.weights))
+        return out
 
-    def expansion(key):
-        entry = cache[key]
-        if entry[1] is None:
-            w = entry[0]
+    def expansion(i):
+        got = expansions.get(i)
+        if got is None:
+            w = table.weights[i]
             support = np.nonzero(w > ZERO_MASS)[0]
             enum = _ClassEnumeration(spec, 1, w, support, cap_prescriptions,
-                                     terminal=False)
-            branches = []
-            for c in range(enum.count):
-                branches.append([(z, mass, intern(cw))
-                                 for z, mass, cw in _child_weights(spec, 1, enum, c)])
-            entry[1] = (enum.reps, enum.costs, branches)
-        return entry[1]
+                                     terminal=False, structures=structures)
+            cls, z, mass, succ = _successors(spec, 1, enum)
+            got = expansions[i] = (enum.reps, enum.costs, cls, z, mass,
+                                   intern(layout.lift(succ)))
+        return got
 
-    memo: dict[tuple[bytes, int], float] = {}
+    def q_values(i, child_values):
+        _, costs, cls, _, mass, _ = expansions[i]
+        return costs + beta * np.bincount(cls, weights=mass * child_values,
+                                          minlength=len(costs))
 
-    def value(key, k) -> float:
+    memo: dict[tuple[int, int], float] = {}
+
+    def value(i, k) -> float:
+        """Depth-``k`` value of belief ``i``, depth first on an explicit stack.
+
+        A frame is ``(belief, depth, values of its children so far)``.
+        Children are visited in branch order and a belief is expanded
+        when its frame is pushed, so beliefs are interned in the order a
+        recursive evaluation would intern them.
+        """
         if k <= 0:
             return 0.0
-        got = memo.get((key, k))
-        if got is not None:
-            return got
-        reps, costs, branches = expansion(key)
-        best = math.inf
-        for c in range(len(reps)):
-            q = costs[c] + beta * sum(mass * value(child, k - 1)
-                                      for _, mass, child in branches[c])
-            if q < best:
-                best = q
-        memo[(key, k)] = best
-        return best
+        if (i, k) not in memo:
+            expansion(i)
+            stack = [(i, k, [])]
+            while stack:
+                top, depth, done = stack[-1]
+                child = expansions[top][5]
+                while len(done) < len(child):
+                    got = memo.get((int(child[len(done)]), depth - 1),
+                                   0.0 if depth == 1 else None)
+                    if got is None:
+                        break
+                    done.append(got)
+                if len(done) < len(child):
+                    nxt = int(child[len(done)])
+                    expansion(nxt)
+                    stack.append((nxt, depth - 1, []))
+                    continue
+                memo[(top, depth)] = float(q_values(top, done).min())
+                stack.pop()
+        return memo[(i, k)]
 
     roots = initial_belief(spec)
-    root_keys = [(prob, intern(bel.weights)) for prob, bel in roots]
-    v_top = sum(prob * value(key, K) for prob, key in root_keys)
-    v_prev = sum(prob * value(key, K - 1) for prob, key in root_keys)
+    root_ids = intern(np.stack([bel.weights for _, bel in roots])).tolist()
+    v_top = sum(prob * value(i, K) for (prob, _), i in zip(roots, root_ids))
+    v_prev = sum(prob * value(i, K - 1) for (prob, _), i in zip(roots, root_ids))
     residual = abs(v_top - v_prev)
 
-    entries = []
-    for key in list(order):  # snapshot: the sweep itself may intern new beliefs
-        if cache[key][1] is None:
+    chosen = []
+    for i in range(len(table.weights)):  # the sweep itself may intern new beliefs
+        if i not in expansions:
             continue  # interned but never expanded (leaf of the truncation)
-        reps, costs, branches = cache[key][1]
-        best_q, best_c = math.inf, 0
-        for c in range(len(reps)):
-            q = costs[c] + beta * sum(mass * value(child, K - 1)
-                                      for _, mass, child in branches[c])
-            if q < best_q:
-                best_q, best_c = q, c
-        entries.append(PolicyEntry(
-            belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=cache[key][0]),
-            gamma_index=reps[best_c],
-            value=float(best_q),
-            children={z: child for z, _, child in branches[best_c]},
-        ))
+        reps, _, cls, z, _, child = expansions[i]
+        q = q_values(i, [value(int(c), K - 1) for c in child])
+        best = int(np.argmin(q))
+        lo, hi = np.searchsorted(cls, (best, best + 1))
+        chosen.append((i, reps[best], float(q[best]),
+                       dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
+    keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
+    entries = [PolicyEntry(
+        belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=table.weights[i]),
+        gamma_index=rep, value=q,
+        children={zz: keys[c] for zz, c in children.items()})
+        for i, rep, q, children in chosen]
 
     policy = StationaryPolicy(
         epsilon=epsilon, iterations=K, residual=float(residual),
@@ -566,8 +597,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
         value=float(v_top), variant="full", mode="discounted",
         stage_nodes=[len(entries)],
         prescription_space_sizes=[PrescriptionSpace(spec, 1).size],
-        expanded_classes=[sum(len(cache[k][1][0]) for k in order
-                              if cache[k][1] is not None)],
+        expanded_classes=[sum(len(e[0]) for e in expansions.values())],
         runtime_s=time.perf_counter() - started,
         iterations=K, residual=float(residual), tail_bound=float(tail))
     return report, policy

@@ -77,6 +77,15 @@ def test_solve_discounted_constant_cost(capsys, problems_dir):
     assert err.splitlines()[-1] == f"{doc['report']['value']:.12g}"
 
 
+def test_threads_is_a_usage_error_outside_simulate(capsys, problems_dir):
+    for command in ("solve", "enumerate"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(problems_dir / "static_team.json"),
+                      "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_enumerate_static_team_counts(capsys, problems_dir):
     code, out, _ = run(capsys, "enumerate",
                        str(problems_dir / "static_team.json"))

@@ -1,15 +1,23 @@
+import gc
+import itertools
+
 import numpy as np
 import pytest
 
 import instances
 import reference
+from cisolver import dp
 from cisolver.coordinator import (
+    ZERO_MASS,
     PrescriptionSpace,
+    eta_update,
     expected_cost,
     message_distribution,
+    stage_layout,
     zeta,
 )
 from cisolver.dp import (
+    DEFAULT_PRESCRIPTION_CAP,
     extract_control_strategy,
     solve_discounted,
     solve_finite,
@@ -23,6 +31,7 @@ from cisolver.oracle import (
     exact_cost_of_strategy,
 )
 from cisolver.protocols import delayed_sharing_protocol
+from cisolver.serialize import load_problem
 
 
 def test_single_controller_matches_textbook_recursion():
@@ -182,3 +191,64 @@ def test_reduced_tree_lifts_to_the_full_beliefs(solved_seed1):
         for node in stage:
             lifted = zeta(spec, node.belief)
             assert lifted.canonical_key()[1] in full_keys
+
+
+@pytest.mark.parametrize("name", ["delayed_sharing_2x2", "acceptance_seed1"])
+def test_batched_successors_match_eta_update(problems_dir, name):
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    _, tree = solve_finite(spec)
+    for stage in tree.stages[:-1]:
+        for node in stage:
+            t, w = node.t, node.belief.weights
+            enum = dp._ClassEnumeration(
+                spec, t, w, np.nonzero(w > ZERO_MASS)[0],
+                DEFAULT_PRESCRIPTION_CAP, terminal=False, structures={})
+            cls, z, mass, succ = dp._successors(spec, t, enum)
+            lifted = stage_layout(spec, t + 1).lift(succ)
+            space = PrescriptionSpace(spec, t)
+            for c in range(enum.count):
+                gamma = space.decode(enum.reps[c])
+                dist = message_distribution(spec, node.belief, gamma)
+                mine = np.nonzero(cls == c)[0]
+                assert z[mine].tolist() == np.nonzero(dist > ZERO_MASS)[0].tolist()
+                for b in mine:
+                    assert abs(mass[b] - dist[z[b]]) <= 1e-12
+                    expect = eta_update(spec, node.belief, gamma, int(z[b]))
+                    assert np.abs(lifted[b] - expect.weights).max() <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
+def test_periodic_counters_are_pinned(problems_dir, solve):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    report, _ = solve(spec)
+    assert report.stage_nodes == [1, 16, 256, 4096]
+    assert report.expanded_classes == [16, 4096, 4096, 1048576]
+
+
+def test_discounted_chain_at_099_matches_policy_evaluation():
+    # K = 1375 here; the reference oracle recurses that deep, so the exact
+    # value comes from evaluating every stationary policy of the chain,
+    # whose observations reveal the state: (I - beta P_mu) v = c_mu
+    beta, epsilon = 0.99, 1e-4
+    spec = instances.discounted_chain(beta)
+    report, policy = solve_discounted(spec, epsilon=epsilon)
+    kernel, cost = spec.transitions[0], spec.costs[0]
+    states = [0, 1]
+    exact = min(
+        float(spec.initial_dist @ np.linalg.solve(
+            np.eye(2) - beta * kernel[states, list(mu)], cost[states, list(mu)]))
+        for mu in itertools.product(range(2), repeat=2))
+    assert report.iterations == truncation_depth(beta, epsilon,
+                                                 spec.max_abs_cost)
+    assert abs(report.value - exact) <= 2 * epsilon
+    assert policy.entries
+
+
+def test_class_structures_are_freed_after_a_solve():
+    finite = instances.random_delayed_instance(1)
+    discounted = instances.discounted_chain(0.9)
+    _, tree = solve_finite(finite)
+    _, policy = solve_discounted(discounted)
+    del tree, policy
+    gc.collect()
+    assert not any(isinstance(obj, dp._ClassStructure) for obj in gc.get_objects())

@@ -7,7 +7,6 @@ repository root:
     python3 scripts/make_golden.py
 """
 
-import json
 import pathlib
 
 from cisolver import serialize
@@ -38,8 +37,7 @@ def main():
               f"coordinator {coordinator.count} -> {coordinator.minimum!r}")
     out = ROOT / "tests" / "golden"
     out.mkdir(exist_ok=True)
-    (out / "goldens.json").write_text(
-        json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "goldens.json").write_text(serialize.dumps(golden), encoding="utf-8")
     print(f"wrote {out / 'goldens.json'}")
 
 

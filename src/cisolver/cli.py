@@ -4,7 +4,8 @@ All command output is JSON (to ``--output`` or standard output); log
 lines go to standard error.  Exit codes separate failure families so
 scripts can react: 0 ok, 1 invalid problem or incompatible inputs,
 2 JSON parse error, 3 a size cap was hit, 4 the two enumeration oracles
-disagree, 5 a simulation audit fired.
+disagree, 5 a simulation audit fired, 6 internal error (a defect in this
+package, reported in one line; ``CIS_LOG_LEVEL=DEBUG`` adds the traceback).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_DISAGREEMENT = 4
 EXIT_AUDIT = 5
+EXIT_INTERNAL = 6
 
 ORACLE_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 10_000_000
@@ -292,6 +294,10 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # keep the exit status apart from the codes above
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -36,6 +36,17 @@ ZERO_MASS = 1e-15
 CANON_DECIMALS = 12
 
 
+def canonical_keys(rows: np.ndarray) -> list[bytes]:
+    """The canonical key of every row of a batch of belief weight vectors.
+
+    A key is the bytes of the row rounded to ``CANON_DECIMALS``, so equal
+    beliefs computed along different paths share a key; ``+ 0.0`` turns
+    ``-0.0`` into ``0.0`` first.
+    """
+    rounded = np.round(rows, CANON_DECIMALS) + 0.0
+    return [row.tobytes() for row in rounded]
+
+
 @dataclass(frozen=True)
 class CoordState:
     """One coordinator state: chain state, joint observation, joint memory."""
@@ -63,8 +74,7 @@ class Belief:
         return f"t{self.t}|" + "x".join(str(d) for d in self.dims)
 
     def canonical_key(self) -> tuple[str, bytes]:
-        w = np.round(self.weights, CANON_DECIMALS) + 0.0  # +0.0 clears -0.0
-        return (self.support_id, w.tobytes())
+        return (self.support_id, canonical_keys(self.weights[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +91,7 @@ class ReducedBelief:
         return f"r{self.t}|" + "x".join(str(d) for d in self.dims)
 
     def canonical_key(self) -> tuple[str, bytes]:
-        w = np.round(self.weights, CANON_DECIMALS) + 0.0
-        return (self.support_id, w.tobytes())
+        return (self.support_id, canonical_keys(self.weights[None])[0])
 
 
 class StageLayout:

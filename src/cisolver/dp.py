@@ -60,11 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinator import (
-    CANON_DECIMALS,
     ZERO_MASS,
     Belief,
     PrescriptionSpace,
     ReducedBelief,
+    canonical_keys,
     chi,
     initial_belief,
     stage_layout,
@@ -308,14 +308,11 @@ class _BeliefTable:
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
 
-        Beliefs are keyed by their weights rounded to ``CANON_DECIMALS``;
-        a new belief stores a copy of its row, so the batch it came from
-        can be freed.
+        Beliefs are keyed by ``canonical_keys``; a new belief stores a
+        copy of its row, so the batch it came from can be freed.
         """
-        keys = np.round(rows, CANON_DECIMALS) + 0.0  # +0.0 clears -0.0
         out = np.empty(len(rows), dtype=np.int64)
-        for b, key in enumerate(keys):
-            key = key.tobytes()
+        for b, key in enumerate(canonical_keys(rows)):
             idx = self.keys.get(key)
             if idx is None:
                 idx = self.keys[key] = len(self.weights)

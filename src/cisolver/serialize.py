@@ -6,12 +6,24 @@ keys are sorted, floats use the shortest decimal form that round-trips
 exactly, and no timing data is embedded.  Policy documents carry a
 sha256 digest of the canonical problem encoding so a policy can never
 silently be replayed against a different problem.
+
+``dumps`` writes every document.  Its text is byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``;
+dict keys must be str, and NaN and infinities raise ValueError.  It does
+not call ``json.dumps`` with ``indent=``, because the standard library
+then falls back from its C encoder to a pure-Python one, which made
+writing a solve document slower than solving the problem.  Instead
+``dumps`` walks dicts and lists itself and hands each list of plain
+values (the belief weights and prescription tables that make up almost
+all of the text) to the C encoder in one call, with the newline and
+indentation of its depth as the item separator.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -58,9 +70,82 @@ _PRESET_ALIASES = {
 }
 
 
+#: Element types a list may hold to be written by one C encoder call.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _not_serializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+class _IndentWriter:
+    """Appends the indented text of one document to ``parts``.
+
+    Containers are walked here.  Scalars and lists of scalars go to the
+    standard library's C encoder, one call per list: the encoder of each
+    depth has ``"," + newline + indentation`` as its item separator.
+    """
+
+    def __init__(self):
+        self.parts: list[str] = []
+        self._levels: list[tuple[str, Any]] = []  # per depth: (newline + pad, encoder)
+
+    def _level(self, depth: int) -> tuple[str, Any]:
+        while len(self._levels) <= depth:
+            pad = "\n" + "  " * len(self._levels)
+            self._levels.append((pad, c_make_encoder(
+                None, _not_serializable, encode_basestring_ascii, None,
+                ": ", "," + pad, True, False, False)))
+        return self._levels[depth]
+
+    def write(self, o: Any, depth: int):
+        parts = self.parts
+        if isinstance(o, dict):
+            if not o:
+                parts.append("{}")
+                return
+            pad, encode = self._level(depth + 1)
+            sep = "{" + pad
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts += (sep, encode_basestring_ascii(key), ": ")
+                if type(value) in _SCALAR_TYPES:
+                    parts += encode(value, 0)
+                else:
+                    self.write(value, depth + 1)
+                sep = "," + pad
+            parts += (self._level(depth)[0], "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                parts.append("[]")
+                return
+            pad, encode = self._level(depth + 1)
+            if set(map(type, o)) <= _SCALAR_TYPES:
+                # C writes "[a,<pad>b]"; the brackets get lines of their own
+                parts += ("[", pad, "".join(encode(o, 0))[1:-1])
+            else:
+                sep = "[" + pad
+                for item in o:
+                    parts.append(sep)
+                    self.write(item, depth + 1)
+                    sep = "," + pad
+            parts += (self._level(depth)[0], "]")
+        else:
+            parts += self._level(0)[1](o, 0)
+
+
 def dumps(doc: Any) -> str:
-    """Serialize a document to deterministic, human-readable JSON text."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Serialize a document to deterministic, human-readable JSON text.
+
+    The text equals ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``.  Keys must be str (TypeError otherwise);
+    NaN and infinities raise ValueError.
+    """
+    writer = _IndentWriter()
+    writer.write(doc, 0)
+    writer.parts.append("\n")
+    return "".join(writer.parts)
 
 
 def parse_file(path: str) -> Any:
@@ -502,14 +587,44 @@ def problem_digest(spec: ProblemSpec) -> str:
 
 
 def _belief_to_dict(belief) -> dict:
-    return {"dims": list(belief.dims),
-            "weights": [float(w) for w in belief.weights]}
+    return {"dims": list(belief.dims), "weights": belief.weights.tolist()}
 
 
 def _gamma_to_dict(space: PrescriptionSpace, index: int) -> dict:
     gamma = space.decode(index)
     return {"index": int(index),
             "tables": [t.tolist() for t in gamma.tables]}
+
+
+def _check_links(spec: ProblemSpec, horizon, roots, stages):
+    """Raise InvalidParameter unless every root and child names a node.
+
+    Roots must be stage-1 nodes; a stage-t node's children map joint
+    messages of stage t to nodes of stage t + 1, and the last stage has
+    none.
+    """
+    if horizon != spec.horizon or len(stages) != horizon:
+        raise InvalidParameter(
+            f"policy has horizon {horizon!r} and {len(stages)} stages; the "
+            f"problem has horizon {spec.horizon}")
+    next_ids = {nd.node_id for nd in stages[0]}
+    for _, node_id in roots:
+        if node_id not in next_ids:
+            raise InvalidParameter(f"root {node_id} is not a stage-1 node")
+    for t, stage in enumerate(stages, start=1):
+        last = t == horizon
+        n_msgs = 0 if last else int(np.prod(spec.msg_cards(t), dtype=np.int64))
+        next_ids = set() if last else {nd.node_id for nd in stages[t]}
+        for nd in stage:
+            for z, child in nd.children.items():
+                if not 0 <= z < n_msgs:
+                    raise InvalidParameter(
+                        f"node {nd.node_id} at t={t}: message {z} is not one "
+                        f"of the stage's {n_msgs} joint messages")
+                if child not in next_ids:
+                    raise InvalidParameter(
+                        f"node {nd.node_id} at t={t}: child {child} is not a "
+                        f"node of stage {t + 1}")
 
 
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
@@ -548,10 +663,10 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
                 gamma_index=int(nd["gamma"]["index"]), value=float(nd["value"]),
                 children={int(z): int(c) for z, c in nd["children"].items()}))
         stages.append(stage)
-    return PolicyTree(
-        variant=variant, horizon=doc["horizon"],
-        roots=tuple((float(p), int(i)) for p, i in doc["roots"]),
-        stages=stages).finalize()
+    roots = tuple((float(p), int(i)) for p, i in doc["roots"])
+    _check_links(spec, doc["horizon"], roots, stages)
+    return PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
+                      stages=stages).finalize()
 
 
 def control_strategy_to_dict(spec: ProblemSpec,
@@ -582,10 +697,10 @@ def control_strategy_from_dict(doc, spec: ProblemSpec) -> ControlStrategy:
             tables=tuple(np.asarray(t, dtype=np.int64) for t in nd["tables"]),
             children={int(z): int(c) for z, c in nd["children"].items()},
         ) for nd in stage_doc])
-    return ControlStrategy(
-        n=doc["n"], horizon=doc["horizon"],
-        roots=tuple((float(p), int(i)) for p, i in doc["roots"]),
-        stages=stages).finalize()
+    roots = tuple((float(p), int(i)) for p, i in doc["roots"])
+    _check_links(spec, doc["horizon"], roots, stages)
+    return ControlStrategy(n=doc["n"], horizon=doc["horizon"], roots=roots,
+                           stages=stages).finalize()
 
 
 def stationary_policy_to_dict(spec: ProblemSpec,

@@ -158,6 +158,40 @@ def test_simulate_rejects_a_foreign_policy(capsys, tmp_path, problems_dir):
     assert "different problem" in err
 
 
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda children: children.update({min(children): 99999}), "child 99999"),
+    (lambda children: children.update({"99999": 1}), "message 99999"),
+])
+def test_simulate_rejects_a_policy_that_names_no_node(capsys, tmp_path,
+                                                      problems_dir, corrupt,
+                                                      named):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    corrupt(doc["policy"]["stages"][0][0]["children"])
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
+def test_internal_error_exit(capsys, problems_dir, monkeypatch):
+    def broken(spec, cap_prescriptions):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "solve_finite", broken)
+    code, out, err = run(capsys, "solve",
+                         str(problems_dir / "static_team.json"))
+    assert code == 6
+    assert out == ""
+    assert "internal error: RuntimeError: boom" in err
+    assert "Traceback" not in err
+
+
 def test_trajectory_dump_is_json_lines(capsys, tmp_path, problems_dir):
     problem = str(problems_dir / "delayed_sharing_2x2.json")
     policy = tmp_path / "policy.json"

@@ -8,6 +8,8 @@ import reference
 from cisolver.coordinator import (
     Belief,
     PrescriptionSpace,
+    ReducedBelief,
+    canonical_keys,
     chi,
     enumerate_states,
     eta_update,
@@ -157,6 +159,14 @@ def test_canonical_key_clears_negative_zero():
     a = Belief(t=1, n=1, dims=(2, 2, 1), weights=np.array([0.5, 0.5, 0.0, 0.0]))
     b = Belief(t=1, n=1, dims=(2, 2, 1), weights=np.array([0.5, 0.5, -0.0, 0.0]))
     assert a.canonical_key() == b.canonical_key()
+    # the solver keys batches of rows with the same bytes; stationary
+    # policy documents carry these bytes in hex
+    key = np.array([0.5, 0.5, 0.0, 0.0]).tobytes()
+    assert a.canonical_key()[1] == key
+    rows = np.stack([a.weights, b.weights, a.weights + 1e-14])
+    assert canonical_keys(rows) == [key] * 3
+    r = ReducedBelief(t=1, n=1, dims=(2, 2), weights=b.weights)
+    assert r.canonical_key()[1] == key
 
 
 def walk_paths(spec, tree):

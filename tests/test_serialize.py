@@ -1,11 +1,19 @@
 import copy
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
-from cisolver.dp import extract_control_strategy, solve_discounted
+from cisolver.dp import (
+    extract_control_strategy,
+    solve_discounted,
+    solve_finite,
+    solve_finite_reduced,
+)
 from cisolver.errors import InvalidParameter
 from cisolver.oracle import (
     enumerate_basic_strategies,
@@ -17,6 +25,7 @@ from cisolver.serialize import (
     control_strategy_to_dict,
     dumps,
     enumeration_result_to_dict,
+    load_problem,
     parse_file,
     policy_from_document,
     policy_tree_from_dict,
@@ -26,9 +35,21 @@ from cisolver.serialize import (
     problem_from_document,
     problem_to_dict,
     solve_result_to_dict,
+    sim_report_to_dict,
     stationary_policy_to_dict,
+    validation_report_to_dict,
     value_report_to_dict,
 )
+from cisolver.sim import rollout
+
+PROBLEMS = sorted(p.stem for p in
+                  (pathlib.Path(__file__).resolve().parent.parent / "problems")
+                  .glob("*.json"))
+
+
+def stdlib_text(doc) -> str:
+    """The text ``dumps`` must reproduce byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def base_doc():
@@ -114,6 +135,33 @@ def test_control_strategy_round_trip(solved_seed1):
     assert abs(exact_cost_of_strategy(spec, again) - report.value) <= 1e-9
 
 
+def _first_children(doc):
+    return doc["stages"][0][0]["children"]
+
+
+@pytest.mark.parametrize("mangle,match", [
+    (lambda d: _first_children(d).update({min(_first_children(d)): 99999}),
+     "child 99999 is not a node of stage 2"),
+    (lambda d: _first_children(d).update({"99999": 1}),
+     "message 99999 is not one of"),
+    (lambda d: d["stages"][-1][0]["children"].update({"0": 0}),
+     "message 0 is not one of the stage's 0"),
+    (lambda d: d.update(roots=[[1.0, 99999]]), "root 99999"),
+    (lambda d: d["stages"].pop(), "stages"),
+])
+@pytest.mark.parametrize("kind", ["policy_tree", "control_strategy"])
+def test_policy_links_are_checked(solved_seed1, kind, mangle, match):
+    spec, report, tree = solved_seed1
+    if kind == "policy_tree":
+        doc = policy_tree_to_dict(spec, tree)
+    else:
+        doc = control_strategy_to_dict(spec, extract_control_strategy(spec, tree))
+    doc = json.loads(dumps(doc))
+    mangle(doc)
+    with pytest.raises(InvalidParameter, match=match):
+        policy_from_document(doc, spec)
+
+
 def test_policy_from_document_checks_the_digest(solved_seed1):
     spec, report, tree = solved_seed1
     doc = solve_result_to_dict(spec, report, tree)
@@ -158,8 +206,65 @@ def test_dumps_is_deterministic_and_strict():
     assert out == dumps({"a": [3, 2], "b": 1.0})
     assert out.endswith("\n")
     assert out.index('"a"') < out.index('"b"')
-    with pytest.raises(ValueError):
-        dumps({"x": float("nan")})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for doc in (bad, [bad], [1.0, bad], {"x": bad}, {"x": [[0, True], [bad]]},
+                    (None, {"y": bad})):
+            with pytest.raises(ValueError):
+                dumps(doc)
+    for doc in ({1: 2}, {"x": {None: 1}}):
+        with pytest.raises(TypeError):
+            dumps(doc)
+    with pytest.raises(TypeError):
+        dumps({"x": [1.0, np.int64(2)]})
+    # float subclasses print as floats, as in the standard library
+    assert dumps([np.float64(0.1), 1]) == stdlib_text([np.float64(0.1), 1])
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                                0.1, 1e16, 1.7976931348623157e308])
+_edge_text = st.sampled_from(["", "é", "\x00\x1f\x7f", "tab\tquote\"back\\",
+                              "\u2028", "😀", "[1, 2]"])
+_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    st.floats(allow_nan=False, allow_infinity=False), _edge_floats,
+    st.text(max_size=8), _edge_text)
+_numbers = st.one_of(st.booleans(), st.integers(), _edge_floats,
+                     st.floats(allow_nan=False, allow_infinity=False))
+_documents = st.recursive(
+    st.one_of(_scalars, st.lists(_numbers, max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), _edge_text), inner,
+                        max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_dumps_matches_the_standard_library(doc):
+    assert dumps(doc) == stdlib_text(doc)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_command_documents_match_the_standard_library(name, problems_dir):
+    """Every kind of document the commands write, on every fixture."""
+    spec, report = load_problem(str(problems_dir / f"{name}.json"))
+    docs = [validation_report_to_dict(report)]
+    if spec is not None and report.ok and spec.mode == "discounted":
+        docs.append(solve_result_to_dict(spec, *solve_discounted(spec)))
+    elif spec is not None and report.ok:
+        full = solve_finite(spec)
+        docs += [solve_result_to_dict(spec, *full),
+                 solve_result_to_dict(spec, *solve_finite_reduced(spec)),
+                 sim_report_to_dict(rollout(spec, full[1], seed=1, episodes=200))]
+        if name in ("static_team", "delayed_sharing_2x2"):
+            docs.append(enumeration_result_to_dict(
+                spec, enumerate_basic_strategies(spec),
+                enumerate_coordinator_strategies(spec)))
+    for doc in docs:
+        assert dumps(doc) == stdlib_text(doc)
 
 
 def test_parse_file_propagates_syntax_errors(tmp_path):

@@ -10,7 +10,7 @@ with ``V_{T+1} = 0``.  The solver grows the reachable belief set forward
 from the root (memoizing beliefs by canonical form), then runs the
 recursion backward, recording one prescription per belief node.
 
-Two exact reductions keep the enumeration small without changing any
+Three exact reductions keep the enumeration small without changing any
 value or argmin:
 
 * *Support restriction*: two prescriptions that agree on every
@@ -18,13 +18,31 @@ value or argmin:
   law and successor beliefs, so only one representative per equivalence
   class is evaluated.  The representative fixes action 0 on off-support
   points and is the smallest full prescription index in its class, and
-  classes are enumerated in increasing representative order, so the
-  documented smallest-index tie-break is preserved exactly.
+  classes are ordered by representative, so the documented
+  smallest-index tie-break is preserved exactly.  The representative,
+  an exact int, is computed only for the class a node chooses.
 * *Observation marginalization* (the reduced variant): beliefs are
   stored over ``(x, m)`` only and the current observations are
   reattached through the stage's kernels when a node is expanded.  On
   reachable beliefs this is lossless, so values agree with the full
   variant to floating-point accuracy and node counts can only shrink.
+* *Separable last stage*: at ``t = T`` there is no continuation, so the
+  coordinator faces a static team problem.  Once the lead class ``a``
+  (the joint class of every controller but the last) is fixed, the last
+  controller's best response splits into one minimization per
+  on-support ``(y, m)`` point ``q`` of its own:
+  ``V(a) = sum_q min_u G[a, q, u]`` (the alternating-maximization step
+  for collaborative Bayesian games).  Work per node falls from
+  ``|lead classes| * |last classes| * |support|`` to
+  ``|lead classes| * |support| * |U_n|``; the table of ``c(x, u)`` per
+  lead class, support entry and last action is shared by every node on
+  the support, and nodes are contracted with it in batches.  Tie-break:
+  the joint class index is ``a * |last classes| + b``, and ``b`` puts the
+  last controller's first point most significant, so the smallest
+  minimizing class is the first ``argmin`` of ``V`` over ``a`` followed
+  by the first ``argmin`` over ``u`` at each ``q``.  The last stage still
+  reports, and checks against the cap, the number of classes it would
+  enumerate.
 
 Branches.  :func:`_successors` computes every successor of a node in
 one batch, and the node keeps its branches as four flat arrays: branch
@@ -52,7 +70,6 @@ so a deep truncation does not recurse.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -142,95 +159,209 @@ class ValueReport:
 
 # -- prescription classes ---------------------------------------------------
 
+#: Largest weight-independent table, in entries, built for one support.
+_MAX_TABLE_ENTRIES = 50_000_000
+#: Entries of one batch of the last stage's best-response array.
+_BATCH_ENTRIES = 1 << 22
 
-class _ClassStructure:
-    """Weight-independent part of the class enumeration at one support.
 
-    Everything here depends only on the stage and the support pattern,
-    so belief nodes sharing a support share one structure: ``reps[c]``
-    is the smallest full prescription index in class ``c``;
-    ``u_flat[c, s]`` / ``z_flat[c, s]`` / ``m_next[c, s]`` give the
-    joint action, message and next joint memory for support state
-    ``s``; ``cost_matrix[c, s]`` is the stage cost there.  Classes are
-    ordered by increasing representative.
+def _digits(index, base: int, width: int) -> np.ndarray:
+    """Base-``base`` digits of ``index``, most significant first, on a new last axis."""
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.asarray(index, dtype=np.int64)[..., None] // powers % base
+
+
+class _Classes:
+    """Support-restricted prescription classes at one support.
+
+    Controller ``i``'s classes are the action assignments to its
+    on-support ``(y, m)`` points ``uniq[i]`` (increasing), the first
+    point most significant; ``inv[i][s]`` is the point of support entry
+    ``s``.  Joint classes are mixed radix over the controllers,
+    controller 0 most significant, so they are ordered by representative.
+
+    Raises:
+        SizeOverflow: there are more than ``cap`` classes.
     """
 
-    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray,
-                 terminal: bool):
+    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
         layout = stage_layout(spec, t)
-        n = spec.n
-        x_sup = layout.x_of[support]
-
-        per_counts = []
-        assign = []
-        full_points = []
-        for i in range(n):
-            nu = spec.action_cards[i]
+        self.space = PrescriptionSpace(spec, t)
+        self.x_sup = layout.x_of[support]
+        self.cards = spec.action_cards
+        self.uniq, self.inv = [], []
+        for i in range(spec.n):
             points = layout.y_of[i][support] * layout.nm[i] + layout.m_of[i][support]
             uniq, inv = np.unique(points, return_inverse=True)
-            a = np.array(list(itertools.product(range(nu), repeat=len(uniq))),
-                         dtype=np.int64).reshape(nu ** len(uniq), len(uniq))
-            per_counts.append(a.shape[0])
-            assign.append((a, inv, uniq))
-            full_points.append(layout.ny[i] * layout.nm[i])
-
-        total = 1
-        for c in per_counts:
-            total *= c
-        if total * len(support) > 50_000_000:
+            self.uniq.append(uniq)
+            self.inv.append(inv.reshape(-1))
+        self.counts = [nu ** len(uniq) for nu, uniq in zip(self.cards, self.uniq)]
+        self.count = math.prod(self.counts)
+        if self.count > cap:
             raise SizeOverflow(
-                f"class enumeration at stage {t} needs {total} x {len(support)} "
-                "action entries; lower the prescription cap or shrink the instance",
-                size=total)
-        self.count = total
+                f"{self.count} support-restricted prescription classes "
+                f"at stage {t}, cap is {cap}", size=self.count)
+        self._memo = {}
 
-        suffix = [1] * n
+    def _check_table(self, entries: int, t: int):
+        if entries > _MAX_TABLE_ENTRIES:
+            raise SizeOverflow(
+                f"{self.count} prescription classes at stage {t} need a table of "
+                f"{entries} entries; lower the prescription cap or shrink the "
+                "instance", size=self.count)
+
+    def _point_actions(self, ids, controllers: int) -> list[np.ndarray]:
+        """Actions at its points of each controller below ``controllers``.
+
+        ``ids`` index the joint classes of those controllers; entry ``i``
+        has shape ``ids.shape + (len(uniq[i]),)``.
+        """
+        out = []
+        for i in reversed(range(controllers)):
+            ids, own = np.divmod(ids, self.counts[i])
+            out.append(_digits(own, self.cards[i], len(self.uniq[i])))
+        return out[::-1]
+
+    def _representative(self, key, ids: int, controllers: int, rest=()) -> int:
+        """Smallest full prescription index with the given on-support actions.
+
+        Controllers below ``controllers`` play joint class ``ids`` of
+        theirs, the others play ``rest[j]`` at their points, and every
+        off-support point gets action 0.  The result is an exact int,
+        memoized under ``key``.
+        """
+        rep = self._memo.get(key)
+        if rep is None:
+            tables = []
+            actions = self._point_actions(ids, controllers) + list(rest)
+            for i, acts in enumerate(actions):
+                table = np.zeros(self.space.points[i], dtype=np.int64)
+                table[self.uniq[i]] = acts
+                tables.append(table)
+            rep = self._memo[key] = self.space.encode(tables)
+        return rep
+
+
+class _ClassStructure(_Classes):
+    """Weight-independent class tables of a stage with a continuation.
+
+    Everything here depends only on the stage and the support pattern,
+    so belief nodes sharing a support share one structure:
+    ``u_flat[c, s]`` / ``z_flat[c, s]`` / ``m_next[c, s]`` give the
+    joint action, message and next joint memory for support state ``s``
+    in class ``c``; ``cost_matrix[c, s]`` is the stage cost there.
+    """
+
+    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
+        super().__init__(spec, t, support, cap)
+        n = spec.n
+        self._check_table(self.count * len(support), t)
+        layout = stage_layout(spec, t)
+        layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
+        mem_strides = np.ones(n, dtype=np.int64)
         for i in range(n - 2, -1, -1):
-            suffix[i] = suffix[i + 1] * per_counts[i + 1]
+            mem_strides[i] = mem_strides[i + 1] * layout_next.nm[i + 1]
 
-        S = len(support)
-        u_flat = np.zeros((total, S), dtype=np.int64)
-        z_flat = np.zeros((total, S), dtype=np.int64) if not terminal else None
-        m_next = np.zeros((total, S), dtype=np.int64) if not terminal else None
-        mem_strides = None
-        if not terminal:
-            next_t = t + 1 if spec.mode == "finite" else 1
-            layout_next = stage_layout(spec, next_t)
-            mem_strides = np.ones(n, dtype=np.int64)
-            for i in range(n - 2, -1, -1):
-                mem_strides[i] = mem_strides[i + 1] * layout_next.nm[i + 1]
+        ids = np.arange(self.count, dtype=np.int64)
+        self.u_flat = np.zeros((self.count, len(support)), dtype=np.int64)
+        self.z_flat = np.zeros_like(self.u_flat)
+        self.m_next = np.zeros_like(self.u_flat)
+        for i, acts in enumerate(self._point_actions(ids, n)):
+            acts = acts[:, self.inv[i]]  # (count, S)
+            mi, yi = layout.m_of[i][support], layout.y_of[i][support]
+            self.u_flat += acts * layout.act_strides[i]
+            self.z_flat += spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i]
+            self.m_next += spec.mem_update(i, t)[mi, yi, acts] * mem_strides[i]
+        self.cost_matrix = spec.cost(t)[self.x_sup[None, :], self.u_flat]
 
-        class_ids = np.arange(total, dtype=np.int64)
-        for i in range(n):
-            a, inv, _ = assign[i]
-            idx = (class_ids // suffix[i]) % per_counts[i]
-            acts = a[idx][:, inv]  # (total, S)
-            u_flat += acts * layout.act_strides[i]
-            if not terminal:
-                mi, yi = layout.m_of[i][support], layout.y_of[i][support]
-                z_flat += spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i]
-                m_next += spec.mem_update(i, t)[mi, yi, acts] * mem_strides[i]
+    def representative(self, c: int) -> int:
+        """Smallest full prescription index in class ``c``."""
+        return self._representative(int(c), c, len(self.uniq))
 
-        self.u_flat, self.z_flat, self.m_next = u_flat, z_flat, m_next
-        self.cost_matrix = spec.cost(t)[x_sup[None, :], u_flat]
-        self.support, self.x_sup = support, x_sup
 
-        # full-index representative per class, as exact Python ints
-        per_reps = []
-        for i in range(n):
-            a, _, uniq = assign[i]
-            nu = spec.action_cards[i]
-            place = [nu ** (full_points[i] - 1 - int(p)) for p in uniq]
-            per_reps.append([sum(int(row[k]) * place[k] for k in range(len(uniq)))
-                             for row in a])
-        full_sizes = [spec.action_cards[i] ** full_points[i] for i in range(n)]
-        reps = []
-        for c in range(total):
-            rep = 0
-            for i in range(n):
-                rep = rep * full_sizes[i] + per_reps[i][(c // suffix[i]) % per_counts[i]]
-            reps.append(rep)
-        self.reps = reps
+class _LastStage(_Classes):
+    """Exact separable best response at one support of the last stage.
+
+    With no continuation, fixing the lead class ``a`` (controllers
+    ``0..n-2``) splits the last controller's choice into one
+    minimization per on-support point ``q``:
+    ``V(a) = sum_q min_u G[a, q, u]`` with
+    ``G[a, q, u] = sum_{s at q} w_s * C[a, s, u]`` and
+    ``C[a, s, u] = c(x_s, u_lead(a, s), u)``.  ``C`` does not depend on
+    the weights, so every node on the support shares it.
+    """
+
+    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
+        super().__init__(spec, t, support, cap)
+        layout = stage_layout(spec, t)
+        last = spec.n - 1
+        n_u = self.cards[last]
+        lead = self.count // self.counts[last]
+        self._check_table(lead * len(support) * n_u, t)
+        u_lead = np.zeros((lead, len(support)), dtype=np.int64)
+        for i, acts in enumerate(self._point_actions(np.arange(lead), last)):
+            u_lead += acts[:, self.inv[i]] * layout.act_strides[i]
+        u_all = u_lead[:, :, None] + np.arange(n_u) * layout.act_strides[last]
+        cost = spec.cost(t)[self.x_sup[None, :, None], u_all]  # C[a, s, u]
+        self.shape = (lead, len(self.uniq[last]), n_u)
+        self.blocks = []  # per point q: its support entries, C[a, s, u] as (s, a * u)
+        for q in range(len(self.uniq[last])):
+            at_q = np.nonzero(self.inv[last] == q)[0]
+            self.blocks.append(
+                (at_q, cost[:, at_q, :].transpose(1, 0, 2).reshape(len(at_q), -1)))
+
+    def best(self, w_sup: np.ndarray):
+        """Best class of every row of ``w_sup`` (nodes x support entries).
+
+        Returns ``(value, lead, acts)``: the smallest minimizing class is
+        lead class ``lead[k]`` with the last controller playing
+        ``acts[k, q]`` at point ``q``, because the first ``argmin`` over
+        lead classes and then over actions at each point is the smallest
+        minimizing class index.
+        """
+        rows = np.arange(len(w_sup))
+        lead, n_points, n_u = self.shape
+        g = np.empty((len(w_sup), lead, n_points, n_u))
+        for q, (at_q, block) in enumerate(self.blocks):
+            g[:, :, q, :] = (w_sup[:, at_q] @ block).reshape(len(w_sup), lead, n_u)
+        v = g.min(axis=3).sum(axis=2)
+        best = v.argmin(axis=1)
+        return v[rows, best], best, g[rows, best].argmin(axis=2)
+
+    def representative(self, a: int, acts: np.ndarray) -> int:
+        """Smallest full prescription index of lead class ``a`` and ``acts``."""
+        return self._representative((int(a), acts.tobytes()), a,
+                                    len(self.uniq) - 1, [acts])
+
+
+def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
+    """Value, representative and class count of every last-stage node.
+
+    ``weights`` holds one full belief per row.  Nodes are grouped by
+    support, and each group is solved in batches of rows.
+    """
+    mask = weights > ZERO_MASS
+    groups: dict[bytes, list[int]] = {}
+    for node, key in enumerate(np.packbits(mask, axis=1)):
+        groups.setdefault(key.tobytes(), []).append(node)
+    values = np.empty(len(weights))
+    representatives = [0] * len(weights)
+    classes = 0
+    # groups in order of their first node, so a cap overflow reports the
+    # count of the first node over the cap, as a node-by-node pass would
+    for nodes in groups.values():
+        support = np.nonzero(mask[nodes[0]])[0]
+        stage = _LastStage(spec, t, support, cap)
+        classes += stage.count * len(nodes)
+        nodes = np.array(nodes)
+        rows = max(1, _BATCH_ENTRIES // math.prod(stage.shape))
+        for lo in range(0, len(nodes), rows):
+            part = nodes[lo:lo + rows]
+            value, lead, acts = stage.best(weights[np.ix_(part, support)])
+            values[part] = value
+            for node, a, b in zip(part.tolist(), lead, acts):
+                representatives[node] = stage.representative(a, b)
+    return values, representatives, classes
 
 
 class _ClassEnumeration:
@@ -243,18 +374,13 @@ class _ClassEnumeration:
     """
 
     def __init__(self, spec: ProblemSpec, t: int, weights: np.ndarray,
-                 support: np.ndarray, cap: int, terminal: bool,
-                 structures: dict):
-        key = (t if spec.mode == "finite" else 1, terminal, support.tobytes())
+                 support: np.ndarray, cap: int, structures: dict):
+        key = (t if spec.mode == "finite" else 1, support.tobytes())
         structure = structures.get(key)
         if structure is None:
-            structure = structures[key] = _ClassStructure(spec, t, support, terminal)
-        if structure.count > cap:
-            raise SizeOverflow(
-                f"{structure.count} support-restricted prescription classes "
-                f"at stage {t}, cap is {cap}", size=structure.count)
+            structure = structures[key] = _ClassStructure(spec, t, support, cap)
         self.count = structure.count
-        self.reps = structure.reps
+        self.representative = structure.representative
         self.u_flat = structure.u_flat
         self.z_flat = structure.z_flat
         self.m_next = structure.m_next
@@ -340,7 +466,7 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
 
     expansions: list[list] = [[] for _ in range(T)]
     expanded_classes = [0] * T
-    for t in range(1, T + 1):
+    for t in range(1, T):
         layout = stage_layout(spec, t)
         table = stages[t - 1]
         idx = 0
@@ -349,35 +475,34 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
             if reduced:
                 w_full = layout.lift(w_full)[0]
             support = np.nonzero(w_full > ZERO_MASS)[0]
-            enum = _ClassEnumeration(spec, t, w_full, support, cap,
-                                     terminal=(t == T), structures=structures)
+            enum = _ClassEnumeration(spec, t, w_full, support, cap, structures)
             expanded_classes[t - 1] += enum.count
-            branches = None
-            if t < T:
-                cls, z, mass, succ = _successors(spec, t, enum)
-                if not reduced:
-                    succ = stage_layout(spec, t + 1).lift(succ)
-                branches = (cls, z, mass, stages[t].intern(succ))
-            expansions[t - 1].append((enum.reps, enum.costs, branches))
+            cls, z, mass, succ = _successors(spec, t, enum)
+            if not reduced:
+                succ = stage_layout(spec, t + 1).lift(succ)
+            expansions[t - 1].append((enum.representative, enum.costs, cls, z,
+                                      mass, stages[t].intern(succ)))
             idx += 1
 
+    last = np.stack(stages[T - 1].weights)
+    if reduced:
+        last = stage_layout(spec, T).lift(last)
     values = [np.zeros(len(table.weights)) for table in stages]
+    values[T - 1], last_reps, expanded_classes[T - 1] = \
+        _solve_last_stage(spec, T, last, cap)
     chosen = [[] for _ in range(T)]  # per node: (representative, {z: child})
-    for t in range(T, 0, -1):
-        for idx, (reps, costs, branches) in enumerate(expansions[t - 1]):
-            if branches is None:
-                best = int(np.argmin(costs))
-                values[t - 1][idx] = costs[best]
-                chosen[t - 1].append((reps[best], {}))
-                continue
-            cls, z, mass, child = branches
+    chosen[T - 1] = [(rep, {}) for rep in last_reps]
+    for t in range(T - 1, 0, -1):
+        for idx, (representative, costs, cls, z, mass, child) in enumerate(
+                expansions[t - 1]):
             q = costs + np.bincount(cls, weights=mass * values[t][child],
                                     minlength=len(costs))
             best = int(np.argmin(q))  # first occurrence = smallest representative
             lo, hi = np.searchsorted(cls, (best, best + 1))
             values[t - 1][idx] = q[best]
             chosen[t - 1].append(
-                (reps[best], dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
+                (representative(best),
+                 dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
 
     total = sum(prob * values[0][idx] for prob, idx in roots)
 
@@ -504,7 +629,8 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     layout = stage_layout(spec, 1)
     structures: dict = {}
     table = _BeliefTable()
-    expansions: dict[int, tuple] = {}  # belief -> (reps, costs, cls, z, mass, child)
+    # belief -> (representative, costs, cls, z, mass, child)
+    expansions: dict[int, tuple] = {}
 
     def intern(rows):
         out = table.intern(rows)
@@ -520,9 +646,9 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
             w = table.weights[i]
             support = np.nonzero(w > ZERO_MASS)[0]
             enum = _ClassEnumeration(spec, 1, w, support, cap_prescriptions,
-                                     terminal=False, structures=structures)
+                                     structures)
             cls, z, mass, succ = _successors(spec, 1, enum)
-            got = expansions[i] = (enum.reps, enum.costs, cls, z, mass,
+            got = expansions[i] = (enum.representative, enum.costs, cls, z, mass,
                                    intern(layout.lift(succ)))
         return got
 
@@ -574,11 +700,11 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     for i in range(len(table.weights)):  # the sweep itself may intern new beliefs
         if i not in expansions:
             continue  # interned but never expanded (leaf of the truncation)
-        reps, _, cls, z, _, child = expansions[i]
+        representative, _, cls, z, _, child = expansions[i]
         q = q_values(i, [value(int(c), K - 1) for c in child])
         best = int(np.argmin(q))
         lo, hi = np.searchsorted(cls, (best, best + 1))
-        chosen.append((i, reps[best], float(q[best]),
+        chosen.append((i, representative(best), float(q[best]),
                        dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
     keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
     entries = [PolicyEntry(
@@ -594,7 +720,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
         value=float(v_top), variant="full", mode="discounted",
         stage_nodes=[len(entries)],
         prescription_space_sizes=[PrescriptionSpace(spec, 1).size],
-        expanded_classes=[sum(len(e[0]) for e in expansions.values())],
+        expanded_classes=[sum(len(e[1]) for e in expansions.values())],
         runtime_s=time.perf_counter() - started,
         iterations=K, residual=float(residual), tail_bound=float(tail))
     return report, policy

@@ -627,6 +627,44 @@ def _check_links(spec: ProblemSpec, horizon, roots, stages):
                         f"node of stage {t + 1}")
 
 
+def _check_indices(spec: ProblemSpec, stages):
+    """Raise InvalidParameter unless every node's prescription index is in range.
+
+    An index is an int in ``[0, PrescriptionSpace(spec, t).size)``.
+    """
+    for t, stage in enumerate(stages, start=1):
+        size = PrescriptionSpace(spec, t).size
+        for nd in stage:
+            index = nd.gamma_index
+            if type(index) is not int or not 0 <= index < size:
+                raise InvalidParameter(
+                    f"node {nd.node_id} at t={t}: prescription index "
+                    f"{index!r} is not an integer below the stage's {size} "
+                    "prescriptions")
+
+
+def _check_tables(spec: ProblemSpec, stages):
+    """Raise InvalidParameter unless every node has a valid action table per controller.
+
+    Controller ``i``'s table at stage ``t`` is an integer array of shape
+    ``(|Y_i|, |M_i|)`` with entries in ``[0, |U_i|)``.
+    """
+    for t, stage in enumerate(stages, start=1):
+        space = PrescriptionSpace(spec, t)
+        for nd in stage:
+            if len(nd.tables) != spec.n:
+                raise InvalidParameter(
+                    f"node {nd.node_id} at t={t}: {len(nd.tables)} action "
+                    f"tables for {spec.n} controllers")
+            for i, table in enumerate(nd.tables):
+                if (table.dtype.kind not in "iu" or table.shape != space.shapes[i]
+                        or table.min() < 0 or table.max() >= space.n_actions[i]):
+                    raise InvalidParameter(
+                        f"node {nd.node_id} at t={t}: controller {i}'s table "
+                        f"must be integers of shape {space.shapes[i]} below "
+                        f"{space.n_actions[i]}")
+
+
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
     spaces = {t: PrescriptionSpace(spec, t) for t in range(1, tree.horizon + 1)}
     stages = []
@@ -660,11 +698,12 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
                          weights=np.asarray(nd["belief"]["weights"], dtype=float))
             stage.append(TreeNode(
                 node_id=nd["id"], t=nd["t"], belief=belief,
-                gamma_index=int(nd["gamma"]["index"]), value=float(nd["value"]),
+                gamma_index=nd["gamma"]["index"], value=float(nd["value"]),
                 children={int(z): int(c) for z, c in nd["children"].items()}))
         stages.append(stage)
     roots = tuple((float(p), int(i)) for p, i in doc["roots"])
     _check_links(spec, doc["horizon"], roots, stages)
+    _check_indices(spec, stages)
     return PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
 
@@ -694,11 +733,12 @@ def control_strategy_from_dict(doc, spec: ProblemSpec) -> ControlStrategy:
     for stage_doc in doc["stages"]:
         stages.append([StrategyNode(
             node_id=nd["id"], t=nd["t"],
-            tables=tuple(np.asarray(t, dtype=np.int64) for t in nd["tables"]),
+            tables=tuple(np.asarray(t) for t in nd["tables"]),
             children={int(z): int(c) for z, c in nd["children"].items()},
         ) for nd in stage_doc])
     roots = tuple((float(p), int(i)) for p, i in doc["roots"])
     _check_links(spec, doc["horizon"], roots, stages)
+    _check_tables(spec, stages)
     return ControlStrategy(n=doc["n"], horizon=doc["horizon"], roots=roots,
                            stages=stages).finalize()
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -32,3 +33,13 @@ def solved_seed1():
     spec = instances.random_delayed_instance(1)
     report, tree = solve_finite(spec)
     return spec, report, tree
+
+
+@pytest.fixture(scope="session")
+def filter_family_doc():
+    """The benchmark's generator of filter-family problem documents."""
+    path = ROOT / "perfbench" / "instances.py"
+    loader = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.filter_family_doc

@@ -179,6 +179,42 @@ def test_simulate_rejects_a_policy_that_names_no_node(capsys, tmp_path,
     assert named in err
 
 
+@pytest.mark.parametrize("index", [10**30, -1, 2.7, True])
+def test_simulate_rejects_a_prescription_index_out_of_range(capsys, tmp_path,
+                                                            problems_dir, index):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    doc["policy"]["stages"][1][0]["gamma"]["index"] = index
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"prescription index {index!r} is not an integer below" in err
+
+
+@pytest.mark.parametrize("table", [[[0, 1, 1]], [[0], [2]], [[-1], [0]],
+                                   [[0.0], [1.0]], [[0], [10**30]]])
+def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,
+                                                   problems_dir, table):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    result = tmp_path / "enumeration.json"
+    run(capsys, "enumerate", problem, "--output", str(result))
+    strategy = json.loads(result.read_text())["basic"]["strategy"]
+    strategy["stages"][1][0]["tables"][0] = table
+    policy = tmp_path / "strategy.json"
+    policy.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert "controller 0's table must be integers of shape (2, 1) below 2" in err
+
+
 def test_internal_error_exit(capsys, problems_dir, monkeypatch):
     def broken(spec, cap_prescriptions):
         raise RuntimeError("boom")
@@ -253,6 +289,18 @@ def test_prescription_cap_exit(capsys, problems_dir):
                        "--cap-prescriptions", "3")
     assert code == 3
     assert "cap exceeded" in err
+
+
+def test_prescription_cap_holds_at_the_last_stage(capsys, tmp_path,
+                                                  filter_family_doc):
+    # 16 classes per stage-1 node, 256 per stage-2 (last-stage) node
+    problem = tmp_path / "filter.json"
+    problem.write_text(json.dumps(filter_family_doc(21, 4, horizon=2)))
+    code, _, err = run(capsys, "solve", str(problem), "--cap-prescriptions", "255")
+    assert code == 3
+    assert "256 support-restricted prescription classes at stage 2" in err
+    code, _, _ = run(capsys, "solve", str(problem), "--cap-prescriptions", "256")
+    assert code == 0
 
 
 def test_branch_cap_exit(capsys, problems_dir):

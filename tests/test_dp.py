@@ -31,7 +31,7 @@ from cisolver.oracle import (
     exact_cost_of_strategy,
 )
 from cisolver.protocols import delayed_sharing_protocol
-from cisolver.serialize import load_problem
+from cisolver.serialize import load_problem, problem_from_document
 
 
 def test_single_controller_matches_textbook_recursion():
@@ -173,6 +173,9 @@ def test_discounted_chain_matches_independent_value_iteration():
     assert abs(report.value - expect) <= 2 * epsilon
     assert policy.value == report.value
     assert policy.entries
+    # five stationary beliefs, four prescription classes each
+    assert report.stage_nodes == [5]
+    assert report.expanded_classes == [20]
 
 
 def test_halving_epsilon_is_stable():
@@ -202,12 +205,12 @@ def test_batched_successors_match_eta_update(problems_dir, name):
             t, w = node.t, node.belief.weights
             enum = dp._ClassEnumeration(
                 spec, t, w, np.nonzero(w > ZERO_MASS)[0],
-                DEFAULT_PRESCRIPTION_CAP, terminal=False, structures={})
+                DEFAULT_PRESCRIPTION_CAP, structures={})
             cls, z, mass, succ = dp._successors(spec, t, enum)
             lifted = stage_layout(spec, t + 1).lift(succ)
             space = PrescriptionSpace(spec, t)
             for c in range(enum.count):
-                gamma = space.decode(enum.reps[c])
+                gamma = space.decode(enum.representative(c))
                 dist = message_distribution(spec, node.belief, gamma)
                 mine = np.nonzero(cls == c)[0]
                 assert z[mine].tolist() == np.nonzero(dist > ZERO_MASS)[0].tolist()
@@ -223,6 +226,52 @@ def test_periodic_counters_are_pinned(problems_dir, solve):
     report, _ = solve(spec)
     assert report.stage_nodes == [1, 16, 256, 4096]
     assert report.expanded_classes == [16, 4096, 4096, 1048576]
+
+
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
+def test_filter_counters_are_pinned(filter_family_doc, solve):
+    # no sharing: the last stage counts classes it never enumerates
+    spec, _ = problem_from_document(filter_family_doc(21, 4, horizon=2))
+    report, _ = solve(spec)
+    assert report.stage_nodes == [1, 16]
+    assert report.expanded_classes == [16, 4096]
+
+
+def _dyadic_tie_team():
+    """One-shot team whose dyadic data make whole classes tie exactly.
+
+    Controller 1 sees the state.  The cost is ``f(x, u_1) + g(x, u_0)``:
+    ``f`` does not depend on ``u_1`` at ``x = 1``, so controller 1's
+    point ``y_1 = 1`` ties, and after ``y_0 = 1`` both of controller 0's
+    actions cost 3/16 in expectation, so two lead classes tie.
+    """
+    obs, act = [FiniteSpace(2), FiniteSpace(2)], [FiniteSpace(2), FiniteSpace(2)]
+    f = np.array([[0.5, 0.25], [0.5, 0.5]])
+    g = np.array([[0.0, 0.75], [0.25, 0.0]])
+    cost = np.array([[f[x, u1] + g[x, u0] for u0 in range(2) for u1 in range(2)]
+                     for x in range(2)])
+    return ProblemSpec(
+        n=2, mode="finite", horizon=1, discount=None,
+        state_space=FiniteSpace(2), obs_spaces=obs, action_spaces=act,
+        initial_dist=np.array([0.5, 0.5]), transitions=[],
+        obs_kernels=[[np.array([[0.75, 0.25], [0.25, 0.75]])], [np.eye(2)]],
+        costs=[cost], protocol=delayed_sharing_protocol(1, 1, obs, act))
+
+
+@pytest.mark.parametrize("build,tied", [(instances.static_team, 1),
+                                        (_dyadic_tie_team, 4)])
+def test_last_stage_is_the_first_argmin_over_every_prescription(build, tied):
+    spec = build()
+    for solve in (solve_finite, solve_finite_reduced):
+        _, tree = solve(spec)
+        for node in tree.stages[-1]:
+            belief = node.belief if solve is solve_finite else zeta(spec, node.belief)
+            costs = np.array([expected_cost(spec, belief, gamma)
+                              for gamma in PrescriptionSpace(spec, node.t)])
+            best = int(np.argmin(costs))
+            assert np.count_nonzero(costs == costs[best]) == tied
+            assert node.gamma_index == best
+            assert abs(node.value - costs[best]) <= 1e-12
 
 
 def test_discounted_chain_at_099_matches_policy_evaluation():

@@ -84,8 +84,8 @@ class RunConfig:
             raise InvalidParameter(f"epsilon must be > 0, got {self.epsilon}")
         if self.episodes < 1:
             raise InvalidParameter(f"episodes must be >= 1, got {self.episodes}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
         if self.threads < 1:
             raise InvalidParameter(f"threads must be >= 1, got {self.threads}")
         if self.variant not in ("full", "reduced"):

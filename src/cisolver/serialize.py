@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .coordinator import Belief, PrescriptionSpace, ReducedBelief
+from .coordinator import Belief, PrescriptionSpace, ReducedBelief, stage_layout
 from .dp import PolicyTree, StationaryPolicy, TreeNode, ValueReport
 from .errors import InvalidParameter, SolverError
 from .model import (
@@ -643,6 +643,36 @@ def _check_indices(spec: ProblemSpec, stages):
                     "prescriptions")
 
 
+def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
+    """Raise InvalidParameter unless every tree node agrees with its stage and index.
+
+    A node's belief has its stage's ``dims`` in the tree's variant, over
+    ``(x, y, m)`` or, reduced, ``(x, m)``, with one weight per grid point,
+    and its ``gamma.tables`` are the integer tables its index decodes to.
+    """
+    for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
+        layout = stage_layout(spec, t)
+        dims = (layout.nx,) + layout.nm if variant == "reduced" else layout.dims
+        size = int(np.prod(dims, dtype=np.int64))
+        space = PrescriptionSpace(spec, t)
+        for nd, doc in zip(stage, docs):
+            belief = nd.belief
+            if nd.t != t or belief.dims != dims or belief.weights.shape != (size,):
+                raise InvalidParameter(
+                    f"node {nd.node_id} at stage {t}: its t is {nd.t!r} and its "
+                    f"belief has dims {list(belief.dims)} and "
+                    f"{belief.weights.size} weights; a {variant} belief at "
+                    f"stage {t} has dims {list(dims)} and {size} weights")
+            tables = [np.asarray(table) for table in doc["gamma"]["tables"]]
+            expect = space.decode(nd.gamma_index).tables
+            if len(tables) != len(expect) or not all(
+                    table.dtype.kind in "iu" and np.array_equal(table, e)
+                    for table, e in zip(tables, expect)):
+                raise InvalidParameter(
+                    f"node {nd.node_id} at t={t}: gamma.tables are not the "
+                    f"tables of prescription index {nd.gamma_index}")
+
+
 def _check_tables(spec: ProblemSpec, stages):
     """Raise InvalidParameter unless every node has a valid action table per controller.
 
@@ -704,6 +734,7 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
     roots = tuple((float(p), int(i)) for p, i in doc["roots"])
     _check_links(spec, doc["horizon"], roots, stages)
     _check_indices(spec, stages)
+    _check_tree_nodes(spec, variant, stages, doc["stages"])
     return PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
 

@@ -196,6 +196,34 @@ def test_simulate_rejects_a_prescription_index_out_of_range(capsys, tmp_path,
     assert f"prescription index {index!r} is not an integer below" in err
 
 
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda node: node["gamma"].update(
+        tables=[[[1] * len(row) for row in table]
+                for table in node["gamma"]["tables"]]),
+     "gamma.tables are not the tables of prescription index"),
+    (lambda node: node["belief"].update(dims=[7]), "has dims [7]"),
+    (lambda node: node["belief"]["weights"].pop(), "weights; a full belief"),
+    (lambda node: node.update(t=1), "its t is 1"),
+])
+def test_simulate_rejects_a_tree_node_that_disagrees_with_its_stage(
+        capsys, tmp_path, problems_dir, corrupt, named):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    node = doc["policy"]["stages"][1][0]
+    before = json.dumps(node)
+    corrupt(node)
+    assert json.dumps(node) != before
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "200", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
 @pytest.mark.parametrize("table", [[[0, 1, 1]], [[0], [2]], [[-1], [0]],
                                    [[0.0], [1.0]], [[0], [10**30]]])
 def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,
@@ -318,6 +346,22 @@ def test_bad_episode_count_is_invalid(capsys, tmp_path, problems_dir):
     code, _, _ = run(capsys, "simulate", problem, str(policy),
                      "--episodes", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_simulate_rejects_a_seed_outside_64_bits(capsys, tmp_path, problems_dir,
+                                                 seed):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "10", "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert "seed must be in [0, 2**64)" in err
+    code, out, _ = run(capsys, "simulate", problem, str(policy),
+                       "--episodes", "10", "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
 
 
 @pytest.mark.skipif(shutil.which("cis") is None,

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import instances
+from cisolver import sim
 from cisolver.dp import extract_control_strategy, solve_finite
 from cisolver.errors import InvalidParameter, UnreachableInformation
+from cisolver.serialize import load_problem
 from cisolver.sim import paired_rollout, rollout
 
 
@@ -114,8 +118,68 @@ def test_argument_validation(solved_seed1):
     spec, _, tree = solved_seed1
     with pytest.raises(InvalidParameter, match="episodes"):
         rollout(spec, tree, seed=1, episodes=0)
-    with pytest.raises(InvalidParameter, match="seed"):
-        rollout(spec, tree, seed=-1, episodes=10)
+    strategy = extract_control_strategy(spec, tree)
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParameter, match=r"seed must be in \[0, 2\*\*64\)"):
+            rollout(spec, tree, seed=seed, episodes=10)
+        with pytest.raises(InvalidParameter, match=r"seed must be in \[0, 2\*\*64\)"):
+            paired_rollout(spec, tree, strategy, seed=seed, episodes=10)
     with pytest.raises(InvalidParameter, match="episodes"):
-        paired_rollout(spec, tree, extract_control_strategy(spec, tree),
-                       seed=1, episodes=0)
+        paired_rollout(spec, tree, strategy, seed=1, episodes=0)
+    assert rollout(spec, tree, seed=2**64 - 1, episodes=10).seed == 2**64 - 1
+
+
+def _block_outcomes(spec, tree):
+    """Every rollout outcome that could depend on how episodes are blocked."""
+    strategy = extract_control_strategy(spec, tree)
+    corrupted = extract_control_strategy(spec, tree)
+    for node in corrupted.stages[1]:
+        node.tables = (1 - node.tables[0],) + node.tables[1:]
+    # without message 16 at the root, episode 6 is the first to go astray
+    broken = extract_control_strategy(spec, tree)
+    del broken.node(broken.roots[0][1]).children[16]
+    with pytest.raises(UnreachableInformation) as unreachable:
+        rollout(spec, broken, seed=2, episodes=50)
+    return {
+        "tree": rollout(spec, tree, seed=9, episodes=61, record=True),
+        "strategy": rollout(spec, strategy, seed=10, episodes=61, record=True),
+        "paired": paired_rollout(spec, tree, strategy, seed=4, episodes=61),
+        "corrupted": paired_rollout(spec, tree, corrupted, seed=4, episodes=61),
+        "unreachable": str(unreachable.value),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 5])
+def test_reports_do_not_depend_on_the_block_size(solved_seed1, monkeypatch, block):
+    spec, _, tree = solved_seed1
+    expect = _block_outcomes(spec, tree)
+    assert expect["unreachable"].startswith("episode 6: ")
+    assert len(expect["corrupted"].divergences) == 61
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    assert _block_outcomes(spec, tree) == expect
+
+
+def test_a_long_rollout_is_pinned(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "delayed_sharing_2x2.json"))
+    _, tree = solve_finite(spec)
+    report = rollout(spec, tree, seed=11, episodes=100_003)
+    assert report.mean == 0.4950961471155866
+    assert report.stderr == 0.0012361347469762739
+
+
+def test_rollout_memory_does_not_grow_with_the_draws(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "delayed_sharing_2x2.json"))
+    _, tree = solve_finite(spec)
+    strategy = extract_control_strategy(spec, tree)
+    episodes = 400_000
+    # the per-episode cost vector (8 bytes each) is the one allowance that grows
+    bound = 8 * episodes + 16 * 2**20
+    for run in (lambda: rollout(spec, tree, seed=3, episodes=episodes),
+                lambda: paired_rollout(spec, tree, strategy, seed=3, episodes=episodes)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

@@ -183,3 +183,18 @@ def test_rollout_memory_does_not_grow_with_the_draws(problems_dir):
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def test_cumulative_columns_sample_as_the_inverse_cdf():
+    rng = np.random.default_rng(0)
+    for k in (1, 2, 3, 7):
+        kernel = rng.random((5, k)) * (rng.random((5, k)) < 0.6)  # some zero entries
+        kernel[kernel.sum(axis=1) == 0, 0] = 1.0
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        # uniforms that hit the cumulative sums exactly, too
+        u = np.concatenate([rng.random(3000), np.cumsum(kernel, axis=1).ravel()])
+        rows = rng.integers(0, 5, size=len(u))
+        # the per-row reference: cumulative sums of the gathered rows
+        cum = np.cumsum(kernel[rows], axis=-1)
+        expect = np.minimum((cum < u[:, None]).sum(axis=-1), k - 1)
+        assert np.array_equal(sim._sample(sim._cum_columns(kernel), rows, u), expect)

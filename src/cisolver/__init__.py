@@ -41,7 +41,6 @@ from .protocols import (
 )
 from .coordinator import (
     Belief,
-    CoordState,
     JointPrescription,
     ReducedBelief,
     chi,
@@ -100,7 +99,6 @@ __all__ = [
     "ZeroProbabilityObservation",
     "UnreachableInformation",
     "Belief",
-    "CoordState",
     "JointPrescription",
     "ReducedBelief",
     "chi",

@@ -44,16 +44,9 @@ def canonical_keys(rows: np.ndarray) -> list[bytes]:
     ``-0.0`` into ``0.0`` first.
     """
     rounded = np.round(rows, CANON_DECIMALS) + 0.0
-    return [row.tobytes() for row in rounded]
-
-
-@dataclass(frozen=True)
-class CoordState:
-    """One coordinator state: chain state, joint observation, joint memory."""
-
-    x: int
-    obs: tuple[int, ...]
-    mem: tuple[int, ...]
+    data = rounded.tobytes()
+    width = rounded.itemsize * rounded.shape[1]
+    return [data[lo:lo + width] for lo in range(0, len(data), width)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,25 +159,6 @@ def stage_layout(spec: ProblemSpec, t: int) -> StageLayout:
     return per_spec[t]
 
 
-def enumerate_states(spec: ProblemSpec, t: int) -> list[CoordState]:
-    """All coordinator states at stage ``t`` in flat (lexicographic) order."""
-    layout = stage_layout(spec, t)
-    out = []
-    for idx in range(layout.size):
-        parts = np.unravel_index(idx, layout.dims)
-        out.append(CoordState(
-            x=int(parts[0]),
-            obs=tuple(int(v) for v in parts[1:1 + spec.n]),
-            mem=tuple(int(v) for v in parts[1 + spec.n:]),
-        ))
-    return out
-
-
-def state_index(spec: ProblemSpec, state: CoordState, t: int) -> int:
-    layout = stage_layout(spec, t)
-    return int(np.ravel_multi_index((state.x,) + state.obs + state.mem, layout.dims))
-
-
 # -- prescriptions --------------------------------------------------------
 
 
@@ -207,6 +181,14 @@ class PrescriptionSpace:
 
     Sizes are Python ints (they can exceed 2**63); use ``decode`` for
     random access and iteration for full enumeration.
+
+    ``decode`` remembers every index it was asked for, on this instance
+    only, and returns the same :class:`JointPrescription` again for it;
+    its tables are read-only, so callers can share them.  A policy tree
+    chooses few distinct prescriptions per stage, so consumers that walk
+    a tree keep one space per stage and decode each chosen index once.
+    Iteration does not go through the memo, so the memo holds at most
+    the indices a caller asked for.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, cap: int | None = None):
@@ -224,6 +206,7 @@ class PrescriptionSpace:
             raise SizeOverflow(
                 f"joint prescription space at stage {t} has {self.size} elements, "
                 f"cap is {cap}", size=self.size)
+        self._decoded: dict[int, JointPrescription] = {}
 
     def decode_controller(self, i: int, idx: int) -> np.ndarray:
         ny, nm = self.shapes[i]
@@ -242,6 +225,13 @@ class PrescriptionSpace:
         return idx
 
     def decode(self, index: int) -> JointPrescription:
+        """The prescription at ``index``; repeated calls return the same object."""
+        gamma = self._decoded.get(index)
+        if gamma is None:
+            gamma = self._decoded[index] = self._decode(index)
+        return gamma
+
+    def _decode(self, index: int) -> JointPrescription:
         parts = []
         rest = index
         for i in range(self.n - 1, -1, -1):
@@ -249,6 +239,8 @@ class PrescriptionSpace:
             rest //= self.sizes[i]
         parts.reverse()
         tables = tuple(self.decode_controller(i, parts[i]) for i in range(self.n))
+        for table in tables:
+            table.setflags(write=False)
         return JointPrescription(tables=tables, index=index)
 
     def encode(self, tables) -> int:
@@ -262,7 +254,7 @@ class PrescriptionSpace:
 
     def __iter__(self):
         for idx in range(self.size):
-            yield self.decode(idx)
+            yield self._decode(idx)
 
 
 # -- beliefs ----------------------------------------------------------------

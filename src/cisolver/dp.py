@@ -576,7 +576,8 @@ def extract_control_strategy(spec: ProblemSpec, tree: PolicyTree) -> ControlStra
     Controller ``i`` acts at stage ``t`` by looking up the current tree
     node (a function of the shared memory), its observation and its
     local memory in the node's action table; the emitted joint message
-    selects the next node.
+    selects the next node.  Nodes that chose the same prescription share
+    its read-only tables.
     """
     stages = []
     for t in range(1, tree.horizon + 1):

@@ -84,11 +84,21 @@ class _IndentWriter:
     Containers are walked here.  Scalars and lists of scalars go to the
     standard library's C encoder, one call per list: the encoder of each
     depth has ``"," + newline + indentation`` as its item separator.
+
+    A container's text depends only on the container and its depth, so a
+    container met again at the same depth is written from the text of
+    its first rendering.  The document holds every container alive for
+    the whole walk, so ``id`` names one object throughout.  The first
+    rendering is only joined into one string when the container is met
+    the second time: joining every container up front costs more than
+    the reuse saves.
     """
 
     def __init__(self):
         self.parts: list[str] = []
         self._levels: list[tuple[str, Any]] = []  # per depth: (newline + pad, encoder)
+        # (id, depth) -> (start, end) of the first rendering in parts, then its text
+        self._written: dict[tuple[int, int], tuple[int, int] | str] = {}
 
     def _level(self, depth: int) -> tuple[str, Any]:
         while len(self._levels) <= depth:
@@ -99,6 +109,23 @@ class _IndentWriter:
         return self._levels[depth]
 
     def write(self, o: Any, depth: int):
+        parts = self.parts
+        if not isinstance(o, (dict, list, tuple)) or not o:
+            self._write(o, depth)
+            return
+        key = (id(o), depth)
+        text = self._written.get(key)
+        if text is None:
+            start = len(parts)
+            self._write(o, depth)
+            self._written[key] = (start, len(parts))
+            return
+        if type(text) is tuple:
+            start, end = text
+            text = self._written[key] = "".join(parts[start:end])
+        parts.append(text)
+
+    def _write(self, o: Any, depth: int):
         parts = self.parts
         if isinstance(o, dict):
             if not o:
@@ -140,7 +167,10 @@ def dumps(doc: Any) -> str:
 
     The text equals ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``.  Keys must be str (TypeError otherwise);
-    NaN and infinities raise ValueError.
+    NaN and infinities raise ValueError.  A dict or list object that
+    appears several times at the same depth is rendered once and its
+    text repeated, so documents whose nodes share their ``gamma``
+    documents cost one rendering per distinct prescription.
     """
     writer = _IndentWriter()
     writer.write(doc, 0)
@@ -590,10 +620,15 @@ def _belief_to_dict(belief) -> dict:
     return {"dims": list(belief.dims), "weights": belief.weights.tolist()}
 
 
-def _gamma_to_dict(space: PrescriptionSpace, index: int) -> dict:
-    gamma = space.decode(index)
-    return {"index": int(index),
-            "tables": [t.tolist() for t in gamma.tables]}
+def _gamma_docs(space: PrescriptionSpace, indices) -> dict:
+    """One ``gamma`` document per distinct prescription index in ``indices``.
+
+    Nodes that chose the same prescription share its document object,
+    which ``dumps`` then renders once.
+    """
+    return {index: {"index": int(index),
+                    "tables": [t.tolist() for t in space.decode(index).tables]}
+            for index in set(indices)}
 
 
 def _check_links(spec: ProblemSpec, horizon, roots, stages):
@@ -696,14 +731,15 @@ def _check_tables(spec: ProblemSpec, stages):
 
 
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
-    spaces = {t: PrescriptionSpace(spec, t) for t in range(1, tree.horizon + 1)}
     stages = []
-    for stage in tree.stages:
+    for t, stage in enumerate(tree.stages, start=1):
+        gammas = _gamma_docs(PrescriptionSpace(spec, t),
+                             (nd.gamma_index for nd in stage))
         stages.append([{
             "id": nd.node_id,
             "t": nd.t,
             "belief": _belief_to_dict(nd.belief),
-            "gamma": _gamma_to_dict(spaces[nd.t], nd.gamma_index),
+            "gamma": gammas[nd.gamma_index],
             "value": float(nd.value),
             "children": {str(z): int(c) for z, c in sorted(nd.children.items())},
         } for nd in stage])
@@ -776,13 +812,14 @@ def control_strategy_from_dict(doc, spec: ProblemSpec) -> ControlStrategy:
 
 def stationary_policy_to_dict(spec: ProblemSpec,
                               policy: StationaryPolicy) -> dict:
-    space = PrescriptionSpace(spec, 1)
+    gammas = _gamma_docs(PrescriptionSpace(spec, 1),
+                         (entry.gamma_index for entry in policy.entries))
     entries = []
     for entry in policy.entries:
         entries.append({
             "key": entry.belief.canonical_key()[1].hex(),
             "belief": _belief_to_dict(entry.belief),
-            "gamma": _gamma_to_dict(space, entry.gamma_index),
+            "gamma": gammas[entry.gamma_index],
             "value": float(entry.value),
             "children": {str(z): key.hex()
                          for z, key in sorted(entry.children.items())},

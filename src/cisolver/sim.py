@@ -133,7 +133,9 @@ class _ExecPlan:
         if isinstance(policy, PolicyTree):
             stages = policy.stages
             roots = policy.roots
-            get_tables = self._tree_tables(spec, policy)
+            # one space per stage, so each chosen prescription is decoded once
+            spaces = [PrescriptionSpace(spec, t) for t in range(1, T + 1)]
+            get_tables = lambda nd, t: spaces[t - 1].decode(nd.gamma_index).tables
             self.audited = True
         elif isinstance(policy, ControlStrategy):
             stages = policy.stages
@@ -172,12 +174,11 @@ class _ExecPlan:
             self.n_msgs.append(nz)
             if self.audited:
                 probs = np.zeros((len(nodes), nz))
-                space = PrescriptionSpace(spec, t)
                 for k, nd in enumerate(nodes):
                     belief = nd.belief
                     if not isinstance(belief, Belief):
                         belief = zeta(spec, belief)
-                    gamma = space.decode(nd.gamma_index)
+                    gamma = spaces[t - 1].decode(nd.gamma_index)
                     probs[k] = message_distribution(spec, belief, gamma)
                 self.msg_probs.append(probs.ravel())
             else:
@@ -211,18 +212,6 @@ class _ExecPlan:
                          for t in range(1, T)]
         self.mem_updates = [[spec.mem_update(i, t).ravel() for i in range(spec.n)]
                             for t in range(1, T)]
-
-    @staticmethod
-    def _tree_tables(spec, tree):
-        spaces = {t: PrescriptionSpace(spec, t) for t in range(1, tree.horizon + 1)}
-        cache = {}
-
-        def get(nd, t):
-            if nd.node_id not in cache:
-                cache[nd.node_id] = spaces[t].decode(nd.gamma_index).tables
-            return cache[nd.node_id]
-
-        return get
 
 
 class _Cursor:

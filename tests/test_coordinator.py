@@ -11,13 +11,12 @@ from cisolver.coordinator import (
     ReducedBelief,
     canonical_keys,
     chi,
-    enumerate_states,
     eta_update,
     expected_cost,
     initial_belief,
     message_distribution,
     observation_probability,
-    state_index,
+    stage_layout,
     zeta,
 )
 from cisolver.dp import solve_finite
@@ -66,11 +65,16 @@ def test_initial_belief_splits_on_common_signal():
 
 
 def test_enumerate_states_is_lexicographic_and_invertible():
-    spec = instances.random_delayed_instance(1)
-    states = enumerate_states(spec, 2)
-    assert [state_index(spec, s, 2) for s in states] == list(range(len(states)))
-    flat = [(s.x,) + s.obs + s.mem for s in states]
+    spec = instances.random_delayed_instance(1, delay=2, T=3)
+    layout = stage_layout(spec, 3)
+    grid = [layout.x_of] + layout.y_of + layout.m_of
+    assert len(grid) == len(layout.dims) == 1 + 2 * spec.n
+    assert layout.m_of[0].max() > 0  # the memories take part in the order
+    assert np.array_equal(np.ravel_multi_index(grid, layout.dims),
+                          np.arange(layout.size))
+    flat = list(zip(*(g.tolist() for g in grid)))
     assert flat == sorted(flat)
+    assert len(set(flat)) == layout.size
 
 
 def test_prescription_space_size_and_round_trip():
@@ -82,6 +86,29 @@ def test_prescription_space_size_and_round_trip():
     for idx in range(space.size):
         gamma = space.decode(idx)
         assert space.encode(gamma.tables) == idx
+
+
+def test_decode_returns_one_read_only_prescription_per_index():
+    spec = instances.random_delayed_instance(1)
+    space = PrescriptionSpace(spec, 2)
+    gamma = space.decode(11)
+    assert space.decode(11) is gamma
+    assert space.decode(12) is not gamma
+    for table in gamma.tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    fresh = PrescriptionSpace(spec, 2).decode(11)
+    assert fresh is not gamma
+    assert all(np.array_equal(a, b) for a, b in zip(fresh.tables, gamma.tables))
+
+
+def test_iterating_a_space_leaves_its_memo_empty():
+    spec = instances.random_delayed_instance(1)
+    space = PrescriptionSpace(spec, 2)
+    assert [gamma.index for gamma in space] == list(range(space.size))
+    assert space._decoded == {}
+    space.decode(3)
+    assert list(space._decoded) == [3]
 
 
 def test_prescription_space_cap():

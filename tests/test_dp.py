@@ -101,6 +101,22 @@ def test_extracted_strategy_achieves_the_value(solved_seed1):
     assert abs(exact_cost_of_strategy(spec, strategy) - report.value) <= 1e-9
 
 
+def test_extracted_tables_equal_a_fresh_decode(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    _, tree = solve_finite(spec)
+    strategy = extract_control_strategy(spec, tree)
+    nodes = 0
+    for tree_stage, stage in zip(tree.stages, strategy.stages):
+        for nd, st_nd in zip(tree_stage, stage):
+            expect = PrescriptionSpace(spec, nd.t).decode(nd.gamma_index).tables
+            assert st_nd.node_id == nd.node_id
+            assert len(st_nd.tables) == len(expect)
+            for table, e in zip(st_nd.tables, expect):
+                assert table.dtype == e.dtype and np.array_equal(table, e)
+            nodes += 1
+    assert nodes == sum(len(stage) for stage in tree.stages) == 4369
+
+
 def test_one_shot_team_with_common_signal():
     spec = instances.static_team()
     report, tree = solve_finite(spec)

@@ -247,6 +247,55 @@ def test_dumps_matches_the_standard_library(doc):
     assert dumps(doc) == stdlib_text(doc)
 
 
+_SHARED = object()  # stands for the shared container in a skeleton
+
+
+def _share(skeleton, shared):
+    """``skeleton`` with every ``_SHARED`` replaced by the one ``shared`` object."""
+    if skeleton is _SHARED:
+        return shared
+    if isinstance(skeleton, dict):
+        return {k: _share(v, shared) for k, v in skeleton.items()}
+    if isinstance(skeleton, (list, tuple)):
+        return type(skeleton)(_share(v, shared) for v in skeleton)
+    return skeleton
+
+
+_shared_containers = st.one_of(
+    st.lists(_documents, min_size=1, max_size=3),
+    st.lists(_documents, min_size=1, max_size=3).map(tuple),
+    st.lists(_numbers, min_size=1, max_size=4),
+    st.dictionaries(st.text(max_size=4), _documents, min_size=1, max_size=3))
+_skeletons = st.recursive(
+    st.one_of(st.just(_SHARED), _scalars),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_skeletons, _shared_containers)
+def test_dumps_matches_the_standard_library_on_shared_containers(skeleton, shared):
+    """One object in several places, at equal and at different depths."""
+    doc = _share(skeleton, shared)
+    assert dumps(doc) == stdlib_text(doc)
+    # the same, with the shared object at two depths for certain
+    doc = {"at1": shared, "at3": [[shared, shared]], "rest": doc}
+    assert dumps(doc) == stdlib_text(doc)
+
+
+def test_dumps_indents_a_shared_dict_by_the_depth_of_each_place():
+    shared = {"tables": [[0, 1], [1, 0]], "index": 6}
+    doc = {"a": {"gamma": shared, "same": shared},
+           "b": [[{"gamma": shared}]]}  # depths 2, 2 and 4
+    text = dumps(doc)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert text.count('\n' + ' ' * 6 + '"index": 6') == 2
+    assert text.count('\n' + ' ' * 10 + '"index": 6') == 1
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_command_documents_match_the_standard_library(name, problems_dir):
     """Every kind of document the commands write, on every fixture."""

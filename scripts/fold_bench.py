@@ -29,6 +29,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUN_DIR = re.compile(r"(?P<workload>[a-z_]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])")
 SECTIONS = {0: "end_to_end", 1: "traced"}
 SIDES = ("parent", "change")
+#: How the runs are made, recorded when ``--command`` is not given.
+COMMAND = ("python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0|1, "
+           "parent and change from two clean checkouts, alternating which side "
+           "runs first in each pair")
 
 
 def _runs(out_dir: pathlib.Path) -> dict:
@@ -123,9 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="perfbench/out directory of the parent commit")
     parser.add_argument("change", help="perfbench/out directory of the change")
     parser.add_argument("--title", required=True)
-    parser.add_argument("--command", default="python3 perfbench/run.py --workload W "
-                        "--seed N --trace 0|1, parent and change from two clean "
-                        "checkouts")
+    parser.add_argument("--command", default=COMMAND,
+                        help="how the runs were made (default: %(default)s)")
     parser.add_argument("--note", default="", help="what to know about the machine")
     parser.add_argument("--output", help="write here instead of stdout")
     args = parser.parse_args(argv)

@@ -92,10 +92,16 @@ class _IndentWriter:
     rendering is only joined into one string when the container is met
     the second time: joining every container up front costs more than
     the reuse saves.
+
+    The ids of the containers being written are kept open, so a document
+    that contains itself raises ``ValueError("Circular reference
+    detected")``, as the standard library does, instead of recursing
+    without bound.
     """
 
     def __init__(self):
         self.parts: list[str] = []
+        self._open: set[int] = set()  # ids of the containers being written
         self._levels: list[tuple[str, Any]] = []  # per depth: (newline + pad, encoder)
         # (id, depth) -> (start, end) of the first rendering in parts, then its text
         self._written: dict[tuple[int, int], tuple[int, int] | str] = {}
@@ -116,8 +122,12 @@ class _IndentWriter:
         key = (id(o), depth)
         text = self._written.get(key)
         if text is None:
+            if key[0] in self._open:
+                raise ValueError("Circular reference detected")
+            self._open.add(key[0])
             start = len(parts)
             self._write(o, depth)
+            self._open.remove(key[0])
             self._written[key] = (start, len(parts))
             return
         if type(text) is tuple:
@@ -678,12 +688,20 @@ def _check_indices(spec: ProblemSpec, stages):
                     "prescriptions")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or nests a boolean, which numpy reads as an int."""
+    if type(value) is list:
+        return any(map(_holds_bool, value))
+    return type(value) is bool
+
+
 def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
     """Raise InvalidParameter unless every tree node agrees with its stage and index.
 
     A node's belief has its stage's ``dims`` in the tree's variant, over
     ``(x, y, m)`` or, reduced, ``(x, m)``, with one weight per grid point,
-    and its ``gamma.tables`` are the integer tables its index decodes to.
+    and its ``gamma.tables`` are the integer tables its index decodes to,
+    with no boolean among their entries.
     """
     for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
         layout = stage_layout(spec, t)
@@ -698,31 +716,33 @@ def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
                     f"belief has dims {list(belief.dims)} and "
                     f"{belief.weights.size} weights; a {variant} belief at "
                     f"stage {t} has dims {list(dims)} and {size} weights")
-            tables = [np.asarray(table) for table in doc["gamma"]["tables"]]
+            tables = doc["gamma"]["tables"]
             expect = space.decode(nd.gamma_index).tables
-            if len(tables) != len(expect) or not all(
+            if _holds_bool(tables) or len(tables) != len(expect) or not all(
                     table.dtype.kind in "iu" and np.array_equal(table, e)
-                    for table, e in zip(tables, expect)):
+                    for table, e in zip(map(np.asarray, tables), expect)):
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: gamma.tables are not the "
                     f"tables of prescription index {nd.gamma_index}")
 
 
-def _check_tables(spec: ProblemSpec, stages):
+def _check_tables(spec: ProblemSpec, stages, stage_docs):
     """Raise InvalidParameter unless every node has a valid action table per controller.
 
     Controller ``i``'s table at stage ``t`` is an integer array of shape
-    ``(|Y_i|, |M_i|)`` with entries in ``[0, |U_i|)``.
+    ``(|Y_i|, |M_i|)`` with entries in ``[0, |U_i|)``, and its document
+    holds no boolean.
     """
-    for t, stage in enumerate(stages, start=1):
+    for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
         space = PrescriptionSpace(spec, t)
-        for nd in stage:
+        for nd, doc in zip(stage, docs):
             if len(nd.tables) != spec.n:
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: {len(nd.tables)} action "
                     f"tables for {spec.n} controllers")
-            for i, table in enumerate(nd.tables):
-                if (table.dtype.kind not in "iu" or table.shape != space.shapes[i]
+            for i, (table, table_doc) in enumerate(zip(nd.tables, doc["tables"])):
+                if (_holds_bool(table_doc) or table.dtype.kind not in "iu"
+                        or table.shape != space.shapes[i]
                         or table.min() < 0 or table.max() >= space.n_actions[i]):
                     raise InvalidParameter(
                         f"node {nd.node_id} at t={t}: controller {i}'s table "
@@ -805,7 +825,7 @@ def control_strategy_from_dict(doc, spec: ProblemSpec) -> ControlStrategy:
         ) for nd in stage_doc])
     roots = tuple((float(p), int(i)) for p, i in doc["roots"])
     _check_links(spec, doc["horizon"], roots, stages)
-    _check_tables(spec, stages)
+    _check_tables(spec, stages, doc["stages"])
     return ControlStrategy(n=doc["n"], horizon=doc["horizon"], roots=roots,
                            stages=stages).finalize()
 

@@ -17,6 +17,14 @@ when trajectories are recorded).
 Sampling from a categorical row uses the inverse CDF over cumulative rows
 computed once per kernel, so equal rows and equal uniforms give equal
 samples bitwise.
+
+A policy is compiled once into per-controller stage tables
+(:class:`_ExecPlan`).  A controller's action, its share of the joint
+message and its next memory at a node depend only on its own observation
+and memory, so each stage computes one local index per controller and
+reads all three with one ``take`` each.  The tables are only a faster
+form of the policy and the protocol's maps: the draws, and so every
+report and trajectory, are the same as stepping through those maps.
 """
 
 from __future__ import annotations
@@ -109,20 +117,36 @@ def _cum_columns(kernel: np.ndarray) -> list[np.ndarray]:
 
 def _sample(cols: list[np.ndarray], rows, u: np.ndarray) -> np.ndarray:
     """One categorical sample per uniform in ``u``, from kernel rows ``rows``."""
-    idx = np.zeros(len(u), dtype=np.int64)
-    for col in cols:
+    if not cols:
+        return np.zeros(len(u), dtype=np.int64)
+    idx = (cols[0].take(rows) < u).astype(np.int64)
+    for col in cols[1:]:
         idx += col.take(rows) < u
     return idx
 
 
 class _ExecPlan:
-    """A policy compiled to flat per-stage lookup tables.
+    """A policy compiled to flat per-stage, per-controller lookup tables.
 
-    Besides the policy's own tables (actions, children and, for trees, the
-    recomputed message probabilities), the plan holds the problem's
-    kernels as cumulative columns (:func:`_cum_columns`) and its cost,
-    message and memory-update tables raveled, so that every step is a few
-    ``take`` calls on flat arrays.
+    A controller's action, its share of the joint message and its next
+    memory at a tree node are functions of its own ``(y_i, m_i)`` alone, so
+    each is precomposed into a table over the policy's grid
+    ``(node, y_i, m_i)``, raveled and indexed by the controller's local
+    index ``(node * ny_i + y_i) * nm_i + m_i``:
+
+    * ``actions[t][i]``: the action ``a_i``;
+    * ``act_shares[t][i]``: ``a_i * act_stride_i``, its share of the joint
+      action;
+    * ``msg_shares[t][i]`` (t < T): ``msg_map_i[m, y, a_i] * msg_stride_i``,
+      its share of the joint message;
+    * ``mem_next[t][i]`` (t < T): ``mem_update_i[m, y, a_i]``.
+
+    Every table has the size of the policy's own action table, never the
+    product of the controllers' grids.  The plan also holds the children,
+    for trees a boolean table of messages the node's belief gives no mass
+    (the audit), the problem's kernels as cumulative columns
+    (:func:`_cum_columns`) and its raveled cost tables, so that every step
+    is a few ``take`` calls on flat arrays.
     """
 
     def __init__(self, spec: ProblemSpec, policy):
@@ -149,20 +173,31 @@ class _ExecPlan:
 
         self.layouts = [stage_layout(spec, t) for t in range(1, T + 1)]
         local = []  # per stage: node_id -> local index
-        self.actions = []  # per stage, per controller: raveled (nodes, ny, nm)
-        self.children = []  # per stage t < T: raveled (nodes, NZ) local ids at t+1, -1 missing
-        self.msg_probs = []  # per stage t < T: raveled (nodes, NZ) recomputed, or None
-        self.n_msgs = []  # per stage t < T: NZ
+        self.actions, self.act_shares, self.msg_shares, self.mem_next = [], [], [], []
         for t, layout in enumerate(self.layouts, start=1):
             nodes = stages[t - 1]
             local.append({nd.node_id: k for k, nd in enumerate(nodes)})
-            acts = [np.zeros((len(nodes), layout.ny[i], layout.nm[i]), dtype=np.int64)
-                    for i in range(spec.n)]
-            for k, nd in enumerate(nodes):
-                tables = get_tables(nd, t)
-                for i in range(spec.n):
-                    acts[i][k] = tables[i]
+            tables = [get_tables(nd, t) for nd in nodes]
+            acts = [np.array([tb[i] for tb in tables], dtype=np.int64)
+                    for i in range(spec.n)]  # per controller: (nodes, ny, nm)
             self.actions.append([a.ravel() for a in acts])
+            self.act_shares.append([a.ravel() * layout.act_strides[i]
+                                    for i, a in enumerate(acts)])
+            if t == T:
+                continue
+            msgs, mems = [], []
+            for i, a in enumerate(acts):
+                # (m, y, a_i) of every grid point, as the protocol's maps index them
+                point = (np.arange(layout.nm[i])[None, None, :],
+                         np.arange(layout.ny[i])[None, :, None], a)
+                msgs.append(spec.msg_map(i, t)[point].ravel()
+                            * layout.msg_strides[i])
+                mems.append(spec.mem_update(i, t)[point].ravel())
+            self.msg_shares.append(msgs)
+            self.mem_next.append(mems)
+        self.children = []  # per stage t < T: raveled (nodes, NZ) local ids at t+1, -1 missing
+        self.no_mass = []  # per stage t < T: raveled (nodes, NZ) audit table, or None
+        self.n_msgs = []  # per stage t < T: NZ
         for t in range(1, T):
             nodes = stages[t - 1]
             nz = int(np.prod(spec.msg_cards(t), dtype=np.int64))
@@ -180,9 +215,9 @@ class _ExecPlan:
                         belief = zeta(spec, belief)
                     gamma = spaces[t - 1].decode(nd.gamma_index)
                     probs[k] = message_distribution(spec, belief, gamma)
-                self.msg_probs.append(probs.ravel())
+                self.no_mass.append((probs <= _AUDIT_TOL).ravel())
             else:
-                self.msg_probs.append(None)
+                self.no_mass.append(None)
 
         if spec.initial_common_obs is None:
             self.root_map = np.full(1, local[0][roots[0][1]], dtype=np.int64)
@@ -207,21 +242,35 @@ class _ExecPlan:
         self.trans_cols = [_cum_columns(spec.transition(t).reshape(-1, nx))
                            for t in range(1, T)]
         self.costs = [spec.cost(t).ravel() for t in range(1, T + 1)]
-        # per stage t < T, per controller: raveled (M, Y, U) message and memory maps
-        self.msg_maps = [[spec.msg_map(i, t).ravel() for i in range(spec.n)]
-                         for t in range(1, T)]
-        self.mem_updates = [[spec.mem_update(i, t).ravel() for i in range(spec.n)]
-                            for t in range(1, T)]
+
+
+def _sum_takes(tables: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
+    """``sum_i tables[i][idx[i]]`` in a fresh array."""
+    out = tables[0].take(idx[0])
+    for table, k in zip(tables[1:], idx[1:]):
+        out += table.take(k)
+    return out
+
+
+def _local_index(node, y, m, ny: int, nm: int) -> np.ndarray:
+    """``(node * ny + y) * nm + m``; memory is always 0 where ``nm`` is 1."""
+    k = node * ny
+    k += y
+    if nm > 1:
+        k *= nm
+        k += m
+    return k
 
 
 class _Cursor:
     """One policy's episodes of one block: the variables of the current stage.
 
     Steps rebind these arrays rather than write into them, except ``cost``,
-    which accumulates, so a caller may keep references to them.  A realized
-    message with no child parks its episode on node 0; ``unreachable``
-    holds ``(episode in block, stage, message, node)`` for the lowest such
-    episode at the first stage it met one.
+    which accumulates, so a caller may keep references to them.  ``local``
+    holds each controller's index into the plan's stage tables, set by
+    :meth:`act`.  A realized message with no child parks its episode on
+    node 0; ``unreachable`` holds ``(episode in block, stage, message,
+    node)`` for the lowest such episode at the first stage it met one.
     """
 
     def __init__(self, plan: _ExecPlan, x: np.ndarray, draws: dict):
@@ -238,36 +287,31 @@ class _Cursor:
         self.cost = np.zeros(len(x))
         self.violations = 0
         self.unreachable = None
-        self.acts = self.u = self.xu = self.z = self.missing = None
+        self.local = self.u = self.xu = self.z = self.missing = None
 
     def act(self, t: int):
-        """Choose every controller's action at stage ``t`` and add its cost."""
+        """Choose the joint action at stage ``t`` and add its cost."""
         plan = self.plan
         layout = plan.layouts[t - 1]
-        self.acts = [plan.actions[t - 1][i].take(
-                         (self.node * layout.ny[i] + self.y[i]) * layout.nm[i] + self.m[i])
-                     for i in range(plan.spec.n)]
-        self.u = np.zeros(len(self.x), dtype=np.int64)
-        for i, a in enumerate(self.acts):
-            self.u += a * layout.act_strides[i]
+        self.local = [_local_index(self.node, self.y[i], self.m[i],
+                                   layout.ny[i], layout.nm[i])
+                      for i in range(plan.spec.n)]
+        self.u = _sum_takes(plan.act_shares[t - 1], self.local)
         self.xu = self.x * plan.n_joint + self.u  # row of the cost and transition tables
         self.cost += plan.costs[t - 1].take(self.xu)
+
+    def controller_actions(self, t: int) -> list[np.ndarray]:
+        """Each controller's action at stage ``t``, once :meth:`act` has run."""
+        return [table.take(k) for table, k in zip(self.plan.actions[t - 1], self.local)]
 
     def advance(self, t: int, draws: dict):
         """Emit stage ``t``'s message, move to its child and draw stage ``t + 1``."""
         plan = self.plan
-        spec = plan.spec
-        layout = plan.layouts[t - 1]
-        z = np.zeros(len(self.x), dtype=np.int64)
-        points = []  # per controller: flat (m, y, u) index into the stage maps
-        for i in range(spec.n):
-            p = (self.m[i] * layout.ny[i] + self.y[i]) * spec.action_cards[i] + self.acts[i]
-            z += plan.msg_maps[t - 1][i].take(p) * layout.msg_strides[i]
-            points.append(p)
+        z = _sum_takes(plan.msg_shares[t - 1], self.local)
         at = self.node * plan.n_msgs[t - 1] + z
-        probs = plan.msg_probs[t - 1]
-        if probs is not None:
-            self.violations += int((probs.take(at) <= _AUDIT_TOL).sum())
+        no_mass = plan.no_mass[t - 1]
+        if no_mass is not None:
+            self.violations += int(np.count_nonzero(no_mass.take(at)))
         child = plan.children[t - 1].take(at)
         missing = child < 0
         if missing.any():
@@ -275,10 +319,10 @@ class _Cursor:
             if self.unreachable is None or ep < self.unreachable[0]:
                 self.unreachable = (ep, t, int(z[ep]), int(self.node[ep]))
             child = np.where(missing, 0, child)
-        self.m = [plan.mem_updates[t - 1][i].take(points[i]) for i in range(spec.n)]
+        self.m = [table.take(k) for table, k in zip(plan.mem_next[t - 1], self.local)]
         self.x = _sample(plan.trans_cols[t - 1], self.xu, draws[("trans", t)])
         self.y = [_sample(plan.obs_cols[t][i], self.x, draws[("obs", t + 1, i)])
-                  for i in range(spec.n)]
+                  for i in range(plan.spec.n)]
         self.node, self.z, self.missing = child, z, missing
 
 
@@ -351,7 +395,8 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
         if record:
             if t == 1:
                 rec = []
-            rec.append((cur.x, cur.y, cur.acts, cur.m, cur.node, cur.z))
+            rec.append((cur.x, cur.y, cur.controller_actions(t), cur.m, cur.node,
+                        cur.z))
         if t < T:
             continue
         if cur.unreachable is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -243,6 +244,54 @@ def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,
     assert "controller 0's table must be integers of shape (2, 1) below 2" in err
 
 
+def _first_one_to_true(tables):
+    """Replace the first entry equal to 1 in a list of action tables by ``True``."""
+    for table in tables:
+        for row in table:
+            if 1 in row:
+                row[row.index(1)] = True
+                return True
+    return False
+
+
+def test_simulate_rejects_a_boolean_in_a_tree_action_table(capsys, tmp_path,
+                                                          problems_dir):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    # numpy reads [1, true] as the ints [1, 1], so only the boolean is wrong
+    node = next(nd for nd in doc["policy"]["stages"][1]
+                if _first_one_to_true(nd["gamma"]["tables"]))
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert (f"node {node['id']} at t=2: gamma.tables are not the tables of "
+            f"prescription index {node['gamma']['index']}") in err
+
+
+def test_simulate_rejects_a_boolean_in_a_strategy_action_table(capsys, tmp_path,
+                                                              problems_dir):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    result = tmp_path / "enumeration.json"
+    run(capsys, "enumerate", problem, "--output", str(result))
+    strategy = json.loads(result.read_text())["basic"]["strategy"]
+    node = next(nd for nd in strategy["stages"][1]
+                if _first_one_to_true(nd["tables"]))
+    policy = tmp_path / "strategy.json"
+    policy.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"node {node['id']} at t=2: controller " in err
+    assert "'s table must be integers of shape" in err
+
+
 def test_internal_error_exit(capsys, problems_dir, monkeypatch):
     def broken(spec, cap_prescriptions):
         raise RuntimeError("boom")
@@ -254,6 +303,18 @@ def test_internal_error_exit(capsys, problems_dir, monkeypatch):
     assert out == ""
     assert "internal error: RuntimeError: boom" in err
     assert "Traceback" not in err
+
+
+def test_a_trajectory_dump_is_pinned(capsys, tmp_path, problems_dir):
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    dump = tmp_path / "trajectories.jsonl"
+    run(capsys, "solve", problem, "--output", str(policy))
+    code, _, _ = run(capsys, "simulate", problem, str(policy), "--episodes", "3001",
+                     "--seed", "5", "--dump-trajectories", str(dump))
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
+        "563838e9618e36fccc71d5b7e87fd234d10fdec9f40cab33e8e89ef12fddd1c0"
 
 
 def test_trajectory_dump_is_json_lines(capsys, tmp_path, problems_dir):

@@ -74,3 +74,8 @@ def test_fold_writes_sorted_json(fold_bench, tmp_path):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     traced = doc["workloads"]["deep"]["traced"]
     assert traced["metrics"]["dp.full_s"]["pairs_won_by_change"] == 1
+    # without --command, the document says how runs are made
+    assert doc["command"] == (
+        "python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0|1, "
+        "parent and change from two clean checkouts, alternating which side runs "
+        "first in each pair")

@@ -296,6 +296,36 @@ def test_dumps_indents_a_shared_dict_by_the_depth_of_each_place():
     assert text.count('\n' + ' ' * 10 + '"index": 6') == 1
 
 
+def _self_containing_documents():
+    direct_dict = {"a": 1}
+    direct_dict["self"] = direct_dict
+    direct_list = [1]
+    direct_list.append(direct_list)
+    nested_dict = {}
+    nested_dict["a"] = [{"b": [nested_dict]}]
+    nested_list = []
+    nested_list.append({"x": [0, nested_list]})
+    # a shared container rendered twice before the cycle is met
+    shared = [[1, 2]]
+    after_sharing = {"a": shared, "b": shared, "c": [shared]}
+    after_sharing["d"] = {"e": after_sharing}
+    return [direct_dict, direct_list, nested_dict, nested_list, after_sharing]
+
+
+@pytest.mark.parametrize("doc", _self_containing_documents(),
+                         ids=["dict", "list", "nested-dict", "nested-list",
+                              "after-sharing"])
+def test_dumps_rejects_a_document_that_contains_itself(doc):
+    with pytest.raises(ValueError) as expect:
+        stdlib_text(doc)
+    with pytest.raises(type(expect.value)) as got:
+        dumps(doc)
+    assert str(got.value) == str(expect.value) == "Circular reference detected"
+    # containing a self-containing container is a cycle too
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        dumps({"outer": [doc]})
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_command_documents_match_the_standard_library(name, problems_dir):
     """Every kind of document the commands write, on every fixture."""

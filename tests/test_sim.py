@@ -1,10 +1,13 @@
+import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import instances
 from cisolver import sim
+from cisolver.coordinator import PrescriptionSpace, stage_layout
 from cisolver.dp import extract_control_strategy, solve_finite
 from cisolver.errors import InvalidParameter, UnreachableInformation
 from cisolver.serialize import load_problem
@@ -165,6 +168,85 @@ def test_a_long_rollout_is_pinned(problems_dir):
     report = rollout(spec, tree, seed=11, episodes=100_003)
     assert report.mean == 0.4950961471155866
     assert report.stderr == 0.0012361347469762739
+
+
+def _periodic_policies(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    _, tree = solve_finite(spec)
+    return spec, tree, extract_control_strategy(spec, tree)
+
+
+def test_a_long_strategy_rollout_is_pinned(problems_dir):
+    spec, _, strategy = _periodic_policies(problems_dir)
+    report = rollout(spec, strategy, seed=11, episodes=100_003)
+    assert report.mean == 0.9260104764641435
+    assert report.stderr == 0.0013724577781355045
+    assert report.violations == 0
+
+
+def test_long_paired_reports_are_pinned(problems_dir):
+    spec, tree, strategy = _periodic_policies(problems_dir)
+    report = paired_rollout(spec, tree, strategy, seed=12, episodes=100_003)
+    assert report.identical and report.divergences == []
+    # controller 1 flips its stage-3 action on y = 1, and the stage-2 node
+    # most episodes reach loses every other child
+    corrupted = extract_control_strategy(spec, tree)
+    for node in corrupted.stages[2]:
+        flipped = node.tables[1].copy()
+        flipped[1] = 1 - flipped[1]
+        node.tables = (node.tables[0], flipped)
+    children = corrupted.stages[1][3].children
+    for z in sorted(children)[::2]:
+        del children[z]
+    report = paired_rollout(spec, tree, corrupted, seed=12, episodes=100_003)
+    assert not report.identical
+    assert Counter((s, f) for _, s, f in report.divergences) == {
+        (2, "node"): 82185, (3, "action"): 12016}
+    assert hashlib.sha256(repr(report.divergences).encode()).hexdigest() == \
+        "9f7eef7d7a262ae3db015e5580978216369403510c501868b129bb74bc6c5af4"
+
+
+@pytest.mark.parametrize("name", ["delayed_sharing_2x2", "acceptance_seed1",
+                                  "periodic_4stage"])
+def test_stage_tables_match_the_loop_references(problems_dir, name):
+    """Every entry of a plan's per-controller tables, against the references.
+
+    The action is the node's decoded prescription at ``(y_i, m_i)``; the
+    message share and next memory are the protocol's maps at
+    ``(m_i, y_i, a_i)``.  Each table has the size of the action table.
+    """
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    _, tree = solve_finite(spec)
+    strategy = extract_control_strategy(spec, tree)
+    T = spec.horizon
+    for policy in (tree, strategy):
+        plan = sim._ExecPlan(spec, policy)
+        for t in range(1, T + 1):
+            space = PrescriptionSpace(spec, t)
+            layout = stage_layout(spec, t)
+            nodes = policy.stages[t - 1]
+            for i in range(spec.n):
+                ny, nm = layout.ny[i], layout.nm[i]
+                tables = [plan.actions, plan.act_shares]
+                if t < T:
+                    tables += [plan.msg_shares, plan.mem_next]
+                    msg_map, mem_update = spec.msg_map(i, t), spec.mem_update(i, t)
+                assert all(len(table[t - 1][i]) == len(nodes) * ny * nm
+                           for table in tables)
+                for k, nd in enumerate(nodes):
+                    gamma = space.decode(tree.node(nd.node_id).gamma_index)
+                    for y in range(ny):
+                        for m in range(nm):
+                            local = (k * ny + y) * nm + m
+                            a = int(gamma.tables[i][y, m])
+                            assert plan.actions[t - 1][i][local] == a
+                            assert plan.act_shares[t - 1][i][local] == \
+                                a * layout.act_strides[i]
+                            if t < T:
+                                assert plan.msg_shares[t - 1][i][local] == \
+                                    msg_map[m, y, a] * layout.msg_strides[i]
+                                assert plan.mem_next[t - 1][i][local] == \
+                                    mem_update[m, y, a]
 
 
 def test_rollout_memory_does_not_grow_with_the_draws(problems_dir):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
@@ -689,10 +690,19 @@ def _check_indices(spec: ProblemSpec, stages):
 
 
 def _holds_bool(value) -> bool:
-    """Whether a JSON value is or nests a boolean, which numpy reads as an int."""
-    if type(value) is list:
-        return any(map(_holds_bool, value))
-    return type(value) is bool
+    """Whether a JSON value is or nests a boolean, which numpy reads as an int.
+
+    The lists are walked one nesting level at a time, so the numbers of a
+    whole stage's tables are typed in one pass.
+    """
+    level = [value]
+    while True:
+        types = set(map(type, level))
+        if bool in types:
+            return True
+        if list not in types:
+            return False
+        level = list(chain.from_iterable([v for v in level if type(v) is list]))
 
 
 def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
@@ -708,6 +718,7 @@ def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
         dims = (layout.nx,) + layout.nm if variant == "reduced" else layout.dims
         size = int(np.prod(dims, dtype=np.int64))
         space = PrescriptionSpace(spec, t)
+        stage_bools = _holds_bool([doc["gamma"]["tables"] for doc in docs])
         for nd, doc in zip(stage, docs):
             belief = nd.belief
             if nd.t != t or belief.dims != dims or belief.weights.shape != (size,):
@@ -718,9 +729,9 @@ def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
                     f"stage {t} has dims {list(dims)} and {size} weights")
             tables = doc["gamma"]["tables"]
             expect = space.decode(nd.gamma_index).tables
-            if _holds_bool(tables) or len(tables) != len(expect) or not all(
-                    table.dtype.kind in "iu" and np.array_equal(table, e)
-                    for table, e in zip(map(np.asarray, tables), expect)):
+            if ((stage_bools and _holds_bool(tables)) or len(tables) != len(expect)
+                    or not all(table.dtype.kind in "iu" and np.array_equal(table, e)
+                               for table, e in zip(map(np.asarray, tables), expect))):
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: gamma.tables are not the "
                     f"tables of prescription index {nd.gamma_index}")
@@ -735,13 +746,14 @@ def _check_tables(spec: ProblemSpec, stages, stage_docs):
     """
     for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
         space = PrescriptionSpace(spec, t)
+        stage_bools = _holds_bool([doc["tables"] for doc in docs])
         for nd, doc in zip(stage, docs):
             if len(nd.tables) != spec.n:
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: {len(nd.tables)} action "
                     f"tables for {spec.n} controllers")
             for i, (table, table_doc) in enumerate(zip(nd.tables, doc["tables"])):
-                if (_holds_bool(table_doc) or table.dtype.kind not in "iu"
+                if ((stage_bools and _holds_bool(table_doc)) or table.dtype.kind not in "iu"
                         or table.shape != space.shapes[i]
                         or table.min() < 0 or table.max() >= space.n_actions[i]):
                     raise InvalidParameter(

@@ -40,6 +40,7 @@ from cisolver.serialize import (
     validation_report_to_dict,
     value_report_to_dict,
 )
+from cisolver import serialize
 from cisolver.sim import rollout
 
 PROBLEMS = sorted(p.stem for p in
@@ -294,6 +295,15 @@ def test_dumps_indents_a_shared_dict_by_the_depth_of_each_place():
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert text.count('\n' + ' ' * 6 + '"index": 6') == 2
     assert text.count('\n' + ' ' * 10 + '"index": 6') == 1
+
+
+@pytest.mark.parametrize("value,holds", [
+    (True, True), (False, True), (1, False), ([], False), ([[]], False),
+    ([1, True], True), ([[0, 1], [1, 0]], False), ([[0, 1], [1, [False]]], True),
+    ([[1], True], True), ([[[0]], 2, [[True]]], True), ([1.0, "true", None], False),
+])
+def test_holds_bool_finds_a_boolean_at_any_depth(value, holds):
+    assert serialize._holds_bool(value) is holds
 
 
 def _self_containing_documents():

@@ -689,18 +689,19 @@ def _check_indices(spec: ProblemSpec, stages):
                     "prescriptions")
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is or nests a boolean, which numpy reads as an int.
+def _all_ints(value) -> bool:
+    """Whether every leaf of a JSON value's nested lists is an int.
 
-    The lists are walked one nesting level at a time, so the numbers of a
-    whole stage's tables are typed in one pass.
+    Booleans and floats are not ints here, though numpy reads a boolean
+    among ints as an int.  The lists are walked one nesting level at a
+    time, so the numbers of a whole stage's tables are typed in one pass.
     """
     level = [value]
     while True:
         types = set(map(type, level))
-        if bool in types:
-            return True
         if list not in types:
+            return types <= {int}
+        if not types <= {int, list}:
             return False
         level = list(chain.from_iterable([v for v in level if type(v) is list]))
 
@@ -710,15 +711,16 @@ def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
 
     A node's belief has its stage's ``dims`` in the tree's variant, over
     ``(x, y, m)`` or, reduced, ``(x, m)``, with one weight per grid point,
-    and its ``gamma.tables`` are the integer tables its index decodes to,
-    with no boolean among their entries.
+    and its ``gamma.tables`` are the tables its index decodes to, written
+    as ints.
     """
     for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
         layout = stage_layout(spec, t)
         dims = (layout.nx,) + layout.nm if variant == "reduced" else layout.dims
         size = int(np.prod(dims, dtype=np.int64))
         space = PrescriptionSpace(spec, t)
-        stage_bools = _holds_bool([doc["gamma"]["tables"] for doc in docs])
+        stage_ints = _all_ints([doc["gamma"]["tables"] for doc in docs])
+        expected = {}  # prescription index -> its tables as nested lists
         for nd, doc in zip(stage, docs):
             belief = nd.belief
             if nd.t != t or belief.dims != dims or belief.weights.shape != (size,):
@@ -728,10 +730,12 @@ def _check_tree_nodes(spec: ProblemSpec, variant, stages, stage_docs):
                     f"{belief.weights.size} weights; a {variant} belief at "
                     f"stage {t} has dims {list(dims)} and {size} weights")
             tables = doc["gamma"]["tables"]
-            expect = space.decode(nd.gamma_index).tables
-            if ((stage_bools and _holds_bool(tables)) or len(tables) != len(expect)
-                    or not all(table.dtype.kind in "iu" and np.array_equal(table, e)
-                               for table, e in zip(map(np.asarray, tables), expect))):
+            expect = expected.get(nd.gamma_index)
+            if expect is None:
+                expect = expected[nd.gamma_index] = [
+                    e.tolist() for e in space.decode(nd.gamma_index).tables]
+            # list equality is exact once every entry is an int
+            if not (stage_ints or _all_ints(tables)) or tables != expect:
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: gamma.tables are not the "
                     f"tables of prescription index {nd.gamma_index}")
@@ -741,19 +745,18 @@ def _check_tables(spec: ProblemSpec, stages, stage_docs):
     """Raise InvalidParameter unless every node has a valid action table per controller.
 
     Controller ``i``'s table at stage ``t`` is an integer array of shape
-    ``(|Y_i|, |M_i|)`` with entries in ``[0, |U_i|)``, and its document
-    holds no boolean.
+    ``(|Y_i|, |M_i|)`` with entries in ``[0, |U_i|)``, written as ints.
     """
     for t, (stage, docs) in enumerate(zip(stages, stage_docs), start=1):
         space = PrescriptionSpace(spec, t)
-        stage_bools = _holds_bool([doc["tables"] for doc in docs])
+        stage_ints = _all_ints([doc["tables"] for doc in docs])
         for nd, doc in zip(stage, docs):
             if len(nd.tables) != spec.n:
                 raise InvalidParameter(
                     f"node {nd.node_id} at t={t}: {len(nd.tables)} action "
                     f"tables for {spec.n} controllers")
             for i, (table, table_doc) in enumerate(zip(nd.tables, doc["tables"])):
-                if ((stage_bools and _holds_bool(table_doc)) or table.dtype.kind not in "iu"
+                if (not (stage_ints or _all_ints(table_doc)) or table.dtype.kind not in "iu"
                         or table.shape != space.shapes[i]
                         or table.min() < 0 or table.max() >= space.n_actions[i]):
                     raise InvalidParameter(

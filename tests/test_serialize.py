@@ -297,13 +297,14 @@ def test_dumps_indents_a_shared_dict_by_the_depth_of_each_place():
     assert text.count('\n' + ' ' * 10 + '"index": 6') == 1
 
 
-@pytest.mark.parametrize("value,holds", [
-    (True, True), (False, True), (1, False), ([], False), ([[]], False),
-    ([1, True], True), ([[0, 1], [1, 0]], False), ([[0, 1], [1, [False]]], True),
-    ([[1], True], True), ([[[0]], 2, [[True]]], True), ([1.0, "true", None], False),
+@pytest.mark.parametrize("value,ints", [
+    (1, True), (True, False), (1.0, False), ([], True), ([[]], True),
+    ([1, True], False), ([[0, 1], [1, 0]], True), ([[0, 1], [1, [False]]], False),
+    ([[1], True], False), ([[[0]], 2, [[3]]], True), ([[[0]], 2, [[0.5]]], False),
+    ([1, "1"], False), ([[1], None], False), ({"a": 1}, False),
 ])
-def test_holds_bool_finds_a_boolean_at_any_depth(value, holds):
-    assert serialize._holds_bool(value) is holds
+def test_all_ints_types_every_leaf(value, ints):
+    assert serialize._all_ints(value) is ints
 
 
 def _self_containing_documents():

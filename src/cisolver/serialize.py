@@ -190,9 +190,16 @@ def dumps(doc: Any) -> str:
 
 
 def parse_file(path: str) -> Any:
-    """Load raw JSON; parse errors propagate as json.JSONDecodeError."""
+    """Load raw JSON; parse errors propagate as json.JSONDecodeError.
+
+    So does nesting deeper than the parser's recursion limit.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
 # -- problem documents -----------------------------------------------------
@@ -645,14 +652,21 @@ def _gamma_docs(space: PrescriptionSpace, indices) -> dict:
 def _check_links(spec: ProblemSpec, horizon, roots, stages):
     """Raise InvalidParameter unless every root and child names a node.
 
-    Roots must be stage-1 nodes; a stage-t node's children map joint
-    messages of stage t to nodes of stage t + 1, and the last stage has
-    none.
+    Every stage has a node, since every episode passes through every
+    stage, and node ids are distinct ints.  Roots must be stage-1 nodes; a
+    stage-t node's children map joint messages of stage t to nodes of
+    stage t + 1, and the last stage has none.
     """
     if horizon != spec.horizon or len(stages) != horizon:
         raise InvalidParameter(
             f"policy has horizon {horizon!r} and {len(stages)} stages; the "
             f"problem has horizon {spec.horizon}")
+    for t, stage in enumerate(stages, start=1):
+        if not stage:
+            raise InvalidParameter(f"policy stage {t} has no nodes")
+    ids = [nd.node_id for stage in stages for nd in stage]
+    if not all(type(node_id) is int for node_id in ids) or len(set(ids)) != len(ids):
+        raise InvalidParameter("policy node ids must be distinct integers")
     next_ids = {nd.node_id for nd in stages[0]}
     for _, node_id in roots:
         if node_id not in next_ids:
@@ -894,7 +908,8 @@ def policy_from_document(doc, spec: ProblemSpec):
             return policy_tree_from_dict(doc, spec)
         if kind == "control_strategy":
             return control_strategy_from_dict(doc, spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        # a field of the wrong JSON type, or an infinite number read as an int
         raise InvalidParameter(f"malformed {kind} document: {exc!r}") from exc
     raise InvalidParameter(
         f"cannot simulate a document of kind {kind!r}; expected a policy "

@@ -12,7 +12,13 @@ Episodes stream sequentially in fixed blocks of ``_BLOCK``.  Each block
 reads the next uniforms of every stream, so the results do not depend on
 the block size, and the working memory is O(block) plus the 8-byte cost
 of every episode, which ``mean`` and ``stderr`` are reduced from (O(episodes)
-when trajectories are recorded).
+when trajectories are recorded).  The draws do not depend on the policy,
+so every rollout call owns one helper thread that reads the streams
+(:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is being
+stepped, never more than one block ahead.  It is the only reader of the
+streams and reads each in the same order as a sequential loop would, so
+the results are the same as without it; it is joined before the call
+returns or raises.
 
 Sampling from a categorical row uses the inverse CDF over cumulative rows
 computed once per kernel, so equal rows and equal uniforms give equal
@@ -30,11 +36,13 @@ report and trajectory, are the same as stepping through those maps.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinator import message_distribution, stage_layout, zeta, Belief, PrescriptionSpace
+from .coordinator import stage_layout, PrescriptionSpace
 from .dp import PolicyTree
 from .errors import InvalidParameter, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
@@ -172,11 +180,12 @@ class _ExecPlan:
             raise InvalidParameter("policy shape does not match the problem")
 
         self.layouts = [stage_layout(spec, t) for t in range(1, T + 1)]
-        local = []  # per stage: node_id -> local index
+        # per stage: each node's document id, by position
+        self.node_ids = [[nd.node_id for nd in nodes] for nodes in stages]
+        local = [{node_id: k for k, node_id in enumerate(ids)} for ids in self.node_ids]
         self.actions, self.act_shares, self.msg_shares, self.mem_next = [], [], [], []
         for t, layout in enumerate(self.layouts, start=1):
             nodes = stages[t - 1]
-            local.append({nd.node_id: k for k, nd in enumerate(nodes)})
             tables = [get_tables(nd, t) for nd in nodes]
             acts = [np.array([tb[i] for tb in tables], dtype=np.int64)
                     for i in range(spec.n)]  # per controller: (nodes, ny, nm)
@@ -207,30 +216,23 @@ class _ExecPlan:
                     table[k, z] = local[t][child]
             self.children.append(table.ravel())
             self.n_msgs.append(nz)
-            if self.audited:
-                probs = np.zeros((len(nodes), nz))
-                for k, nd in enumerate(nodes):
-                    belief = nd.belief
-                    if not isinstance(belief, Belief):
-                        belief = zeta(spec, belief)
-                    gamma = spaces[t - 1].decode(nd.gamma_index)
-                    probs[k] = message_distribution(spec, belief, gamma)
-                self.no_mass.append((probs <= _AUDIT_TOL).ravel())
-            else:
-                self.no_mass.append(None)
+            self.no_mass.append(self._audit_table(policy, t, nz) if self.audited else None)
 
+        # one root per initial common signal of positive mass, in signal order
         if spec.initial_common_obs is None:
-            self.root_map = np.full(1, local[0][roots[0][1]], dtype=np.int64)
+            self.root_map = np.full(1, -1, dtype=np.int64)
+            signals = [0]
         else:
-            card = spec.initial_common_obs.space.cardinality
-            self.root_map = np.full(card, -1, dtype=np.int64)
-            pos = 0
-            for ystar in range(card):
-                mass = float(spec.initial_dist @ spec.initial_common_obs.kernel[:, ystar])
-                if mass <= _AUDIT_TOL:
-                    continue
-                self.root_map[ystar] = local[0][roots[pos][1]]
-                pos += 1
+            kernel = spec.initial_common_obs.kernel
+            self.root_map = np.full(kernel.shape[1], -1, dtype=np.int64)
+            signals = [ystar for ystar in range(kernel.shape[1])
+                       if float(spec.initial_dist @ kernel[:, ystar]) > _AUDIT_TOL]
+        if len(roots) != len(signals):
+            raise InvalidParameter(
+                f"policy has {len(roots)} roots; the problem has {len(signals)} "
+                "initial common signals of positive mass")
+        for ystar, (_, node_id) in zip(signals, roots):
+            self.root_map[ystar] = local[0][node_id]
 
         nx = spec.state_space.cardinality
         self.n_joint = spec.joint_action_count
@@ -242,6 +244,30 @@ class _ExecPlan:
         self.trans_cols = [_cum_columns(spec.transition(t).reshape(-1, nx))
                            for t in range(1, T)]
         self.costs = [spec.cost(t).ravel() for t in range(1, T + 1)]
+
+    def _audit_table(self, tree: PolicyTree, t: int, nz: int) -> np.ndarray:
+        """Raveled ``(nodes, NZ)``: whether a stage-``t`` node's belief gives ``z`` no mass.
+
+        In coordinator state ``s`` a node emits the sum of the controllers'
+        message shares at their points ``(y_i(s), m_i(s))``, so the law of
+        every node's message is one ``bincount`` over ``node * NZ + z``
+        weighted by the stage's stacked beliefs (lifted to ``(x, y, m)`` in
+        the reduced variant).  It adds each node's weights in state order,
+        as :func:`~cisolver.coordinator.message_distribution` does node by
+        node, so the sums are bitwise the same.
+        """
+        layout = self.layouts[t - 1]
+        nodes = tree.stages[t - 1]
+        weights = np.array([nd.belief.weights for nd in nodes])
+        if tree.variant == "reduced":
+            weights = layout.lift(weights)
+        bins = np.arange(len(nodes))[:, None] * nz  # (nodes, 1), then (nodes, states)
+        for i, shares in enumerate(self.msg_shares[t - 1]):
+            points = layout.y_of[i] * layout.nm[i] + layout.m_of[i]
+            bins = bins + shares.reshape(len(nodes), -1)[:, points]
+        mass = np.bincount(bins.ravel(), weights=weights.ravel(),
+                           minlength=len(nodes) * nz)
+        return mass <= _AUDIT_TOL
 
 
 def _sum_takes(tables: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
@@ -326,6 +352,57 @@ class _Cursor:
         self.node, self.z, self.missing = child, z, missing
 
 
+class _Prefetch:
+    """Every block's draws, read on one helper thread one block ahead.
+
+    The helper creates and alone reads the streams.  It draws block ``b + 1``
+    once block ``b`` has been handed over, so it draws while the caller
+    steps, and at most one block is drawn ahead of the one in use.  Each
+    stream is read in order, block after block.  Iterating yields each
+    block's first episode and draws, and raises any exception of the
+    helper; :meth:`close` stops the helper and joins it.
+    """
+
+    def __init__(self, spec: ProblemSpec, seed: int, episodes: int):
+        self.starts = range(0, episodes, _BLOCK)
+        self.sizes = [min(_BLOCK, episodes - lo) for lo in self.starts]
+        self._asked = threading.Semaphore(1)  # blocks the helper may draw: block 0
+        self._drawn = threading.Semaphore(0)  # released once the slot holds a block
+        self._slot = None  # the drawn block, or the helper's exception
+        self._closed = False
+        self._thread = threading.Thread(target=self._draw, args=(spec, seed),
+                                        name="cisolver-draws", daemon=True)
+        self._thread.start()
+
+    def _draw(self, spec: ProblemSpec, seed: int):
+        try:
+            streams = _streams(spec, seed)
+            for n in self.sizes:
+                self._asked.acquire()
+                if self._closed:
+                    return
+                self._slot = {k: g.random(n) for k, g in streams.items()}
+                self._drawn.release()
+        except BaseException as exc:  # raised again in the caller
+            self._slot = exc
+            self._drawn.release()
+
+    def __iter__(self):
+        for b, lo in enumerate(self.starts):
+            self._drawn.acquire()
+            draws, self._slot = self._slot, None
+            if isinstance(draws, BaseException):
+                raise draws
+            if b + 1 < len(self.starts):
+                self._asked.release()
+            yield lo, draws
+
+    def close(self):
+        self._closed = True
+        self._asked.release()
+        self._thread.join()
+
+
 def _steps(spec: ProblemSpec, plans, seed: int, episodes: int):
     """Run ``plans`` side by side on shared draws, one block of episodes at a time.
 
@@ -333,26 +410,34 @@ def _steps(spec: ProblemSpec, plans, seed: int, episodes: int):
     cursors have acted; ``lo`` is the block's first episode.  From stage 2
     on, the cursors also hold the previous stage's message and missing-child
     mask.  Each stream is read in order, block after block, so episode ``e``
-    consumes element ``e`` of it whatever the block size.
+    consumes element ``e`` of it whatever the block size.  The draws come
+    from a :class:`_Prefetch`, whose helper is joined when this generator
+    finishes or is closed, so callers close it (``contextlib.closing``).
     """
-    streams = _streams(spec, seed)
-    for lo in range(0, episodes, _BLOCK):
-        draws = {k: g.random(min(_BLOCK, episodes - lo)) for k, g in streams.items()}
-        x0 = _sample(plans[0].init_cols, 0, draws["init"])
-        cursors = [_Cursor(plan, x0, draws) for plan in plans]
-        for t in range(1, spec.horizon + 1):
-            for cur in cursors:
-                cur.act(t)
-            yield lo, t, cursors
-            if t < spec.horizon:
+    with closing(_Prefetch(spec, seed, episodes)) as blocks:
+        for lo, draws in blocks:
+            x0 = _sample(plans[0].init_cols, 0, draws["init"])
+            cursors = [_Cursor(plan, x0, draws) for plan in plans]
+            for t in range(1, spec.horizon + 1):
                 for cur in cursors:
-                    cur.advance(t, draws)
+                    cur.act(t)
+                yield lo, t, cursors
+                if t < spec.horizon:
+                    for cur in cursors:
+                        cur.advance(t, draws)
+            del draws  # before the helper is asked for the block after next
 
 
-def _trajectories(lo: int, rec: list, cost: np.ndarray) -> list[Trajectory]:
-    """The recorded episodes of one block; ``rec`` holds one entry per stage."""
+def _trajectories(lo: int, rec: list, cost: np.ndarray,
+                  node_ids: list[list[int]]) -> list[Trajectory]:
+    """The recorded episodes of one block; ``rec`` holds one entry per stage.
+
+    Nodes are recorded by position in their stage and written as the ids
+    ``node_ids[t - 1]`` that the policy document gives them.
+    """
     xs, ys, us, ms, nodes, zs = zip(*rec)
-    xs, nodes, zs = ([a.tolist() for a in field] for field in (xs, nodes, zs[1:]))
+    xs, zs = ([a.tolist() for a in field] for field in (xs, zs[1:]))
+    nodes = [[ids[k] for k in a.tolist()] for ids, a in zip(node_ids, nodes)]
     # per stage, one tuple of controller values per episode
     ys, us, ms = ([list(zip(*(a.tolist() for a in stage))) for stage in field]
                   for field in (ys, us, ms))
@@ -377,13 +462,16 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     whenever it is not positive (an on-policy consistency audit; the
     report's ``violations`` must be zero for a correctly solved pair).
 
-    Episodes run sequentially in blocks of ``_BLOCK``.  ``threads`` is
-    accepted for compatibility and changes neither the results nor the
-    work done.
+    Episodes are stepped sequentially in blocks of ``_BLOCK`` while one
+    helper thread draws the next block.  ``threads`` is accepted for
+    compatibility and changes neither the results nor the work done.
+
+    Recorded trajectories name each node by its ``id`` in the policy.
 
     Raises:
         UnreachableInformation: a realized message has no policy entry; the
-            message names the lowest such episode.
+            message names the lowest such episode and the id of the node
+            that emitted it.
     """
     _check_run(seed, episodes)
     plan = _ExecPlan(spec, policy)
@@ -391,23 +479,24 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     costs = np.empty(episodes)
     violations = 0
     trajectories = [] if record else None
-    for lo, t, (cur,) in _steps(spec, (plan,), seed, episodes):
-        if record:
-            if t == 1:
-                rec = []
-            rec.append((cur.x, cur.y, cur.controller_actions(t), cur.m, cur.node,
-                        cur.z))
-        if t < T:
-            continue
-        if cur.unreachable is not None:
-            ep, stage, z, node = cur.unreachable
-            raise UnreachableInformation(
-                f"episode {lo + ep}: no policy entry at stage {stage} for message "
-                f"{z} from node index {node}")
-        costs[lo:lo + len(cur.cost)] = cur.cost
-        violations += cur.violations
-        if record:
-            trajectories.extend(_trajectories(lo, rec, cur.cost))
+    with closing(_steps(spec, (plan,), seed, episodes)) as steps:
+        for lo, t, (cur,) in steps:
+            if record:
+                if t == 1:
+                    rec = []
+                rec.append((cur.x, cur.y, cur.controller_actions(t), cur.m, cur.node,
+                            cur.z))
+            if t < T:
+                continue
+            if cur.unreachable is not None:
+                ep, stage, z, node = cur.unreachable
+                raise UnreachableInformation(
+                    f"episode {lo + ep}: no policy entry at stage {stage} for "
+                    f"message {z} from node {plan.node_ids[stage - 1][node]}")
+            costs[lo:lo + len(cur.cost)] = cur.cost
+            violations += cur.violations
+            if record:
+                trajectories.extend(_trajectories(lo, rec, cur.cost, plan.node_ids))
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return SimReport(episodes=episodes, seed=seed, mean=mean, stderr=stderr,
@@ -427,22 +516,23 @@ def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrateg
     _check_run(seed, episodes)
     plans = (_ExecPlan(spec, tree), _ExecPlan(spec, strategy))
     divergences: list[tuple[int, int, str]] = []
-    for lo, t, (a, b) in _steps(spec, plans, seed, episodes):
-        if t == 1:
-            diverged = np.zeros(len(a.x), dtype=bool)
-            checks = []
-        else:  # the step from stage t - 1, in the order its fields arise
-            s = t - 1
-            checks = [(a.z != b.z, s, "message"),
-                      (a.missing | b.missing, s, "node"),
-                      (_any_differ(a.m, b.m), s, "memory"),
-                      (a.x != b.x, s, "state"),
-                      (_any_differ(a.y, b.y), s, "obs")]
-        checks.append((a.u != b.u, t, "action"))
-        for mask, stage, field in checks:
-            divergences.extend((lo + int(e), stage, field)
-                               for e in np.flatnonzero(mask & ~diverged))
-            diverged |= mask
+    with closing(_steps(spec, plans, seed, episodes)) as steps:
+        for lo, t, (a, b) in steps:
+            if t == 1:
+                diverged = np.zeros(len(a.x), dtype=bool)
+                checks = []
+            else:  # the step from stage t - 1, in the order its fields arise
+                s = t - 1
+                checks = [(a.z != b.z, s, "message"),
+                          (a.missing | b.missing, s, "node"),
+                          (_any_differ(a.m, b.m), s, "memory"),
+                          (a.x != b.x, s, "state"),
+                          (_any_differ(a.y, b.y), s, "obs")]
+            checks.append((a.u != b.u, t, "action"))
+            for mask, stage, field in checks:
+                divergences.extend((lo + int(e), stage, field)
+                                   for e in np.flatnonzero(mask & ~diverged))
+                diverged |= mask
     divergences.sort()
     return PairedReport(episodes=episodes, seed=seed,
                         identical=not divergences, divergences=divergences)

@@ -41,6 +41,17 @@ def test_malformed_json_reports_the_position(capsys, tmp_path):
     assert "line 2" in err and "column" in err
 
 
+def test_deeply_nested_json_is_a_parse_failure(capsys, tmp_path, problems_dir):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["validate", str(nested)],
+                 ["simulate", str(problems_dir / "delayed_sharing_2x2.json"), str(nested)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error at line 1, column 1: nesting too deep\n"
+
+
 def test_unreadable_file_is_a_parse_failure(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 2
@@ -174,6 +185,41 @@ def test_simulate_rejects_a_policy_that_names_no_node(capsys, tmp_path,
     policy.write_text(json.dumps(doc))
     code, out, err = run(capsys, "simulate", problem, str(policy),
                          "--episodes", "100")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda policy: policy.update(roots=[]), "policy has 0 roots; the problem has 1"),
+    (lambda policy: policy["roots"].append(policy["roots"][0]), "policy has 2 roots"),
+    (lambda policy: policy["roots"][0].__setitem__(1, float("inf")),
+     "malformed policy_tree document: OverflowError"),
+    (lambda policy: policy["stages"][0][0].update(children=[]),
+     "malformed policy_tree document: AttributeError"),
+    (lambda policy: policy["stages"][1][1].update(id=policy["stages"][1][0]["id"]),
+     "node ids must be distinct integers"),
+    (lambda policy: policy["stages"][1][1].update(id=str(policy["stages"][1][1]["id"])),
+     "node ids must be distinct integers"),
+    (lambda policy: policy["stages"][0][0].update(children={})
+     or policy["stages"][1].clear(), "policy stage 2 has no nodes"),
+])
+def test_simulate_rejects_broken_roots_children_and_ids(capsys, tmp_path, problems_dir,
+                                                        corrupt, named):
+    """Each of these once exited 6 (internal error) or was read silently.
+
+    No roots, an infinite root id, a children list instead of an object
+    and an empty stage exited 6; an extra root was ignored, and a duplicate
+    id sent the root's children to the wrong node.
+    """
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    corrupt(doc["policy"])
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy), "--episodes", "100")
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
@@ -314,7 +360,7 @@ def test_a_trajectory_dump_is_pinned(capsys, tmp_path, problems_dir):
                      "--seed", "5", "--dump-trajectories", str(dump))
     assert code == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
-        "563838e9618e36fccc71d5b7e87fd234d10fdec9f40cab33e8e89ef12fddd1c0"
+        "b8c7233d68f28788d302f690d3c5b60b97551a0e7d1e709643a54d8a02c3a46f"
 
 
 def test_trajectory_dump_is_json_lines(capsys, tmp_path, problems_dir):

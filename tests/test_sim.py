@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -7,8 +9,9 @@ import pytest
 
 import instances
 from cisolver import sim
-from cisolver.coordinator import PrescriptionSpace, stage_layout
-from cisolver.dp import extract_control_strategy, solve_finite
+from cisolver.coordinator import (PrescriptionSpace, message_distribution, stage_layout,
+                                  zeta)
+from cisolver.dp import extract_control_strategy, solve_finite, solve_finite_reduced
 from cisolver.errors import InvalidParameter, UnreachableInformation
 from cisolver.serialize import load_problem
 from cisolver.sim import paired_rollout, rollout
@@ -280,3 +283,147 @@ def test_cumulative_columns_sample_as_the_inverse_cdf():
         cum = np.cumsum(kernel[rows], axis=-1)
         expect = np.minimum((cum < u[:, None]).sum(axis=-1), k - 1)
         assert np.array_equal(sim._sample(sim._cum_columns(kernel), rows, u), expect)
+
+
+FINITE_FIXTURES = ["acceptance_seed1", "delayed_sharing_2x2", "periodic_4stage",
+                   "static_team"]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
+def test_audit_table_matches_the_per_node_reference(problems_dir, name, solve):
+    """The batched audit table, against ``message_distribution`` node by node."""
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    _, tree = solve(spec)
+    plan = sim._ExecPlan(spec, tree)
+    assert len(plan.no_mass) == spec.horizon - 1
+    for t, no_mass in enumerate(plan.no_mass, start=1):
+        space = PrescriptionSpace(spec, t)
+        expect = []
+        for nd in tree.stages[t - 1]:
+            belief = zeta(spec, nd.belief) if tree.variant == "reduced" else nd.belief
+            probs = message_distribution(spec, belief, space.decode(nd.gamma_index))
+            expect.append(probs <= 1e-15)
+        assert np.array_equal(no_mass, np.concatenate(expect))
+
+
+def test_trajectories_name_nodes_by_their_ids(problems_dir):
+    """Recorded nodes are document ids, linked by the recorded messages."""
+    spec, tree, strategy = _periodic_policies(problems_dir)
+    for policy in (tree, strategy):
+        report = rollout(spec, policy, seed=4, episodes=2000, record=True)
+        stage_ids = [{nd.node_id for nd in stage} for stage in policy.stages]
+        for traj in report.trajectories:
+            assert all(nd in ids for nd, ids in zip(traj.nodes, stage_ids))
+            for t, z in enumerate(traj.messages):
+                assert policy.node(traj.nodes[t]).children[z] == traj.nodes[t + 1]
+        # every episode reaches the fourth node of stage 2, whose id is 4
+        assert {traj.nodes[1] for traj in report.trajectories} == {4}
+        assert policy.stages[1][3].node_id == 4
+
+
+def test_unreachable_information_names_the_node_id(problems_dir):
+    spec, tree, _ = _periodic_policies(problems_dir)
+    broken = extract_control_strategy(spec, tree)
+    node = broken.stages[1][3]
+    node.children.clear()
+    with pytest.raises(UnreachableInformation,
+                       match=rf"at stage 2 for message \d+ from node {node.node_id}$"):
+        rollout(spec, broken, seed=2, episodes=500)
+
+
+class _FailingStream:
+    """A stream whose ``random`` raises on its third block."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("stream failed on its third block")
+        return self.stream.random(size)
+
+
+def test_the_helper_thread_is_joined_on_every_exit(solved_seed1, monkeypatch):
+    spec, _, tree = solved_seed1
+    strategy = extract_control_strategy(spec, tree)
+    broken = extract_control_strategy(spec, tree)
+    broken.node(broken.roots[0][1]).children.clear()
+    baseline = threading.active_count()
+    monkeypatch.setattr(sim, "_BLOCK", 16)
+    rollout(spec, tree, seed=1, episodes=100)
+    assert threading.active_count() == baseline
+    paired_rollout(spec, tree, strategy, seed=1, episodes=100)
+    assert threading.active_count() == baseline
+    with pytest.raises(UnreachableInformation):
+        rollout(spec, broken, seed=1, episodes=100)
+    assert threading.active_count() == baseline
+
+    real = sim._stream
+    caller = threading.current_thread()
+    readers = set()
+
+    def failing(*args, **kwargs):
+        readers.add(threading.current_thread())
+        return _FailingStream(real(*args, **kwargs))
+
+    monkeypatch.setattr(sim, "_stream", failing)
+    for run in (lambda: rollout(spec, tree, seed=1, episodes=100),
+                lambda: paired_rollout(spec, tree, strategy, seed=1, episodes=100)):
+        with pytest.raises(RuntimeError, match="third block"):
+            run()
+        assert threading.active_count() == baseline
+    # only the helpers made (and so read) the streams
+    assert readers and caller not in readers
+    # two blocks suffice: the third is never drawn
+    assert rollout(spec, tree, seed=1, episodes=32).episodes == 32
+
+
+def test_a_consumer_that_stops_early_joins_the_helper(solved_seed1, monkeypatch):
+    spec, _, tree = solved_seed1
+    plan = sim._ExecPlan(spec, tree)
+    baseline = threading.active_count()
+    monkeypatch.setattr(sim, "_BLOCK", 8)
+    steps = sim._steps(spec, (plan,), seed=1, episodes=100)
+    next(steps)
+    assert threading.active_count() == baseline + 1
+    steps.close()
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_rollouts_under_frequent_thread_switches(solved_seed1, monkeypatch):
+    """Four callers, each with its own helper, switching threads every microsecond.
+
+    A block handed over twice, skipped or read out of order would change
+    the reports.
+    """
+    spec, _, tree = solved_seed1
+    strategy = extract_control_strategy(spec, tree)
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+
+    def reports(seed):
+        return (rollout(spec, tree, seed, 300, record=True),
+                paired_rollout(spec, tree, strategy, seed, 300))
+
+    expect = {seed: reports(seed) for seed in range(4)}
+    baseline = threading.active_count()
+    results = {}
+
+    def call(seed):
+        results[seed] = reports(seed)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in expect]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == expect
+    assert threading.active_count() == baseline

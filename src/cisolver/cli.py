@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -80,8 +81,9 @@ class RunConfig:
     cap_prescriptions: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidParameter(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidParameter(
+                f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.episodes < 1:
             raise InvalidParameter(f"episodes must be >= 1, got {self.episodes}")
         if not 0 <= self.seed < 1 << 64:

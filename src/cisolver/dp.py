@@ -21,11 +21,15 @@ value or argmin:
   classes are ordered by representative, so the documented
   smallest-index tie-break is preserved exactly.  The representative,
   an exact int, is computed only for the class a node chooses.
-* *Observation marginalization* (the reduced variant): beliefs are
-  stored over ``(x, m)`` only and the current observations are
-  reattached through the stage's kernels when a node is expanded.  On
-  reachable beliefs this is lossless, so values agree with the full
-  variant to floating-point accuracy and node counts can only shrink.
+* *Observation marginalization*: the current observations are
+  conditionally independent of the local memories given the state, so
+  a finite solve stores, hashes and interns beliefs over ``(x, m)``
+  only and reattaches the stage's observation law
+  (:meth:`StageLayout.lift`) when it expands a stage.  Both variants
+  share this one solve and so have the same nodes, choices and values;
+  the reduced tree carries the stored beliefs, the full tree their
+  lifts.  Discounted solves still store full beliefs, because
+  stationary documents key entries by full-belief bytes.
 * *Separable last stage*: at ``t = T`` there is no continuation, so the
   coordinator faces a static team problem.  Once the lead class ``a``
   (the joint class of every controller but the last) is fixed, the last
@@ -364,34 +368,26 @@ def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
     return values, representatives, classes
 
 
-class _ClassEnumeration:
-    """Support-restricted prescription classes at one belief node.
+def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
+               structures: dict) -> _ClassStructure:
+    """The class structure of ``support`` at stage ``t``, built once per solve.
 
-    Shares the structural tables (actions, messages, representatives)
-    with every other node on the same support through ``structures``, a
-    dict owned by one solve; only the expected stage cost ``costs[c]``
-    depends on the belief weights.
+    ``structures`` is owned by one solve, so every node on the same
+    support shares the tables; only a node's expected stage costs
+    ``cost_matrix @ w_sup`` depend on its weights.
     """
-
-    def __init__(self, spec: ProblemSpec, t: int, weights: np.ndarray,
-                 support: np.ndarray, cap: int, structures: dict):
-        key = (t if spec.mode == "finite" else 1, support.tobytes())
-        structure = structures.get(key)
-        if structure is None:
-            structure = structures[key] = _ClassStructure(spec, t, support, cap)
-        self.count = structure.count
-        self.representative = structure.representative
-        self.u_flat = structure.u_flat
-        self.z_flat = structure.z_flat
-        self.m_next = structure.m_next
-        self.x_sup = structure.x_sup
-        self.w_sup = weights[support]
-        self.costs = structure.cost_matrix @ self.w_sup
+    key = (t, support.tobytes())
+    structure = structures.get(key)
+    if structure is None:
+        structure = structures[key] = _ClassStructure(spec, t, support, cap)
+    return structure
 
 
-def _successors(spec: ProblemSpec, t: int, enum: _ClassEnumeration):
+def _successors(spec: ProblemSpec, t: int, structure: _ClassStructure,
+                w_sup: np.ndarray):
     """Every live (class, message) branch of one node, in (class, z) order.
 
+    ``w_sup`` holds the node's full weights on the structure's support.
     Returns ``(cls, z, mass, succ)``: branch ``b`` is class ``cls[b]``
     emitting joint message ``z[b]`` with probability ``mass[b]``, and
     ``succ[b]`` is its normalized successor belief over ``(x', m')``,
@@ -401,21 +397,21 @@ def _successors(spec: ProblemSpec, t: int, enum: _ClassEnumeration):
     layout = stage_layout(spec, t)
     layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
     n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
-    count, n_sup = enum.u_flat.shape
+    count, n_sup = structure.u_flat.shape
     # the (class, z) pairs that occur, sorted; every support point carries
     # more than ZERO_MASS, so every pair that occurs is a live branch
     pairs, branch = np.unique(
-        np.arange(count, dtype=np.int64)[:, None] * n_msgs + enum.z_flat,
+        np.arange(count, dtype=np.int64)[:, None] * n_msgs + structure.z_flat,
         return_inverse=True)
     branch = branch.reshape(-1)
-    w = np.broadcast_to(enum.w_sup, (count, n_sup)).reshape(-1)
+    w = np.broadcast_to(w_sup, (count, n_sup)).reshape(-1)
     mass = np.bincount(branch, weights=w)
     cond = w / mass[branch]
-    slot = branch * layout_next.n_mem + enum.m_next.reshape(-1)
+    slot = branch * layout_next.n_mem + structure.m_next.reshape(-1)
     kernel = spec.transition(t)
     succ = np.empty((len(pairs), layout_next.nx, layout_next.n_mem))
     for xn in range(layout_next.nx):
-        p = kernel[:, :, xn][enum.x_sup[None, :], enum.u_flat].reshape(-1)
+        p = kernel[:, :, xn][structure.x_sup[None, :], structure.u_flat].reshape(-1)
         succ[:, xn, :] = np.bincount(
             slot, weights=cond * p,
             minlength=len(pairs) * layout_next.n_mem).reshape(len(pairs), -1)
@@ -450,7 +446,12 @@ class _BeliefTable:
 # -- finite horizon ----------------------------------------------------------
 
 
-def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
+def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
+    """One solve over reduced beliefs; ``variant`` only picks what nodes carry.
+
+    The ``"reduced"`` tree carries the stored rows over ``(x, m)``, the
+    ``"full"`` tree their lifts, which every expansion computes anyway.
+    """
     if spec.mode != "finite":
         raise InvalidParameter("finite-horizon solver requires mode='finite'")
     started = time.perf_counter()
@@ -460,36 +461,28 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
 
     stages = [_BeliefTable() for _ in range(T)]
     roots = initial_belief(spec)
-    first = stages[0].intern(np.stack([chi(bel).weights if reduced else bel.weights
-                                       for _, bel in roots]))
+    first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
     expansions: list[list] = [[] for _ in range(T)]
     expanded_classes = [0] * T
+    lifted = []  # per stage: the full weights of its stored beliefs, by row
     for t in range(1, T):
-        layout = stage_layout(spec, t)
-        table = stages[t - 1]
-        idx = 0
-        while idx < len(table.weights):
-            w_full = table.weights[idx]
-            if reduced:
-                w_full = layout.lift(w_full)[0]
-            support = np.nonzero(w_full > ZERO_MASS)[0]
-            enum = _ClassEnumeration(spec, t, w_full, support, cap, structures)
-            expanded_classes[t - 1] += enum.count
-            cls, z, mass, succ = _successors(spec, t, enum)
-            if not reduced:
-                succ = stage_layout(spec, t + 1).lift(succ)
-            expansions[t - 1].append((enum.representative, enum.costs, cls, z,
+        lifted.append(stage_layout(spec, t).lift(np.stack(stages[t - 1].weights)))
+        for w in lifted[t - 1]:
+            support = np.nonzero(w > ZERO_MASS)[0]
+            structure = _structure(spec, t, support, cap, structures)
+            expanded_classes[t - 1] += structure.count
+            w_sup = w[support]
+            cls, z, mass, succ = _successors(spec, t, structure, w_sup)
+            expansions[t - 1].append((structure.representative,
+                                      structure.cost_matrix @ w_sup, cls, z,
                                       mass, stages[t].intern(succ)))
-            idx += 1
 
-    last = np.stack(stages[T - 1].weights)
-    if reduced:
-        last = stage_layout(spec, T).lift(last)
+    lifted.append(stage_layout(spec, T).lift(np.stack(stages[T - 1].weights)))
     values = [np.zeros(len(table.weights)) for table in stages]
     values[T - 1], last_reps, expanded_classes[T - 1] = \
-        _solve_last_stage(spec, T, last, cap)
+        _solve_last_stage(spec, T, lifted[T - 1], cap)
     chosen = [[] for _ in range(T)]  # per node: (representative, {z: child})
     chosen[T - 1] = [(rep, {}) for rep in last_reps]
     for t in range(T - 1, 0, -1):
@@ -513,14 +506,14 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
     tree_stages = []
     for t in range(1, T + 1):
         layout = stage_layout(spec, t)
+        if variant == "full":
+            beliefs = [Belief(t=t, n=n, dims=layout.dims, weights=w)
+                       for w in lifted[t - 1]]
+        else:
+            beliefs = [ReducedBelief(t=t, n=n, dims=(layout.nx,) + layout.nm,
+                                     weights=w) for w in stages[t - 1].weights]
         nodes = []
-        for idx, stored in enumerate(stages[t - 1].weights):
-            rep, children = chosen[t - 1][idx]
-            if reduced:
-                bel = ReducedBelief(t=t, n=n, dims=(layout.nx,) + layout.nm,
-                                    weights=stored)
-            else:
-                bel = Belief(t=t, n=n, dims=layout.dims, weights=stored)
+        for idx, (bel, (rep, children)) in enumerate(zip(beliefs, chosen[t - 1])):
             nodes.append(TreeNode(
                 node_id=offset[t - 1] + idx, t=t, belief=bel,
                 gamma_index=rep, value=float(values[t - 1][idx]),
@@ -529,14 +522,14 @@ def _solve_finite(spec: ProblemSpec, reduced: bool, cap: int):
         tree_stages.append(nodes)
 
     tree = PolicyTree(
-        variant="reduced" if reduced else "full",
+        variant=variant,
         horizon=T,
         roots=tuple(roots),
         stages=tree_stages,
     ).finalize()
     report = ValueReport(
         value=float(total),
-        variant=tree.variant,
+        variant=variant,
         mode="finite",
         stage_nodes=[len(s) for s in tree_stages],
         prescription_space_sizes=[PrescriptionSpace(spec, t).size
@@ -558,13 +551,13 @@ def solve_finite(spec: ProblemSpec, cap_prescriptions: int = DEFAULT_PRESCRIPTIO
         SizeOverflow: a node needs more prescription classes than
             ``cap_prescriptions``.
     """
-    return _solve_finite(spec, reduced=False, cap=cap_prescriptions)
+    return _solve_finite(spec, "full", cap_prescriptions)
 
 
 def solve_finite_reduced(spec: ProblemSpec,
                          cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP):
-    """Same recursion over observation-marginalized beliefs ``(x, m)``."""
-    return _solve_finite(spec, reduced=True, cap=cap_prescriptions)
+    """The same solve; each node carries its belief over ``(x, m)`` instead."""
+    return _solve_finite(spec, "reduced", cap_prescriptions)
 
 
 # -- strategy extraction ------------------------------------------------------
@@ -617,10 +610,13 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     ``(ValueReport, StationaryPolicy)``.
 
     Raises:
+        InvalidParameter: ``epsilon`` is not a finite number > 0.
         Infeasible: more than ``cap_beliefs`` distinct beliefs reached.
     """
     if spec.mode != "discounted":
         raise InvalidParameter("fixed-point solver requires mode='discounted'")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
     started = time.perf_counter()
     beta = spec.discount
     max_c = spec.max_abs_cost
@@ -646,10 +642,12 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
         if got is None:
             w = table.weights[i]
             support = np.nonzero(w > ZERO_MASS)[0]
-            enum = _ClassEnumeration(spec, 1, w, support, cap_prescriptions,
-                                     structures)
-            cls, z, mass, succ = _successors(spec, 1, enum)
-            got = expansions[i] = (enum.representative, enum.costs, cls, z, mass,
+            structure = _structure(spec, 1, support, cap_prescriptions,
+                                   structures)
+            w_sup = w[support]
+            cls, z, mass, succ = _successors(spec, 1, structure, w_sup)
+            got = expansions[i] = (structure.representative,
+                                   structure.cost_matrix @ w_sup, cls, z, mass,
                                    intern(layout.lift(succ)))
         return got
 

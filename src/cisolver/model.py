@@ -21,6 +21,7 @@ Stages are 1-based throughout the public API; internal sequences are
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -84,6 +85,8 @@ class NoiseModel:
                 f"noise dist has shape {dist.shape}, space has cardinality "
                 f"{self.space.cardinality}"
             )
+        if not np.all(np.isfinite(dist)):
+            raise InvalidDistribution("noise distribution has non-finite entries")
         if np.any(dist < -_NEG_TOL):
             raise InvalidDistribution("noise distribution has negative mass")
         if abs(dist.sum() - 1.0) > _ROW_TOL:
@@ -172,59 +175,54 @@ def _slot_values(slot: Slot, t: int, mem_vals: Mapping[Slot, int], y: int, u: in
     return mem_vals[slot]
 
 
-def message_table_from_slots(
-    i: int,
-    t: int,
-    mem_slots_t: tuple[Slot, ...],
-    msg_slots_t: tuple[Slot, ...],
-    obs_spaces,
-    action_spaces,
-) -> np.ndarray:
-    """Build the stage-``t`` message map implied by the witness slots.
+def _slot_cards(slots: Sequence[Slot], i: int, obs_spaces, action_spaces) -> list[int]:
+    """Cardinality of every slot of a tuple, in order."""
+    return [slot_cardinality(s, i, obs_spaces, action_spaces) for s in slots]
 
-    Output shape ``(|M_t|, |Y^i|, |U^i|)``; entry 0 means the null
-    message, real messages are ``1 +`` the mixed-radix packing of the
-    message slot values, read from the current memory, observation and
-    action.
+
+def slots_cardinality(slots: Sequence[Slot], i: int, obs_spaces, action_spaces,
+                      message: bool = False) -> int:
+    """Number of values of a memory, or with ``message`` a message, over ``slots``.
+
+    A memory packs its slot values by mixed radix, so it has the product
+    of their cardinalities (1 if there are none).  A message adds index
+    0, the null message, unless it has no slot and is always null.
     """
-    mem_cards = [slot_cardinality(s, i, obs_spaces, action_spaces) for s in mem_slots_t]
-    msg_cards = [slot_cardinality(s, i, obs_spaces, action_spaces) for s in msg_slots_t]
-    n_mem = int(np.prod(mem_cards, dtype=np.int64)) if mem_cards else 1
-    n_y = obs_spaces[i].cardinality
-    n_u = action_spaces[i].cardinality
-    table = np.zeros((n_mem, n_y, n_u), dtype=np.int64)
-    if not msg_slots_t:
-        return table
-    for m in range(n_mem):
-        mem_vals = dict(zip(mem_slots_t, decode_mixed_radix(m, mem_cards)))
-        for y in range(n_y):
-            for u in range(n_u):
-                vals = [_slot_values(s, t, mem_vals, y, u) for s in msg_slots_t]
-                table[m, y, u] = 1 + encode_mixed_radix(vals, msg_cards)
-    return table
+    size = math.prod(_slot_cards(slots, i, obs_spaces, action_spaces))
+    return 1 + size if message and slots else size
 
 
-def memory_table_from_slots(
+def slot_projection(
     i: int,
     t: int,
     mem_slots_t: tuple[Slot, ...],
-    next_mem_slots: tuple[Slot, ...],
+    out_slots: tuple[Slot, ...],
     obs_spaces,
     action_spaces,
+    message: bool = False,
 ) -> np.ndarray:
-    """Build the stage-``t`` memory update implied by the witness slots."""
-    mem_cards = [slot_cardinality(s, i, obs_spaces, action_spaces) for s in mem_slots_t]
-    next_cards = [slot_cardinality(s, i, obs_spaces, action_spaces) for s in next_mem_slots]
-    n_mem = int(np.prod(mem_cards, dtype=np.int64)) if mem_cards else 1
+    """Build the stage-``t`` table implied by the witness slots.
+
+    Output shape ``(|M_t|, |Y^i|, |U^i|)``; entry ``[m, y, u]`` is the
+    mixed-radix packing of the ``out_slots`` values, read from the
+    current memory, observation and action: the memory update.  With
+    ``message`` it is the message map: ``1 +`` that packing, and 0, the
+    null message, everywhere when there is no message slot.
+    """
+    mem_cards = _slot_cards(mem_slots_t, i, obs_spaces, action_spaces)
+    out_cards = _slot_cards(out_slots, i, obs_spaces, action_spaces)
     n_y = obs_spaces[i].cardinality
     n_u = action_spaces[i].cardinality
-    table = np.zeros((n_mem, n_y, n_u), dtype=np.int64)
-    for m in range(n_mem):
+    table = np.zeros((slots_cardinality(mem_slots_t, i, obs_spaces, action_spaces),
+                      n_y, n_u), dtype=np.int64)
+    if message and not out_slots:
+        return table
+    for m in range(len(table)):
         mem_vals = dict(zip(mem_slots_t, decode_mixed_radix(m, mem_cards)))
         for y in range(n_y):
             for u in range(n_u):
-                vals = [_slot_values(s, t, mem_vals, y, u) for s in next_mem_slots]
-                table[m, y, u] = encode_mixed_radix(vals, next_cards)
+                vals = [_slot_values(s, t, mem_vals, y, u) for s in out_slots]
+                table[m, y, u] = int(message) + encode_mixed_radix(vals, out_cards)
     return table
 
 
@@ -246,18 +244,15 @@ def protocol_from_slots(
     for i in range(n):
         mem_i, msg_i, maps_i, upd_i = [], [], [], []
         for t in range(1, horizon + 1):
-            cards = [slot_cardinality(s, i, obs_spaces, action_spaces)
-                     for s in mem_slots[i][t - 1]]
-            mem_i.append(FiniteSpace(int(np.prod(cards, dtype=np.int64)) if cards else 1))
+            mem_i.append(FiniteSpace(slots_cardinality(
+                mem_slots[i][t - 1], i, obs_spaces, action_spaces)))
         for t in range(1, horizon):
-            cards = [slot_cardinality(s, i, obs_spaces, action_spaces)
-                     for s in msg_slots[i][t - 1]]
-            size = 1 + (int(np.prod(cards, dtype=np.int64)) if cards else 0)
-            msg_i.append(FiniteSpace(size))
-            maps_i.append(message_table_from_slots(
+            msg_i.append(FiniteSpace(slots_cardinality(
+                msg_slots[i][t - 1], i, obs_spaces, action_spaces, message=True)))
+            maps_i.append(slot_projection(
                 i, t, tuple(mem_slots[i][t - 1]), tuple(msg_slots[i][t - 1]),
-                obs_spaces, action_spaces))
-            upd_i.append(memory_table_from_slots(
+                obs_spaces, action_spaces, message=True))
+            upd_i.append(slot_projection(
                 i, t, tuple(mem_slots[i][t - 1]), tuple(mem_slots[i][t]),
                 obs_spaces, action_spaces))
         mem_spaces.append(tuple(mem_i))
@@ -534,26 +529,31 @@ class ValidationReport:
 
 
 def _check_rows(arr, shape, where, findings, kind="kernel"):
-    """Check one stochastic table: shape, nonnegativity, unit row sums."""
+    """Check one stochastic table: shape, finiteness, nonnegativity, unit row sums.
+
+    Every comparison with NaN is false, so a NaN row would pass the sign
+    and sum checks; it is reported as not finite instead.
+    """
     if arr.shape != shape:
         findings.append(ValidationFinding(
             "shape", where, f"expected shape {shape}, got {arr.shape}"))
         return
     rows = arr.reshape(-1, arr.shape[-1])
     sums = rows.sum(axis=1)
-    bad_sum = np.nonzero(np.abs(sums - 1.0) > _ROW_TOL)[0]
-    bad_neg = np.nonzero((rows < -_NEG_TOL).any(axis=1))[0]
     lead = arr.shape[:-1]
-    for r in bad_neg:
-        idx = np.unravel_index(r, lead) if lead else ()
+
+    def at(r):
+        return where + str(list(map(int, np.unravel_index(r, lead) if lead else ())))
+
+    for r in np.nonzero(~np.isfinite(rows).all(axis=1))[0]:
         findings.append(ValidationFinding(
-            f"{kind}-negative", where + str(list(map(int, idx))),
-            "row has negative mass"))
-    for r in bad_sum:
-        idx = np.unravel_index(r, lead) if lead else ()
+            f"{kind}-not-finite", at(r), "row has non-finite entries"))
+    for r in np.nonzero((rows < -_NEG_TOL).any(axis=1))[0]:
         findings.append(ValidationFinding(
-            f"{kind}-row-sum", where + str(list(map(int, idx))),
-            f"row sums to {float(sums[r])!r}, expected 1"))
+            f"{kind}-negative", at(r), "row has negative mass"))
+    for r in np.nonzero(np.abs(sums - 1.0) > _ROW_TOL)[0]:
+        findings.append(ValidationFinding(
+            f"{kind}-row-sum", at(r), f"row sums to {float(sums[r])!r}, expected 1"))
 
 
 def _check_protocol_stage(spec, i, t, findings):
@@ -579,9 +579,7 @@ def _check_protocol_stage(spec, i, t, findings):
                 ok_structure = False
 
     check_slots(mem_here, t - 1, "memory")
-    mem_card = int(np.prod(
-        [slot_cardinality(s, i, spec.obs_spaces, spec.action_spaces) for s in mem_here],
-        dtype=np.int64)) if mem_here else 1
+    mem_card = slots_cardinality(mem_here, i, spec.obs_spaces, spec.action_spaces)
     if spec.mem_space(i, t).cardinality != mem_card:
         findings.append(ValidationFinding(
             "memory-cardinality", where,
@@ -594,9 +592,8 @@ def _check_protocol_stage(spec, i, t, findings):
     msg_here = proto.msg_slots[i][t - 1]
     check_slots(msg_here, t, "message")
 
-    msg_card = 1 + (int(np.prod(
-        [slot_cardinality(s, i, spec.obs_spaces, spec.action_spaces) for s in msg_here],
-        dtype=np.int64)) if msg_here else 0)
+    msg_card = slots_cardinality(msg_here, i, spec.obs_spaces, spec.action_spaces,
+                                 message=True)
     if spec.msg_space(i, t).cardinality != msg_card:
         findings.append(ValidationFinding(
             "message-cardinality", where,
@@ -641,9 +638,7 @@ def _check_protocol_stage(spec, i, t, findings):
     if not ok_structure:
         return
 
-    next_card = int(np.prod(
-        [slot_cardinality(s, i, spec.obs_spaces, spec.action_spaces) for s in mem_next],
-        dtype=np.int64)) if mem_next else 1
+    next_card = slots_cardinality(mem_next, i, spec.obs_spaces, spec.action_spaces)
     if t < proto.n_stages and spec.mem_space(i, t + 1).cardinality != next_card:
         return  # the t+1 stage check reports the cardinality mismatch
     if msg_map.min() < 0 or msg_map.max() >= msg_card:
@@ -655,13 +650,13 @@ def _check_protocol_stage(spec, i, t, findings):
             "map-range", maps_where, "memory update leaves the next memory space"))
         return
 
-    expected_msg = message_table_from_slots(
-        i, t, mem_here, msg_here, spec.obs_spaces, spec.action_spaces)
+    expected_msg = slot_projection(
+        i, t, mem_here, msg_here, spec.obs_spaces, spec.action_spaces, message=True)
     if not np.array_equal(msg_map, expected_msg):
         findings.append(ValidationFinding(
             "message-map-mismatch", maps_where,
             "message map disagrees with the witness slot projection"))
-    expected_upd = memory_table_from_slots(
+    expected_upd = slot_projection(
         i, t, mem_here, mem_next, spec.obs_spaces, spec.action_spaces)
     if not np.array_equal(mem_upd, expected_upd):
         findings.append(ValidationFinding(

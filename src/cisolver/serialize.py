@@ -46,7 +46,7 @@ from .model import (
     ValidationFinding,
     ValidationReport,
     build_kernel_from_functional,
-    slot_cardinality,
+    slots_cardinality,
     validate_problem,
 )
 from .oracle import EnumerationReport
@@ -434,14 +434,11 @@ def _protocol_from_explicit(reader: _Reader, doc, obs_spaces,
     for i in range(n):
         mem_i, msg_i = [], []
         for slots in mem_slots[i]:
-            cards = [slot_cardinality(s, i, obs_spaces, action_spaces)
-                     for s in slots]
-            mem_i.append(FiniteSpace(int(np.prod(cards, dtype=np.int64)) if cards else 1))
+            mem_i.append(FiniteSpace(
+                slots_cardinality(slots, i, obs_spaces, action_spaces)))
         for slots in msg_slots[i]:
-            cards = [slot_cardinality(s, i, obs_spaces, action_spaces)
-                     for s in slots]
             msg_i.append(FiniteSpace(
-                1 + (int(np.prod(cards, dtype=np.int64)) if cards else 0)))
+                slots_cardinality(slots, i, obs_spaces, action_spaces, message=True)))
         mem_spaces.append(tuple(mem_i))
         msg_spaces.append(tuple(msg_i))
 

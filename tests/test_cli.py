@@ -418,6 +418,28 @@ def test_environment_seed_and_flag_precedence(capsys, tmp_path, problems_dir,
     assert code == 2 and "CIS_SEED" in err
 
 
+def test_solve_rejects_a_nan_in_a_stochastic_table(capsys, tmp_path, problems_dir):
+    doc = json.loads((problems_dir / "delayed_sharing_2x2.json").read_text())
+    doc["initial_dist"][0] = float("nan")
+    problem = tmp_path / "nan.json"
+    problem.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(problem))
+    assert code == 1
+    assert out == ""
+    assert "[dist-not-finite] initial_dist[0]" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0"])
+def test_solve_rejects_an_epsilon_that_is_not_finite_and_positive(
+        capsys, problems_dir, monkeypatch, epsilon):
+    problem = str(problems_dir / "discounted_chain.json")
+    code, out, err = run(capsys, "solve", problem, f"--epsilon={epsilon}")
+    assert (code, out) == (1, "")
+    assert "epsilon must be finite and > 0" in err
+    monkeypatch.setenv("CIS_EPSILON", epsilon)
+    assert run(capsys, "solve", problem)[0] == 1
+
+
 def test_prescription_cap_exit(capsys, problems_dir):
     code, _, err = run(capsys, "solve",
                        str(problems_dir / "acceptance_seed1.json"),

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,12 @@ def test_discounted_chain_matches_independent_value_iteration():
     assert report.expanded_classes == [20]
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-4])
+def test_discounted_solve_rejects_a_bad_epsilon(epsilon):
+    with pytest.raises(InvalidParameter, match="epsilon must be finite and > 0"):
+        solve_discounted(instances.discounted_chain(0.9), epsilon=epsilon)
+
+
 def test_halving_epsilon_is_stable():
     spec = instances.discounted_chain(0.9)
     coarse, _ = solve_discounted(spec, epsilon=1e-4)
@@ -212,6 +219,41 @@ def test_reduced_tree_lifts_to_the_full_beliefs(solved_seed1):
             assert lifted.canonical_key()[1] in full_keys
 
 
+def _assert_variants_give_one_tree(spec):
+    full_report, full = solve_finite(spec)
+    red_report, red = solve_finite_reduced(spec)
+    assert full_report.stage_nodes == red_report.stage_nodes
+    assert full_report.expanded_classes == red_report.expanded_classes
+    assert full_report.value == red_report.value
+    assert full.roots == red.roots
+    for t, (full_nodes, red_nodes) in enumerate(zip(full.stages, red.stages), start=1):
+        assert [(nd.node_id, nd.gamma_index, nd.children, nd.value)
+                for nd in full_nodes] == \
+            [(nd.node_id, nd.gamma_index, nd.children, nd.value) for nd in red_nodes]
+        lifted = stage_layout(spec, t).lift(
+            np.stack([nd.belief.weights for nd in red_nodes]))
+        assert np.array_equal(np.stack([nd.belief.weights for nd in full_nodes]),
+                              lifted)
+
+
+def test_both_variants_give_one_tree_on_every_finite_fixture(problems_dir):
+    solved = 0
+    for path in sorted(problems_dir.glob("*.json")):
+        spec, report = load_problem(str(path))
+        if spec is not None and report.ok and spec.mode == "finite":
+            _assert_variants_give_one_tree(spec)
+            solved += 1
+    assert solved == 4
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_both_variants_give_one_tree_where_interning_splits(filter_family_doc, seed):
+    # control sharing, at seeds where 12-decimal interning of full rows and
+    # of reduced rows splits different beliefs (3600 or 3601 last-stage nodes)
+    spec, _ = problem_from_document(filter_family_doc(seed, 3))
+    _assert_variants_give_one_tree(spec)
+
+
 @pytest.mark.parametrize("name", ["delayed_sharing_2x2", "acceptance_seed1"])
 def test_batched_successors_match_eta_update(problems_dir, name):
     spec, _ = load_problem(str(problems_dir / f"{name}.json"))
@@ -219,14 +261,14 @@ def test_batched_successors_match_eta_update(problems_dir, name):
     for stage in tree.stages[:-1]:
         for node in stage:
             t, w = node.t, node.belief.weights
-            enum = dp._ClassEnumeration(
-                spec, t, w, np.nonzero(w > ZERO_MASS)[0],
-                DEFAULT_PRESCRIPTION_CAP, structures={})
-            cls, z, mass, succ = dp._successors(spec, t, enum)
+            support = np.nonzero(w > ZERO_MASS)[0]
+            structure = dp._structure(spec, t, support, DEFAULT_PRESCRIPTION_CAP,
+                                      structures={})
+            cls, z, mass, succ = dp._successors(spec, t, structure, w[support])
             lifted = stage_layout(spec, t + 1).lift(succ)
             space = PrescriptionSpace(spec, t)
-            for c in range(enum.count):
-                gamma = space.decode(enum.representative(c))
+            for c in range(structure.count):
+                gamma = space.decode(structure.representative(c))
                 dist = message_distribution(spec, node.belief, gamma)
                 mine = np.nonzero(cls == c)[0]
                 assert z[mine].tolist() == np.nonzero(dist > ZERO_MASS)[0].tolist()

@@ -1,3 +1,7 @@
+import copy
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from cisolver.protocols import (
     delayed_sharing_protocol,
     no_sharing_protocol,
 )
+from cisolver.serialize import problem_from_document
 
 
 def test_finite_space_rejects_bad_cardinality():
@@ -48,6 +53,8 @@ def test_noise_model_rejects_bad_distributions():
         NoiseModel(FiniteSpace(2), [1.5, -0.5])
     with pytest.raises(InvalidParameter):
         NoiseModel(FiniteSpace(3), [0.5, 0.5])
+    with pytest.raises(InvalidDistribution, match="non-finite"):
+        NoiseModel(FiniteSpace(2), [math.nan, 1.0])
 
 
 def test_mixed_radix_first_digit_most_significant():
@@ -158,6 +165,33 @@ def test_validate_flags_non_finite_cost():
         transitions=spec.transitions, obs_kernels=spec.obs_kernels,
         costs=costs, protocol=spec.protocol)
     assert "cost-not-finite" in validate_problem(bad).codes()
+
+
+def _with_a_nan(doc, path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = math.nan
+
+
+@pytest.mark.parametrize("path,code,where", [
+    (("initial_dist", 1), "dist-not-finite", "initial_dist[0]"),
+    (("transition", "kernel", 0, 1, 2, 0), "kernel-not-finite",
+     "transition[t=1][1, 2]"),
+    (("obs_kernels", 1, 0, 1, 1), "kernel-not-finite", "obs_kernel[i=1][t=1][1]"),
+    (("initial_common_obs", "kernel", 0, 0), "kernel-not-finite",
+     "initial_common_obs[0]"),
+])
+def test_validate_flags_a_nan_in_every_stochastic_table(problems_dir, path, code,
+                                                        where):
+    with open(problems_dir / "delayed_sharing_2x2.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["initial_common_obs"] = {"cardinality": 2,
+                                 "kernel": [[0.8, 0.2], [0.3, 0.7]]}
+    assert problem_from_document(copy.deepcopy(doc))[1].ok
+    _with_a_nan(doc, path)
+    _, report = problem_from_document(doc)
+    assert [(f.code, f.where) for f in report.findings] == [(code, where)]
 
 
 def test_validate_flags_wrong_table_counts():

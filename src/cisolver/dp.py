@@ -165,8 +165,9 @@ class ValueReport:
 
 #: Largest weight-independent table, in entries, built for one support.
 _MAX_TABLE_ENTRIES = 50_000_000
-#: Entries of one batch of the last stage's best-response array.
-_BATCH_ENTRIES = 1 << 22
+#: Entries of one batch of the last stage's best-response array (1 MB).
+#: Small, so the batch and its temporaries never set a solve's peak memory.
+_BATCH_ENTRIES = 1 << 17
 
 
 def _digits(index, base: int, width: int) -> np.ndarray:

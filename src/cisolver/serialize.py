@@ -14,9 +14,14 @@ not call ``json.dumps`` with ``indent=``, because the standard library
 then falls back from its C encoder to a pure-Python one, which made
 writing a solve document slower than solving the problem.  Instead
 ``dumps`` walks dicts and lists itself and hands each list of plain
-values (the belief weights and prescription tables that make up almost
-all of the text) to the C encoder in one call, with the newline and
-indentation of its depth as the item separator.
+values (belief weights, prescription tables) to the C encoder in one
+call, with the newline and indentation of its depth as the item
+separator.
+
+A finite-horizon policy document holds only the tree nodes that the
+policy's own prescriptions reach from its roots, under their solver ids;
+the loader recomputes the belief of every such node and rejects a
+document whose stored belief disagrees.
 """
 
 from __future__ import annotations
@@ -29,9 +34,18 @@ from typing import Any
 
 import numpy as np
 
-from .coordinator import Belief, PrescriptionSpace, ReducedBelief, stage_layout
+from .coordinator import (
+    Belief,
+    PrescriptionSpace,
+    ReducedBelief,
+    chi,
+    eta_update,
+    initial_belief,
+    stage_layout,
+    zeta,
+)
 from .dp import PolicyTree, StationaryPolicy, TreeNode, ValueReport
-from .errors import InvalidParameter, SolverError
+from .errors import InvalidParameter, SolverError, ZeroProbabilityObservation
 from .model import (
     KIND_ACT,
     KIND_OBS,
@@ -86,14 +100,6 @@ class _IndentWriter:
     standard library's C encoder, one call per list: the encoder of each
     depth has ``"," + newline + indentation`` as its item separator.
 
-    A container's text depends only on the container and its depth, so a
-    container met again at the same depth is written from the text of
-    its first rendering.  The document holds every container alive for
-    the whole walk, so ``id`` names one object throughout.  The first
-    rendering is only joined into one string when the container is met
-    the second time: joining every container up front costs more than
-    the reuse saves.
-
     The ids of the containers being written are kept open, so a document
     that contains itself raises ``ValueError("Circular reference
     detected")``, as the standard library does, instead of recursing
@@ -104,8 +110,6 @@ class _IndentWriter:
         self.parts: list[str] = []
         self._open: set[int] = set()  # ids of the containers being written
         self._levels: list[tuple[str, Any]] = []  # per depth: (newline + pad, encoder)
-        # (id, depth) -> (start, end) of the first rendering in parts, then its text
-        self._written: dict[tuple[int, int], tuple[int, int] | str] = {}
 
     def _level(self, depth: int) -> tuple[str, Any]:
         while len(self._levels) <= depth:
@@ -116,25 +120,14 @@ class _IndentWriter:
         return self._levels[depth]
 
     def write(self, o: Any, depth: int):
-        parts = self.parts
         if not isinstance(o, (dict, list, tuple)) or not o:
             self._write(o, depth)
             return
-        key = (id(o), depth)
-        text = self._written.get(key)
-        if text is None:
-            if key[0] in self._open:
-                raise ValueError("Circular reference detected")
-            self._open.add(key[0])
-            start = len(parts)
-            self._write(o, depth)
-            self._open.remove(key[0])
-            self._written[key] = (start, len(parts))
-            return
-        if type(text) is tuple:
-            start, end = text
-            text = self._written[key] = "".join(parts[start:end])
-        parts.append(text)
+        if id(o) in self._open:
+            raise ValueError("Circular reference detected")
+        self._open.add(id(o))
+        self._write(o, depth)
+        self._open.remove(id(o))
 
     def _write(self, o: Any, depth: int):
         parts = self.parts
@@ -178,10 +171,7 @@ def dumps(doc: Any) -> str:
 
     The text equals ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``.  Keys must be str (TypeError otherwise);
-    NaN and infinities raise ValueError.  A dict or list object that
-    appears several times at the same depth is rendered once and its
-    text repeated, so documents whose nodes share their ``gamma``
-    documents cost one rendering per distinct prescription.
+    NaN and infinities raise ValueError.
     """
     writer = _IndentWriter()
     writer.write(doc, 0)
@@ -638,8 +628,7 @@ def _belief_to_dict(belief) -> dict:
 def _gamma_docs(space: PrescriptionSpace, indices) -> dict:
     """One ``gamma`` document per distinct prescription index in ``indices``.
 
-    Nodes that chose the same prescription share its document object,
-    which ``dumps`` then renders once.
+    Each chosen prescription is decoded once, however many nodes chose it.
     """
     return {index: {"index": int(index),
                     "tables": [t.tolist() for t in space.decode(index).tables]}
@@ -776,11 +765,75 @@ def _check_tables(spec: ProblemSpec, stages, stage_docs):
                         f"{space.n_actions[i]}")
 
 
+#: Largest sup-norm gap between a stored belief and its recomputation.
+BELIEF_TOL = 1e-9
+
+
+def _check_beliefs(spec: ProblemSpec, variant, roots, stages):
+    """Raise InvalidParameter unless every reachable node stores the belief its path gives.
+
+    Roots must carry the problem's initial beliefs, one per initial common
+    signal of positive mass, in signal order.  Each child must carry the
+    update of its parent's stored belief under the parent's prescription
+    and the message that leads to it (through ``zeta`` and ``chi`` in the
+    reduced variant).  Stages are checked in order, so every parent was
+    checked before its update is taken.  A gap above ``BELIEF_TOL`` in
+    sup-norm fails, and so does a NaN weight.  Nodes that no root reaches
+    are left unchecked.
+    """
+    initial = initial_belief(spec)
+    if len(roots) != len(initial):
+        raise InvalidParameter(
+            f"policy has {len(roots)} roots; the problem has {len(initial)} "
+            "initial common signals of positive mass")
+    reduced = variant == "reduced"
+    nodes = {nd.node_id: nd for stage in stages for nd in stage}
+
+    def check(node_id, t, belief, origin):
+        want = chi(belief).weights if reduced else belief.weights
+        gap = float(np.max(np.abs(nodes[node_id].belief.weights - want)))
+        if not gap <= BELIEF_TOL:
+            raise InvalidParameter(
+                f"node {node_id} at t={t}: its belief is {gap!r} away in "
+                f"sup-norm from the one {origin} gives")
+
+    for (_, node_id), (_, belief) in zip(roots, initial):
+        check(node_id, 1, belief, "the problem's initial law")
+    reached = dict.fromkeys(node_id for _, node_id in roots)
+    for t in range(1, len(stages)):
+        space = PrescriptionSpace(spec, t)
+        children = {}
+        for node_id in reached:
+            nd = nodes[node_id]
+            belief = zeta(spec, nd.belief) if reduced else nd.belief
+            gamma = space.decode(nd.gamma_index)
+            for z, child in sorted(nd.children.items()):
+                try:
+                    after = eta_update(spec, belief, gamma, z)
+                except ZeroProbabilityObservation:
+                    raise InvalidParameter(
+                        f"node {node_id} at t={t}: message {z} leads to child "
+                        f"{child}, but the node's belief gives it no mass") from None
+                check(child, t + 1, after, f"node {node_id} and message {z}")
+                children[child] = None
+        reached = children
+
+
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
+    """The document of a finite-horizon policy tree.
+
+    Only the nodes reachable from ``tree.roots`` through the nodes'
+    ``children`` are written, in solver order and under their solver ids;
+    the other beliefs the solver expanded serve no execution of the
+    policy.
+    """
     stages = []
+    reached = {node_id for _, node_id in tree.roots}
     for t, stage in enumerate(tree.stages, start=1):
+        kept = [nd for nd in stage if nd.node_id in reached]
+        reached = {child for nd in kept for child in nd.children.values()}
         gammas = _gamma_docs(PrescriptionSpace(spec, t),
-                             (nd.gamma_index for nd in stage))
+                             (nd.gamma_index for nd in kept))
         stages.append([{
             "id": nd.node_id,
             "t": nd.t,
@@ -788,7 +841,7 @@ def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
             "gamma": gammas[nd.gamma_index],
             "value": float(nd.value),
             "children": {str(z): int(c) for z, c in sorted(nd.children.items())},
-        } for nd in stage])
+        } for nd in kept])
     return {
         "kind": "policy_tree",
         "variant": tree.variant,
@@ -800,6 +853,12 @@ def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
 
 
 def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
+    """Decode and check a policy tree document.
+
+    A document may also carry nodes that no root reaches, as documents
+    written before pruning do: their links, indices and shapes are
+    checked, their beliefs are not.
+    """
     variant = doc["variant"]
     cls = ReducedBelief if variant == "reduced" else Belief
     stages = []
@@ -817,6 +876,7 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
     _check_links(spec, doc["horizon"], roots, stages)
     _check_indices(spec, stages)
     _check_tree_nodes(spec, variant, stages, doc["stages"])
+    _check_beliefs(spec, variant, roots, stages)
     return PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
 

@@ -271,6 +271,49 @@ def test_simulate_rejects_a_tree_node_that_disagrees_with_its_stage(
     assert named in err
 
 
+def _point_mass(node):
+    weights = node["belief"]["weights"]
+    weights[:] = [1.0] + [0.0] * (len(weights) - 1)
+
+
+def _swap_children(node, a, b):
+    children = node["children"]
+    children[a], children[b] = children[b], children[a]
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda policy: [node["belief"]["weights"].reverse()
+                     for node in policy["stages"][1]], "at t=2"),
+    (lambda policy: [_point_mass(node) for node in policy["stages"][1]], "at t=2"),
+    (lambda policy: _point_mass(policy["stages"][0][0]),
+     "node 0 at t=1: its belief is"),
+    (lambda policy: _swap_children(policy["stages"][0][0], "21", "24"),
+     "from the one node 0 and message 21 gives"),
+], ids=["stage-2-reversed", "stage-2-point-masses", "root-point-mass",
+        "children-swapped"])
+def test_simulate_rejects_a_stored_belief_its_path_does_not_give(
+        capsys, tmp_path, problems_dir, corrupt, named):
+    """Each of these once exited 0 or 5.
+
+    Reversed or point-mass stage-2 beliefs gave a byte-identical report,
+    a point-mass root belief exited 5 blaming the policy for 10476
+    zero-probability message events, and swapped children silently
+    simulated another policy.
+    """
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    corrupt(doc["policy"])
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "20000", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert "away in sup-norm" in err and named in err
+
+
 @pytest.mark.parametrize("table", [[[0, 1, 1]], [[0], [2]], [[-1], [0]],
                                    [[0.0], [1.0]], [[0], [10**30]]])
 def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,

@@ -42,11 +42,11 @@ def inputs(problems_dir, tmp_path_factory):
 
 
 def _paths(value, path=()):
-    """Every position in a JSON value, except the entries of belief weight lists."""
+    """Every position in a JSON value."""
     yield path
     if isinstance(value, dict):
         items = value.items()
-    elif isinstance(value, list) and path[-1:] != ("weights",):
+    elif isinstance(value, list):
         items = enumerate(value)
     else:
         return

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
+from cisolver.coordinator import PrescriptionSpace
 from cisolver.dp import (
     extract_control_strategy,
     solve_discounted,
@@ -113,19 +114,122 @@ def test_digest_changes_with_the_data():
     assert problem_digest(spec_a) != problem_digest(spec_b)
 
 
+def _reachable(tree):
+    """Per stage, the ids of the nodes the tree's roots reach through ``children``."""
+    stages, ids = [], {node_id for _, node_id in tree.roots}
+    for _ in tree.stages:
+        stages.append(ids)
+        ids = {child for node_id in ids
+               for child in tree.node(node_id).children.values()}
+    return stages
+
+
 def test_policy_tree_round_trip(solved_seed1):
     spec, report, tree = solved_seed1
     doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    reachable = _reachable(tree)
+    assert [{nd["id"] for nd in stage} for stage in doc["stages"]] == reachable
+    assert sum(map(len, reachable)) < sum(map(len, tree.stages))
     again = policy_tree_from_dict(doc, spec)
     assert again.roots == tree.roots
     assert again.variant == tree.variant
-    for stage_a, stage_b in zip(tree.stages, again.stages):
-        assert len(stage_a) == len(stage_b)
-        for a, b in zip(stage_a, stage_b):
+    for stage_a, stage_b, ids in zip(tree.stages, again.stages, reachable):
+        kept = [nd for nd in stage_a if nd.node_id in ids]  # in solver order
+        assert len(kept) == len(stage_b)
+        for a, b in zip(kept, stage_b):
             assert (a.node_id, a.t, a.gamma_index) == (b.node_id, b.t, b.gamma_index)
             assert a.value == b.value
             assert a.children == b.children
             assert a.belief.canonical_key() == b.belief.canonical_key()
+
+
+@pytest.fixture(scope="module")
+def periodic_trees(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    return spec, {"full": solve_finite(spec), "reduced": solve_finite_reduced(spec)}
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_a_pruned_document_rolls_out_as_the_solver_tree(periodic_trees, variant):
+    spec, trees = periodic_trees
+    report, tree = trees[variant]
+    doc = json.loads(dumps(solve_result_to_dict(spec, report, tree)))
+    again = policy_from_document(doc, spec)
+    assert sum(map(len, again.stages)) == 34 < sum(map(len, tree.stages)) == 4369
+    a = rollout(spec, tree, seed=5, episodes=400, record=True)
+    b = rollout(spec, again, seed=5, episodes=400, record=True)
+    assert (a.mean, a.stderr, a.violations) == (b.mean, b.stderr, b.violations)
+    assert a.trajectories == b.trajectories
+
+
+def _unpruned_document(spec, tree):
+    """The policy document with every node the solver expanded, as once written."""
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    for t, (stage, stage_doc) in enumerate(zip(tree.stages, doc["stages"]), start=1):
+        written = {nd["id"]: nd for nd in stage_doc}
+        space = PrescriptionSpace(spec, t)
+        stage_doc[:] = [written.get(nd.node_id) or {
+            "id": nd.node_id, "t": nd.t,
+            "belief": {"dims": list(nd.belief.dims),
+                       "weights": nd.belief.weights.tolist()},
+            "gamma": {"index": nd.gamma_index,
+                      "tables": [e.tolist() for e in space.decode(nd.gamma_index).tables]},
+            "value": nd.value,
+            "children": {str(z): c for z, c in sorted(nd.children.items())},
+        } for nd in stage]
+    return doc
+
+
+def test_a_document_with_unreachable_nodes_still_loads(solved_seed1):
+    spec, report, tree = solved_seed1
+    pruned = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    old = _unpruned_document(spec, tree)
+    assert [len(s) for s in old["stages"]] == [len(s) for s in tree.stages]
+    assert [len(s) for s in old["stages"]] != [len(s) for s in pruned["stages"]]
+    # nodes no root reaches are not checked, so a broken belief there loads
+    unreachable = next(nd for nd in old["stages"][1]
+                       if nd["id"] not in _reachable(tree)[1])
+    unreachable["belief"]["weights"][0] = float("nan")
+    reports = []
+    for doc in (pruned, old):
+        policy = policy_from_document(json.loads(json.dumps(doc)), spec)
+        rep = rollout(spec, policy, seed=2, episodes=300, record=True)
+        reports.append((rep.mean, rep.stderr, rep.violations, rep.trajectories))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+@pytest.mark.parametrize("name", ["acceptance_seed1", "delayed_sharing_2x2",
+                                  "periodic_4stage", "static_team"])
+def test_every_solver_document_passes_the_belief_check(name, variant, problems_dir):
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    solve = solve_finite_reduced if variant == "reduced" else solve_finite
+    doc = json.loads(dumps(solve_result_to_dict(spec, *solve(spec))))
+    assert policy_from_document(doc, spec).variant == variant
+
+
+@pytest.mark.parametrize("tamper,gap", [
+    (lambda w: w.__setitem__(0, float("nan")), "nan"),
+    (lambda w: w.__setitem__(0, w[0] + 1e-6), "[0-9.e-]+"),
+    (lambda w: w.__setitem__(slice(None), w[::-1]), "[0-9.e-]+"),
+], ids=["nan", "nudged", "reversed"])
+def test_a_stored_belief_must_be_the_one_its_path_gives(solved_seed1, tamper, gap):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    node = doc["stages"][1][-1]  # every written node is reachable
+    tamper(node["belief"]["weights"])
+    with pytest.raises(InvalidParameter, match=f"node {node['id']} at t=2: its belief "
+                       f"is {gap} away in sup-norm from the one node 0 and message"):
+        policy_from_document(doc, spec)
+
+
+def test_a_belief_within_the_tolerance_loads(solved_seed1):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    for stage in doc["stages"]:
+        for node in stage:
+            node["belief"]["weights"][0] += serialize.BELIEF_TOL / 4
+    policy_from_document(doc, spec)
 
 
 def test_control_strategy_round_trip(solved_seed1):

@@ -769,7 +769,7 @@ def _check_tables(spec: ProblemSpec, stages, stage_docs):
 BELIEF_TOL = 1e-9
 
 
-def _check_beliefs(spec: ProblemSpec, variant, roots, stages):
+def _check_beliefs(spec: ProblemSpec, tree: PolicyTree):
     """Raise InvalidParameter unless every reachable node stores the belief its path gives.
 
     Roots must carry the problem's initial beliefs, one per initial common
@@ -782,29 +782,28 @@ def _check_beliefs(spec: ProblemSpec, variant, roots, stages):
     are left unchecked.
     """
     initial = initial_belief(spec)
-    if len(roots) != len(initial):
+    if len(tree.roots) != len(initial):
         raise InvalidParameter(
-            f"policy has {len(roots)} roots; the problem has {len(initial)} "
+            f"policy has {len(tree.roots)} roots; the problem has {len(initial)} "
             "initial common signals of positive mass")
-    reduced = variant == "reduced"
-    nodes = {nd.node_id: nd for stage in stages for nd in stage}
+    reduced = tree.variant == "reduced"
 
     def check(node_id, t, belief, origin):
         want = chi(belief).weights if reduced else belief.weights
-        gap = float(np.max(np.abs(nodes[node_id].belief.weights - want)))
+        gap = float(np.max(np.abs(tree.node(node_id).belief.weights - want)))
         if not gap <= BELIEF_TOL:
             raise InvalidParameter(
                 f"node {node_id} at t={t}: its belief is {gap!r} away in "
                 f"sup-norm from the one {origin} gives")
 
-    for (_, node_id), (_, belief) in zip(roots, initial):
+    for (_, node_id), (_, belief) in zip(tree.roots, initial):
         check(node_id, 1, belief, "the problem's initial law")
-    reached = dict.fromkeys(node_id for _, node_id in roots)
-    for t in range(1, len(stages)):
+    reached = dict.fromkeys(node_id for _, node_id in tree.roots)
+    for t in range(1, tree.horizon):
         space = PrescriptionSpace(spec, t)
         children = {}
         for node_id in reached:
-            nd = nodes[node_id]
+            nd = tree.node(node_id)
             belief = zeta(spec, nd.belief) if reduced else nd.belief
             gamma = space.decode(nd.gamma_index)
             for z, child in sorted(nd.children.items()):
@@ -876,9 +875,10 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
     _check_links(spec, doc["horizon"], roots, stages)
     _check_indices(spec, stages)
     _check_tree_nodes(spec, variant, stages, doc["stages"])
-    _check_beliefs(spec, variant, roots, stages)
-    return PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
+    tree = PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
+    _check_beliefs(spec, tree)
+    return tree
 
 
 def control_strategy_to_dict(spec: ProblemSpec,

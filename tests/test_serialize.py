@@ -223,6 +223,19 @@ def test_a_stored_belief_must_be_the_one_its_path_gives(solved_seed1, tamper, ga
         policy_from_document(doc, spec)
 
 
+def test_a_child_under_a_message_of_no_mass_is_rejected(solved_seed1):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    root = doc["stages"][0][0]
+    # the solver gives a child to every message of positive mass
+    z = next(z for z in range(int(np.prod(spec.msg_cards(1))))
+             if str(z) not in root["children"])
+    root["children"][str(z)] = doc["stages"][1][0]["id"]
+    with pytest.raises(InvalidParameter, match=f"node {root['id']} at t=1: message "
+                       f"{z} leads to child .* gives it no mass"):
+        policy_from_document(doc, spec)
+
+
 def test_a_belief_within_the_tolerance_loads(solved_seed1):
     spec, report, tree = solved_seed1
     doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))

@@ -1,0 +1,76 @@
+"""Print one sha256 per solved (problem, variant), to compare two checkouts.
+
+Solves every finite fixture in ``problems/`` and the benchmark's filter
+family members k = 0, 3 and 4 at seeds 0-9, in both belief variants.
+Each digest covers the whole in-memory tree (per node: id, stage,
+prescription index, children in message order, and the bytes of its
+value and belief weights, stage by stage) and the solve document as
+``cis solve`` writes it.  Two checkouts that print the same lines solved
+every problem to the same bits.  Run from the repository root:
+
+    python3 scripts/tree_digest.py > digests.txt
+"""
+
+import hashlib
+import importlib.util
+import pathlib
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the package of this checkout, not an installed one
+sys.path.insert(0, str(ROOT / "src"))
+
+from cisolver import serialize  # noqa: E402
+from cisolver.dp import solve_finite, solve_finite_reduced  # noqa: E402
+
+FILTER_MEMBERS = (0, 3, 4)
+SEEDS = range(10)
+
+
+def _filter_family_doc():
+    path = ROOT / "perfbench" / "instances.py"
+    loader = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.filter_family_doc
+
+
+def problems():
+    """``(name, spec)`` of every problem digested, in a fixed order."""
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec, report = serialize.load_problem(str(path))
+        if spec is not None and report.ok and spec.mode == "finite":
+            yield path.stem, spec
+    family = _filter_family_doc()
+    for k in FILTER_MEMBERS:
+        for seed in SEEDS:
+            spec, report = serialize.problem_from_document(family(seed, k))
+            assert spec is not None and report.ok, report
+            yield f"filter_k{k}_seed{seed}", spec
+
+
+def digest(spec, report, tree) -> str:
+    h = hashlib.sha256()
+    h.update(repr(tree.roots).encode())
+    for stage in tree.stages:
+        for nd in stage:
+            h.update(repr((nd.node_id, nd.t, nd.gamma_index,
+                           sorted(nd.children.items()))).encode())
+            h.update(np.float64(nd.value).tobytes())
+            h.update(np.ascontiguousarray(nd.belief.weights, dtype=float).tobytes())
+    doc = serialize.solve_result_to_dict(spec, report, tree)
+    h.update(serialize.dumps(doc).encode())
+    return h.hexdigest()
+
+
+def main():
+    for name, spec in problems():
+        for variant, solve in (("full", solve_finite),
+                               ("reduced", solve_finite_reduced)):
+            print(f"{name} {variant} {digest(spec, *solve(spec))}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

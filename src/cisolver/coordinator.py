@@ -104,6 +104,8 @@ class StageLayout:
         self.x_of = grid[0].astype(np.int64)
         self.y_of = [g.astype(np.int64) for g in grid[1:1 + spec.n]]
         self.m_of = [g.astype(np.int64) for g in grid[1 + spec.n:]]
+        # controller i's table point (y_i, m_i), flattened row-major, per state
+        self.point_of = [y * n_m + m for y, m, n_m in zip(self.y_of, self.m_of, nm)]
         self.act_strides = _strides(spec.action_cards)
         self.msg_cards = spec.msg_cards(t) if _has_msg_stage(spec, t) else None
         self.msg_strides = _strides(self.msg_cards) if self.msg_cards else None

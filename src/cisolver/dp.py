@@ -38,15 +38,23 @@ value or argmin:
   ``V(a) = sum_q min_u G[a, q, u]`` (the alternating-maximization step
   for collaborative Bayesian games).  Work per node falls from
   ``|lead classes| * |last classes| * |support|`` to
-  ``|lead classes| * |support| * |U_n|``; the table of ``c(x, u)`` per
-  lead class, support entry and last action is shared by every node on
-  the support, and nodes are contracted with it in batches.  Tie-break:
-  the joint class index is ``a * |last classes| + b``, and ``b`` puts the
-  last controller's first point most significant, so the smallest
-  minimizing class is the first ``argmin`` of ``V`` over ``a`` followed
-  by the first ``argmin`` over ``u`` at each ``q``.  The last stage still
-  reports, and checks against the cap, the number of classes it would
-  enumerate.
+  ``|lead classes| * |support| * |U_n|``.  The table of ``c(x, u)`` per
+  support entry, last action and lead class is shared by every node on
+  the support.  It is laid out as ``(s, u * |lead classes| + a)`` with
+  the entries grouped by ``q``, so a batch of nodes is contracted with
+  each point's rows by one contiguous matrix product, and the minimum
+  over ``u`` is an elementwise minimum of ``|U_n|`` contiguous slices
+  rather than a reduction over a short strided axis.  Each ``G`` entry
+  is the same dot product in any column order, minima are exact, and
+  ``V`` sums over ``q`` along a contiguous axis, so values and ties do
+  not depend on the layout.  Tie-break: the joint class index is
+  ``a * |last classes| + b``, and ``b`` puts the last controller's first
+  point most significant, so the smallest minimizing class is the first
+  ``argmin`` of ``V`` over ``a`` followed by the first ``argmin`` over
+  ``u`` at each ``q``.  Representatives are sums of per-point place
+  values, exact ints computed once per distinct lead class and per node.
+  The last stage still reports, and checks against the cap, the number
+  of classes it would enumerate.
 
 Branches.  :func:`_successors` computes every successor of a node in
 one batch, and the node keeps its branches as four flat arrays: branch
@@ -75,8 +83,10 @@ so a deep truncation does not recurse.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -184,6 +194,10 @@ class _Classes:
     point most significant; ``inv[i][s]`` is the point of support entry
     ``s``.  Joint classes are mixed radix over the controllers,
     controller 0 most significant, so they are ordered by representative.
+    A class's representative plays action 0 off the support, so it is
+    the sum of its actions times their place values: ``place[i][k]``,
+    an exact int in an object array, is the weight of controller ``i``'s
+    action at point ``uniq[i][k]`` in a full prescription index.
 
     Raises:
         SizeOverflow: there are more than ``cap`` classes.
@@ -191,22 +205,28 @@ class _Classes:
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
         layout = stage_layout(spec, t)
-        self.space = PrescriptionSpace(spec, t)
         self.x_sup = layout.x_of[support]
         self.cards = spec.action_cards
-        self.uniq, self.inv = [], []
+        n_points = [ny * nm for ny, nm in zip(layout.ny, layout.nm)]
+        self.uniq, self.inv, self.place = [], [], []
         for i in range(spec.n):
-            points = layout.y_of[i][support] * layout.nm[i] + layout.m_of[i][support]
-            uniq, inv = np.unique(points, return_inverse=True)
+            points = layout.point_of[i][support]
+            seen = np.zeros(n_points[i], dtype=bool)
+            seen[points] = True
+            uniq = np.flatnonzero(seen)
             self.uniq.append(uniq)
-            self.inv.append(inv.reshape(-1))
+            self.inv.append(np.searchsorted(uniq, points))
+            # prescriptions of the controllers after i
+            later = math.prod(nu ** k for nu, k in
+                              zip(self.cards[i + 1:], n_points[i + 1:]))
+            self.place.append(np.array([self.cards[i] ** (n_points[i] - 1 - p) * later
+                                        for p in uniq.tolist()], dtype=object))
         self.counts = [nu ** len(uniq) for nu, uniq in zip(self.cards, self.uniq)]
         self.count = math.prod(self.counts)
         if self.count > cap:
             raise SizeOverflow(
                 f"{self.count} support-restricted prescription classes "
                 f"at stage {t}, cap is {cap}", size=self.count)
-        self._memo = {}
 
     def _check_table(self, entries: int, t: int):
         if entries > _MAX_TABLE_ENTRIES:
@@ -227,24 +247,14 @@ class _Classes:
             out.append(_digits(own, self.cards[i], len(self.uniq[i])))
         return out[::-1]
 
-    def _representative(self, key, ids: int, controllers: int, rest=()) -> int:
-        """Smallest full prescription index with the given on-support actions.
+    def _encode(self, actions) -> int:
+        """Full prescription index of on-support actions, action 0 elsewhere.
 
-        Controllers below ``controllers`` play joint class ``ids`` of
-        theirs, the others play ``rest[j]`` at their points, and every
-        off-support point gets action 0.  The result is an exact int,
-        memoized under ``key``.
+        ``actions[i]`` lists controller ``i``'s actions at its points, as
+        ints; controllers past ``len(actions)`` contribute nothing.
         """
-        rep = self._memo.get(key)
-        if rep is None:
-            tables = []
-            actions = self._point_actions(ids, controllers) + list(rest)
-            for i, acts in enumerate(actions):
-                table = np.zeros(self.space.points[i], dtype=np.int64)
-                table[self.uniq[i]] = acts
-                tables.append(table)
-            rep = self._memo[key] = self.space.encode(tables)
-        return rep
+        return sum(map(operator.mul, chain.from_iterable(self.place[:len(actions)]),
+                       chain.from_iterable(actions)))
 
 
 class _ClassStructure(_Classes):
@@ -281,7 +291,8 @@ class _ClassStructure(_Classes):
 
     def representative(self, c: int) -> int:
         """Smallest full prescription index in class ``c``."""
-        return self._representative(int(c), c, len(self.uniq))
+        return self._encode([acts.tolist()
+                             for acts in self._point_actions(c, len(self.uniq))])
 
 
 class _LastStage(_Classes):
@@ -290,10 +301,17 @@ class _LastStage(_Classes):
     With no continuation, fixing the lead class ``a`` (controllers
     ``0..n-2``) splits the last controller's choice into one
     minimization per on-support point ``q``:
-    ``V(a) = sum_q min_u G[a, q, u]`` with
-    ``G[a, q, u] = sum_{s at q} w_s * C[a, s, u]`` and
-    ``C[a, s, u] = c(x_s, u_lead(a, s), u)``.  ``C`` does not depend on
+    ``V(a) = sum_q min_u G[q, u, a]`` with
+    ``G[q, u, a] = sum_{s at q} w_s * C[s, u, a]`` and
+    ``C[s, u, a] = c(x_s, u_lead(a, s), u)``.  ``C`` does not depend on
     the weights, so every node on the support shares it.
+
+    ``C`` is stored in an ``(s, u * lead + a)`` layout, one block per
+    point: ``order`` sorts the support entries stably by point, point
+    ``q`` owns positions ``cuts[q] = (lo, hi)`` of that order, and row
+    ``j`` of ``blocks[q]`` is ``C`` at entry ``order[lo + j]``.  Lead
+    class ``a`` plays ``a // divisors[i][k] % |U_i|`` at point
+    ``uniq[i][k]`` of lead controller ``i``.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
@@ -303,20 +321,39 @@ class _LastStage(_Classes):
         n_u = self.cards[last]
         lead = self.count // self.counts[last]
         self._check_table(lead * len(support) * n_u, t)
-        u_lead = np.zeros((lead, len(support)), dtype=np.int64)
-        for i, acts in enumerate(self._point_actions(np.arange(lead), last)):
-            u_lead += acts[:, self.inv[i]] * layout.act_strides[i]
-        u_all = u_lead[:, :, None] + np.arange(n_u) * layout.act_strides[last]
-        cost = spec.cost(t)[self.x_sup[None, :, None], u_all]  # C[a, s, u]
-        self.shape = (lead, len(self.uniq[last]), n_u)
-        self.blocks = []  # per point q: its support entries, C[a, s, u] as (s, a * u)
-        for q in range(len(self.uniq[last])):
-            at_q = np.nonzero(self.inv[last] == q)[0]
-            self.blocks.append(
-                (at_q, cost[:, at_q, :].transpose(1, 0, 2).reshape(len(at_q), -1)))
+        self.shape = (len(self.uniq[last]), n_u, lead)
+        self.order = np.argsort(self.inv[last], kind="stable")
+        cost = spec.cost(t)
+        # flat index into the cost table of C[s, u, a], first as (s, a)
+        flat = (self.x_sup[self.order] * cost.shape[1])[:, None]
+        self.divisors, below = [], lead
+        for i in range(last):
+            below //= self.counts[i]
+            div = below * self.cards[i] ** np.arange(len(self.uniq[i]) - 1, -1, -1)
+            self.divisors.append(div.tolist())
+            digits = np.arange(lead) // div[:, None] % self.cards[i]  # (point, a)
+            flat = flat + digits[self.inv[i][self.order]] * layout.act_strides[i]
+        flat = flat[:, None, :] + np.arange(n_u)[:, None] * layout.act_strides[last]
+        table = cost.take(flat).reshape(len(support), -1)
+        ends = np.cumsum(np.bincount(self.inv[last])).tolist()
+        self.cuts = list(zip([0] + ends[:-1], ends))
+        self.blocks = [table[lo:hi] for lo, hi in self.cuts]
 
-    def best(self, w_sup: np.ndarray):
-        """Best class of every row of ``w_sup`` (nodes x support entries).
+    def best(self, w: np.ndarray):
+        """Best class of every row of ``w`` (nodes x support entries in ``order``).
+
+        One matrix product per point ``q`` fills ``g[:, q, u * lead + a]``
+        with ``G[q, u, a]``.  Each entry is a dot product of the node's
+        weights at ``q`` with one column of costs, so no entry depends on
+        where its column sits.  The minimum over ``u`` is an elementwise
+        minimum of the ``|U_n|`` contiguous slices
+        ``g[:, q, u * lead:(u + 1) * lead]``, written to
+        ``low[row, a, q]``; minima are exact.  ``V`` sums the C-ordered
+        ``low`` along its last axis.  So every value, and every tie, has
+        the same bits in any column order of ``C``.  Nor do a row's
+        results depend on the other rows, as long as there are at least
+        two: a one-row product would be a matrix-vector product, whose
+        sums are grouped differently.
 
         Returns ``(value, lead, acts)``: the smallest minimizing class is
         lead class ``lead[k]`` with the last controller playing
@@ -324,49 +361,66 @@ class _LastStage(_Classes):
         lead classes and then over actions at each point is the smallest
         minimizing class index.
         """
-        rows = np.arange(len(w_sup))
-        lead, n_points, n_u = self.shape
-        g = np.empty((len(w_sup), lead, n_points, n_u))
-        for q, (at_q, block) in enumerate(self.blocks):
-            g[:, :, q, :] = (w_sup[:, at_q] @ block).reshape(len(w_sup), lead, n_u)
-        v = g.min(axis=3).sum(axis=2)
+        rows = len(w)
+        points, n_u, lead = self.shape
+        g = np.empty((rows, points, n_u * lead))
+        for (lo, hi), block, out in zip(self.cuts, self.blocks, g.transpose(1, 0, 2)):
+            np.matmul(w[:, lo:hi], block, out=out)
+        g = g.reshape(rows, points, n_u, lead)
+        low = np.empty((rows, lead, points))
+        np.minimum.reduce(g.transpose(2, 0, 3, 1), axis=0, out=low)
+        v = low.sum(axis=2)
         best = v.argmin(axis=1)
-        return v[rows, best], best, g[rows, best].argmin(axis=2)
+        r = np.arange(rows)
+        return v[r, best], best, g[r, :, :, best].argmin(axis=2)
 
-    def representative(self, a: int, acts: np.ndarray) -> int:
-        """Smallest full prescription index of lead class ``a`` and ``acts``."""
-        return self._representative((int(a), acts.tobytes()), a,
-                                    len(self.uniq) - 1, [acts])
+    def representatives(self, lead: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        """Smallest full prescription index of each row's class from :meth:`best`.
+
+        Returns exact ints in an object array.  The lead controllers'
+        part of an index is computed once per distinct lead class.
+        """
+        lead = lead.tolist()
+        parts = {a: self._encode([[a // d % nu for d in div]
+                                  for div, nu in zip(self.divisors, self.cards)])
+                 for a in set(lead)}
+        return acts @ self.place[-1] + np.array([parts[a] for a in lead], dtype=object)
 
 
 def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
     """Value, representative and class count of every last-stage node.
 
     ``weights`` holds one full belief per row.  Nodes are grouped by
-    support, and each group is solved in batches of rows.
+    support, and each group is solved in batches of rows, small enough
+    that a batch's ``g`` and ``low`` hold at most ``_BATCH_ENTRIES``
+    entries together, or else of one node.
     """
     mask = weights > ZERO_MASS
     groups: dict[bytes, list[int]] = {}
     for node, key in enumerate(np.packbits(mask, axis=1)):
         groups.setdefault(key.tobytes(), []).append(node)
     values = np.empty(len(weights))
-    representatives = [0] * len(weights)
+    representatives = np.empty(len(weights), dtype=object)
     classes = 0
     # groups in order of their first node, so a cap overflow reports the
     # count of the first node over the cap, as a node-by-node pass would
     for nodes in groups.values():
-        support = np.nonzero(mask[nodes[0]])[0]
+        support = np.flatnonzero(mask[nodes[0]])
         stage = _LastStage(spec, t, support, cap)
         classes += stage.count * len(nodes)
-        nodes = np.array(nodes)
-        rows = max(1, _BATCH_ENTRIES // math.prod(stage.shape))
+        points, n_u, lead = stage.shape
+        rows = max(1, _BATCH_ENTRIES // (lead * points * (n_u + 1)) - 1)
+        columns = support[stage.order]
         for lo in range(0, len(nodes), rows):
             part = nodes[lo:lo + rows]
-            value, lead, acts = stage.best(weights[np.ix_(part, support)])
-            values[part] = value
-            for node, a, b in zip(part.tolist(), lead, acts):
-                representatives[node] = stage.representative(a, b)
-    return values, representatives, classes
+            # and a row of zeros, so that a batch of one node is still
+            # contracted as a matrix, with the same sums as in any batch
+            w = np.zeros((len(part) + 1, len(columns)))
+            w[:-1] = weights[np.ix_(part, columns)]
+            value, best, acts = stage.best(w)
+            values[part] = value[:-1]
+            representatives[part] = stage.representatives(best[:-1], acts[:-1])
+    return values, representatives.tolist(), classes
 
 
 def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,

@@ -20,8 +20,9 @@ separator.
 
 A finite-horizon policy document holds only the tree nodes that the
 policy's own prescriptions reach from its roots, under their solver ids;
-the loader recomputes the belief of every such node and rejects a
-document whose stored belief disagrees.
+the loader recomputes the belief and the value of every such node, and
+the value of a solve result's report, and rejects a document whose
+stored numbers disagree.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .coordinator import (
     ReducedBelief,
     chi,
     eta_update,
+    expected_cost,
     initial_belief,
+    message_distribution,
     stage_layout,
     zeta,
 )
@@ -765,21 +768,49 @@ def _check_tables(spec: ProblemSpec, stages, stage_docs):
                         f"{space.n_actions[i]}")
 
 
-#: Largest sup-norm gap between a stored belief and its recomputation.
+#: Largest sup-norm gap between a stored belief and its recomputation, and
+#: largest gap between a root's stored probability and the problem's.
 BELIEF_TOL = 1e-9
+#: Largest gap between a stored value and its recomputation, relative to the
+#: recomputed value once that exceeds one in magnitude.
+VALUE_TOL = 1e-9
 
 
-def _check_beliefs(spec: ProblemSpec, tree: PolicyTree):
+def _json_number(value, what: str) -> float:
+    """``value`` as a float; InvalidParameter unless it is a JSON number a float holds.
+
+    JSON booleans and strings are not numbers here, though ``float``
+    reads ``true`` and ``"0.5"``.
+    """
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the range of floats
+            pass
+    raise InvalidParameter(f"{what} must be a number in the range of floats, "
+                           f"got {value!r}")
+
+
+def _value_gap_ok(stored, want) -> bool:
+    """Whether ``stored`` is within ``VALUE_TOL`` of ``want``; never for a NaN."""
+    return abs(stored - want) <= VALUE_TOL * max(1.0, abs(want))
+
+
+def _check_beliefs(spec: ProblemSpec, tree: PolicyTree) -> list[list]:
     """Raise InvalidParameter unless every reachable node stores the belief its path gives.
 
-    Roots must carry the problem's initial beliefs, one per initial common
-    signal of positive mass, in signal order.  Each child must carry the
-    update of its parent's stored belief under the parent's prescription
-    and the message that leads to it (through ``zeta`` and ``chi`` in the
-    reduced variant).  Stages are checked in order, so every parent was
-    checked before its update is taken.  A gap above ``BELIEF_TOL`` in
-    sup-norm fails, and so does a NaN weight.  Nodes that no root reaches
-    are left unchecked.
+    Roots must carry the problem's initial beliefs and their
+    probabilities, one per initial common signal of positive mass, in
+    signal order.  Each child must carry the update of its parent's
+    stored belief under the parent's prescription and the message that
+    leads to it (through ``zeta`` and ``chi`` in the reduced variant).
+    Stages are checked in order, so every parent was checked before its
+    update is taken.  A gap above ``BELIEF_TOL`` in sup-norm fails, and
+    so does a NaN weight or probability.  Nodes that no root reaches are
+    left unchecked.
+
+    Returns, per stage, ``(node, belief over (x, y, m), prescription)``
+    for every reachable node.
     """
     initial = initial_belief(spec)
     if len(tree.roots) != len(initial):
@@ -796,17 +827,23 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree):
                 f"node {node_id} at t={t}: its belief is {gap!r} away in "
                 f"sup-norm from the one {origin} gives")
 
-    for (_, node_id), (_, belief) in zip(tree.roots, initial):
+    for (prob, node_id), (want, belief) in zip(tree.roots, initial):
+        if not abs(prob - want) <= BELIEF_TOL:
+            raise InvalidParameter(
+                f"root {node_id}: its probability is {prob!r}; the problem's "
+                f"initial law gives {want!r}")
         check(node_id, 1, belief, "the problem's initial law")
     reached = dict.fromkeys(node_id for _, node_id in tree.roots)
-    for t in range(1, tree.horizon):
+    stages = []
+    for t in range(1, tree.horizon + 1):
         space = PrescriptionSpace(spec, t)
-        children = {}
+        expanded, children = [], {}
         for node_id in reached:
             nd = tree.node(node_id)
             belief = zeta(spec, nd.belief) if reduced else nd.belief
             gamma = space.decode(nd.gamma_index)
-            for z, child in sorted(nd.children.items()):
+            expanded.append((nd, belief, gamma))
+            for z, child in sorted(nd.children.items()):  # none at the last stage
                 try:
                     after = eta_update(spec, belief, gamma, z)
                 except ZeroProbabilityObservation:
@@ -815,7 +852,33 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree):
                         f"{child}, but the node's belief gives it no mass") from None
                 check(child, t + 1, after, f"node {node_id} and message {z}")
                 children[child] = None
+        stages.append(expanded)
         reached = children
+    return stages
+
+
+def _check_values(spec: ProblemSpec, stages: list[list]):
+    """Raise InvalidParameter unless every reachable node stores its subtree's value.
+
+    ``stages`` is what :func:`_check_beliefs` returns.  Values are
+    recomputed from the last stage back: a node's value is the expected
+    stage cost of its prescription under its belief, plus each child's
+    recomputed value weighted by the probability of the message that
+    leads to it.  A gap above ``VALUE_TOL`` fails, and so does a NaN.
+    """
+    values = {}
+    for t in range(len(stages), 0, -1):
+        for nd, belief, gamma in stages[t - 1]:
+            want = expected_cost(spec, belief, gamma)
+            if nd.children:
+                dist = message_distribution(spec, belief, gamma)
+                want += sum(dist[z] * values[child]
+                            for z, child in sorted(nd.children.items()))
+            if not _value_gap_ok(nd.value, want):
+                raise InvalidParameter(
+                    f"node {nd.node_id} at t={t}: its value is {nd.value!r}; its "
+                    f"stage cost and children give {want!r}")
+            values[nd.node_id] = want
 
 
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
@@ -856,7 +919,7 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
 
     A document may also carry nodes that no root reaches, as documents
     written before pruning do: their links, indices and shapes are
-    checked, their beliefs are not.
+    checked, their beliefs and values are not.
     """
     variant = doc["variant"]
     cls = ReducedBelief if variant == "reduced" else Belief
@@ -868,17 +931,33 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
                          weights=np.asarray(nd["belief"]["weights"], dtype=float))
             stage.append(TreeNode(
                 node_id=nd["id"], t=nd["t"], belief=belief,
-                gamma_index=nd["gamma"]["index"], value=float(nd["value"]),
+                gamma_index=nd["gamma"]["index"],
+                value=_json_number(nd["value"], f"node {nd['id']!r}'s value"),
                 children={int(z): int(c) for z, c in nd["children"].items()}))
         stages.append(stage)
-    roots = tuple((float(p), int(i)) for p, i in doc["roots"])
+    roots = tuple((_json_number(p, "a root probability"), int(i))
+                  for p, i in doc["roots"])
     _check_links(spec, doc["horizon"], roots, stages)
     _check_indices(spec, stages)
     _check_tree_nodes(spec, variant, stages, doc["stages"])
     tree = PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
-    _check_beliefs(spec, tree)
+    _check_values(spec, _check_beliefs(spec, tree))
     return tree
+
+
+def _check_report_value(report, tree: PolicyTree):
+    """Raise InvalidParameter unless a solve result reports its tree's value.
+
+    The tree's value is the probability-weighted sum of its roots'
+    values, which the loader has checked against their recomputation.
+    """
+    value = _json_number(report.get("value") if isinstance(report, dict) else None,
+                         "a solve result's report.value")
+    want = sum(prob * tree.node(node_id).value for prob, node_id in tree.roots)
+    if not _value_gap_ok(value, want):
+        raise InvalidParameter(
+            f"report.value is {value!r}; the policy's roots give {want!r}")
 
 
 def control_strategy_to_dict(spec: ProblemSpec,
@@ -953,7 +1032,10 @@ def policy_from_document(doc, spec: ProblemSpec):
         raise InvalidParameter("policy document must be a JSON object")
     kind = doc.get("kind")
     if kind == "solve_result":
-        return policy_from_document(doc.get("policy"), spec)
+        policy = policy_from_document(doc.get("policy"), spec)
+        if isinstance(policy, PolicyTree):
+            _check_report_value(doc.get("report"), policy)
+        return policy
     stored = doc.get("problem_digest")
     expect = problem_digest(spec)
     if stored != expect:

@@ -263,8 +263,7 @@ class _ExecPlan:
             weights = layout.lift(weights)
         bins = np.arange(len(nodes))[:, None] * nz  # (nodes, 1), then (nodes, states)
         for i, shares in enumerate(self.msg_shares[t - 1]):
-            points = layout.y_of[i] * layout.nm[i] + layout.m_of[i]
-            bins = bins + shares.reshape(len(nodes), -1)[:, points]
+            bins = bins + shares.reshape(len(nodes), -1)[:, layout.point_of[i]]
         mass = np.bincount(bins.ravel(), weights=weights.ravel(),
                            minlength=len(nodes) * nz)
         return mass <= _AUDIT_TOL

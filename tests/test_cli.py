@@ -314,6 +314,37 @@ def test_simulate_rejects_a_stored_belief_its_path_does_not_give(
     assert "away in sup-norm" in err and named in err
 
 
+def _set_every_value(policy, value):
+    for stage in policy["stages"]:
+        for node in stage:
+            node["value"] = value
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda doc: _set_every_value(doc["policy"], 123.0),
+     "at t=2: its value is 123.0; its stage cost and children give"),
+    (lambda doc: doc["policy"]["roots"][0].__setitem__(0, 0.25),
+     "root 0: its probability is 0.25; the problem's initial law gives 1.0"),
+    (lambda doc: doc["report"].__setitem__("value", -7.0),
+     "report.value is -7.0; the policy's roots give"),
+], ids=["every-value-123", "root-probability-quarter", "report-value-negative"])
+def test_simulate_rejects_a_stored_value_its_tree_does_not_give(
+        capsys, tmp_path, problems_dir, corrupt, named):
+    """Each of these once exited 0 with a byte-identical report."""
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    corrupt(doc)
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "2000", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
 @pytest.mark.parametrize("table", [[[0, 1, 1]], [[0], [2]], [[-1], [0]],
                                    [[0.0], [1.0]], [[0], [10**30]]])
 def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,

@@ -316,8 +316,26 @@ def _dyadic_tie_team():
         costs=[cost], protocol=delayed_sharing_protocol(1, 1, obs, act))
 
 
+def _three_actions():
+    """One shot, two controllers with three actions: 81 prescriptions."""
+    return instances.random_delayed_instance(11, T=1, nu=3)
+
+
+def _three_controllers():
+    """One shot, three binary controllers: 64 prescriptions."""
+    return instances.random_delayed_instance(12, n=3, T=1)
+
+
+def _three_controllers_three_actions():
+    """One shot, three controllers with three actions: 729 prescriptions."""
+    return instances.random_delayed_instance(13, n=3, nu=3, T=1)
+
+
 @pytest.mark.parametrize("build,tied", [(instances.static_team, 1),
-                                        (_dyadic_tie_team, 4)])
+                                        (_dyadic_tie_team, 4),
+                                        (_three_actions, 1),
+                                        (_three_controllers, 1),
+                                        (_three_controllers_three_actions, 1)])
 def test_last_stage_is_the_first_argmin_over_every_prescription(build, tied):
     spec = build()
     for solve in (solve_finite, solve_finite_reduced):
@@ -358,4 +376,43 @@ def test_class_structures_are_freed_after_a_solve():
     _, policy = solve_discounted(discounted)
     del tree, policy
     gc.collect()
-    assert not any(isinstance(obj, dp._ClassStructure) for obj in gc.get_objects())
+    assert not any(isinstance(obj, (dp._ClassStructure, dp._LastStage))
+                   for obj in gc.get_objects())
+
+
+def test_last_stage_batches_stay_within_the_bound(filter_family_doc, monkeypatch):
+    spec, _ = problem_from_document(filter_family_doc(21, 4))
+    calls = []  # (stage, entries of its g and low)
+    best = dp._LastStage.best
+
+    def spy(stage, w):
+        points, n_u, lead = stage.shape
+        calls.append((stage, len(w) * lead * points * (n_u + 1)))
+        return best(stage, w)
+
+    monkeypatch.setattr(dp._LastStage, "best", spy)
+    solve_finite(spec)
+    assert max(entries for _, entries in calls) <= dp._BATCH_ENTRIES
+    assert len(calls) > len({id(stage) for stage, _ in calls})  # groups were split
+
+
+def _tree_bits(tree):
+    """Everything a tree holds, with values and beliefs as their bytes."""
+    return [tree.roots] + [
+        (nd.node_id, nd.gamma_index, sorted(nd.children.items()),
+         np.float64(nd.value).tobytes(), nd.belief.weights.tobytes())
+        for stage in tree.stages for nd in stage]
+
+
+@pytest.mark.parametrize("name", ["periodic_4stage", "filter_no_sharing"])
+def test_last_stage_bits_do_not_depend_on_the_batch(problems_dir, filter_family_doc,
+                                                     monkeypatch, name):
+    # a batch of one node once took a matrix-vector product, whose sums
+    # are grouped differently from those of a matrix-matrix product
+    if name == "periodic_4stage":
+        spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    else:
+        spec, _ = problem_from_document(filter_family_doc(21, 4))
+    batched = _tree_bits(solve_finite(spec)[1])
+    monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per batch
+    assert _tree_bits(solve_finite(spec)[1]) == batched

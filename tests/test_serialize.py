@@ -245,6 +245,96 @@ def test_a_belief_within_the_tolerance_loads(solved_seed1):
     policy_from_document(doc, spec)
 
 
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+@pytest.mark.parametrize("stage,tamper", [
+    (0, lambda v: float("nan")),
+    (0, lambda v: v + 1e-6),
+    (1, lambda v: v - 1e-6),
+    (1, lambda v: 123.0),
+], ids=["root-nan", "root-nudged", "stage-2-nudged", "stage-2-123"])
+def test_a_stored_value_must_be_the_one_its_subtree_gives(solved_seed1, variant,
+                                                          stage, tamper):
+    spec = solved_seed1[0]
+    solve = solve_finite_reduced if variant == "reduced" else solve_finite
+    doc = json.loads(dumps(policy_tree_to_dict(spec, solve(spec)[1])))
+    node = doc["stages"][stage][-1]  # every written node is reachable
+    node["value"] = tamper(node["value"])
+    with pytest.raises(InvalidParameter, match=f"^node {node['id']} at t={stage + 1}: "
+                       "its value is .*; its stage cost and children give "):
+        policy_from_document(doc, spec)
+
+
+@pytest.mark.parametrize("prob", [0.25, float("nan"), 1.0 + 1e-6])
+def test_a_root_probability_must_be_the_problems(solved_seed1, prob):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    doc["roots"][0][0] = prob
+    with pytest.raises(InvalidParameter, match=f"^root {doc['roots'][0][1]}: its "
+                       "probability is .*; the problem's initial law gives 1.0$"):
+        policy_from_document(doc, spec)
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (lambda r: r.update(value=-7.0), "report.value is -7.0; the policy's roots give"),
+    (lambda r: r.update(value=float("nan")), "report.value is nan"),
+    (lambda r: r.update(value=10**400), "report.value must be a number in the range "
+     "of floats, got 1000"),
+    (lambda r: r.update(value="0.5"), "report.value must be a number .*, got '0.5'"),
+    (lambda r: r.update(value=True), "report.value must be a number .*, got True"),
+    (lambda r: r.pop("value"), "report.value must be a number .*, got None"),
+], ids=["negated", "nan", "huge-int", "string", "boolean", "missing"])
+def test_a_solve_result_must_report_its_trees_value(solved_seed1, tamper, match):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(solve_result_to_dict(spec, report, tree)))
+    tamper(doc["report"])
+    with pytest.raises(InvalidParameter, match=match):
+        policy_from_document(doc, spec)
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (lambda d: d["roots"][0].__setitem__(0, "1.0"),
+     "a root probability must be a number .*, got '1.0'"),
+    (lambda d: d["roots"][0].__setitem__(0, True),
+     "a root probability must be a number .*, got True"),
+    (lambda d: d["stages"][1][0].update(value=str(d["stages"][1][0]["value"])),
+     "node [0-9]+'s value must be a number .*, got '0.[0-9]+'"),
+    (lambda d: d["stages"][0][0].update(value=10**400),
+     "node 0's value must be a number in the range of floats"),
+], ids=["root-string", "root-boolean", "value-string", "value-huge-int"])
+def test_stored_numbers_must_be_json_numbers(solved_seed1, tamper, match):
+    """A string or boolean once loaded as the number ``float`` reads from it."""
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
+    tamper(doc)
+    with pytest.raises(InvalidParameter, match=match):
+        policy_from_document(doc, spec)
+
+
+def test_values_and_root_probabilities_within_the_tolerance_load(solved_seed1):
+    spec, report, tree = solved_seed1
+    doc = json.loads(dumps(solve_result_to_dict(spec, report, tree)))
+    for stage in doc["policy"]["stages"]:
+        for node in stage:
+            node["value"] += serialize.VALUE_TOL / 4
+    doc["policy"]["roots"][0][0] += serialize.BELIEF_TOL / 4
+    doc["report"]["value"] -= serialize.VALUE_TOL / 4
+    policy_from_document(doc, spec)
+
+
+def test_the_value_check_scales_with_the_costs():
+    # values near 1e9 carry rounding gaps of about 1e-7 in absolute terms
+    doc = problem_to_dict(instances.random_delayed_instance(3))
+    doc["cost"] = (np.array(doc["cost"]) * 1e9).tolist()
+    spec, _ = problem_from_document(doc)
+    report, tree = solve_finite(spec)
+    assert report.value > 1e8
+    solved = json.loads(dumps(solve_result_to_dict(spec, report, tree)))
+    assert policy_from_document(solved, spec).roots == tree.roots
+    solved["report"]["value"] *= 1 + 1e-8
+    with pytest.raises(InvalidParameter, match="report.value is"):
+        policy_from_document(solved, spec)
+
+
 def test_control_strategy_round_trip(solved_seed1):
     spec, report, tree = solved_seed1
     strategy = extract_control_strategy(spec, tree)

@@ -5,14 +5,19 @@ family members k = 0, 3 and 4 at seeds 0-9, in both belief variants.
 Each digest covers the whole in-memory tree (per node: id, stage,
 prescription index, children in message order, and the bytes of its
 value and belief weights, stage by stage) and the solve document as
-``cis solve`` writes it.  Two checkouts that print the same lines solved
-every problem to the same bits.  Run from the repository root:
+``cis solve`` writes it.  Then it solves every discounted fixture, and
+``discounted_chain`` at discount factors 0.9, 0.95 and 0.99, at
+epsilon = 1e-4, and digests the solve document with its
+``stationary_policy`` as ``cis solve`` writes it.  Two checkouts that
+print the same lines solved every problem to the same bits.  Run from
+the repository root:
 
     python3 scripts/tree_digest.py > digests.txt
 """
 
 import hashlib
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -23,10 +28,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from cisolver import serialize  # noqa: E402
-from cisolver.dp import solve_finite, solve_finite_reduced  # noqa: E402
+from cisolver.dp import solve_discounted, solve_finite, solve_finite_reduced  # noqa: E402
 
 FILTER_MEMBERS = (0, 3, 4)
 SEEDS = range(10)
+CHAIN_BETAS = (0.9, 0.95, 0.99)
+EPSILON = 1e-4
 
 
 def _filter_family_doc():
@@ -37,12 +44,17 @@ def _filter_family_doc():
     return module.filter_family_doc
 
 
-def problems():
-    """``(name, spec)`` of every problem digested, in a fixed order."""
+def _fixtures(mode):
+    """``(name, spec)`` of every valid fixture of ``mode``, by file name."""
     for path in sorted((ROOT / "problems").glob("*.json")):
         spec, report = serialize.load_problem(str(path))
-        if spec is not None and report.ok and spec.mode == "finite":
+        if spec is not None and report.ok and spec.mode == mode:
             yield path.stem, spec
+
+
+def problems():
+    """``(name, spec)`` of every finite problem digested, in a fixed order."""
+    yield from _fixtures("finite")
     family = _filter_family_doc()
     for k in FILTER_MEMBERS:
         for seed in SEEDS:
@@ -65,11 +77,29 @@ def digest(spec, report, tree) -> str:
     return h.hexdigest()
 
 
+def discounted_problems():
+    """``(name, spec)`` of every discounted problem digested, in a fixed order."""
+    yield from _fixtures("discounted")
+    doc = json.loads((ROOT / "problems" / "discounted_chain.json").read_text())
+    for beta in CHAIN_BETAS:
+        spec, report = serialize.problem_from_document(dict(doc, discount=beta))
+        assert spec is not None and report.ok, report
+        yield f"discounted_chain_beta{beta}", spec
+
+
+def discounted_digest(spec) -> str:
+    doc = serialize.solve_result_to_dict(
+        spec, *solve_discounted(spec, epsilon=EPSILON))
+    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()
+
+
 def main():
     for name, spec in problems():
         for variant, solve in (("full", solve_finite),
                                ("reduced", solve_finite_reduced)):
             print(f"{name} {variant} {digest(spec, *solve(spec))}", flush=True)
+    for name, spec in discounted_problems():
+        print(f"{name} stationary {discounted_digest(spec)}", flush=True)
 
 
 if __name__ == "__main__":

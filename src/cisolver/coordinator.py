@@ -36,14 +36,19 @@ ZERO_MASS = 1e-15
 CANON_DECIMALS = 12
 
 
-def canonical_keys(rows: np.ndarray) -> list[bytes]:
-    """The canonical key of every row of a batch of belief weight vectors.
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Every row of a batch of belief weight vectors in canonical form.
 
-    A key is the bytes of the row rounded to ``CANON_DECIMALS``, so equal
-    beliefs computed along different paths share a key; ``+ 0.0`` turns
-    ``-0.0`` into ``0.0`` first.
+    A row is rounded to ``CANON_DECIMALS``, so equal beliefs computed
+    along different paths have equal bytes; ``+ 0.0`` turns ``-0.0``
+    into ``0.0``.  The bytes of a canonical row are its belief's key.
     """
-    rounded = np.round(rows, CANON_DECIMALS) + 0.0
+    return np.round(rows, CANON_DECIMALS) + 0.0
+
+
+def canonical_keys(rows: np.ndarray) -> list[bytes]:
+    """The canonical key of every row of a batch of belief weight vectors."""
+    rounded = canonical_rows(rows)
     data = rounded.tobytes()
     width = rounded.itemsize * rounded.shape[1]
     return [data[lo:lo + width] for lo in range(0, len(data), width)]

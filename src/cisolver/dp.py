@@ -56,22 +56,32 @@ value or argmin:
   The last stage still reports, and checks against the cap, the number
   of classes it would enumerate.
 
-Branches.  :func:`_successors` computes every successor of a node in
-one batch, and the node keeps its branches as four flat arrays: branch
-``b`` is class ``cls[b]`` emitting joint message ``z[b]`` with
-probability ``mass[b]`` and leading to next-stage node ``child[b]``.
-The branches are the pairs ``class * |Z| + z`` that occur on the
-node's support; the masses come from one ``np.bincount`` over each
-support entry's branch, and the successor beliefs over ``(x', m')``
-from one ``np.bincount`` per ``x'`` over ``branch * |M'| + m'``.
-Branches are sorted by ``(class, z)``, the order of a loop over classes
-and then messages, and their successors are interned in that order, so
-node creation order and node ids are those of a one-class-at-a-time
-expansion.  The backward pass is
-``costs + np.bincount(cls, weights=mass * V_next[child])``, which sums
-each class's continuation in message order, then ``argmin``, whose
-first minimum is the smallest representative because classes are
-ordered by representative.
+Branches.  A stage before ``T`` is expanded in batches of nodes.  The
+branches of a node are the pairs ``class * |Z| + z`` that occur on its
+support, sorted, so in the order of a loop over classes and then
+messages: branch ``b`` is class ``cls[b]`` emitting joint message
+``z[b]``.  They depend only on the support, so the class structure of a
+support holds them once, with each ``(class, support entry)``'s branch
+and next-memory slot, for every node on it.  :func:`_successors` takes
+a block of nodes on one support and returns flat arrays, node ``k``'s
+branches at offset ``k * |branches|``: the masses from one
+``np.bincount`` over ``node * |branches| + branch``, and the successor
+beliefs over ``(x', m')`` from one ``np.bincount`` per ``x'`` over
+``(node * |branches| + branch) * |M'| + m'``.  ``np.bincount`` adds in
+index order, so each mass and successor weight receives the same addends
+in the same order as in a one-node call, and the row sums that normalize
+the successors reduce a contiguous axis of fixed length: every bit is
+independent of the batch.  A stage's nodes are walked in chunks of
+consecutive nodes whose arrays stay within a 32nd of
+``_BATCH_ENTRIES``; a chunk's nodes are grouped by support, and its
+successors are interned by one call in (node, class, message) order,
+which deduplicates the batch first and creates beliefs in order of first
+occurrence, so node creation order and node ids are those of a
+node-by-node, one-class-at-a-time expansion.  The backward pass for a
+group of nodes is ``costs + np.bincount(node * |classes| + cls,
+weights=mass * V_next[child])``, which sums each class's continuation in
+message order, then ``argmin`` per node, whose first minimum is the
+smallest representative because classes are ordered by representative.
 
 Discounted problems use the same expansion on stationary tables and a
 depth-limited fixed-point evaluation whose truncation depth is chosen
@@ -95,7 +105,7 @@ from .coordinator import (
     Belief,
     PrescriptionSpace,
     ReducedBelief,
-    canonical_keys,
+    canonical_rows,
     chi,
     initial_belief,
     stage_layout,
@@ -175,8 +185,9 @@ class ValueReport:
 
 #: Largest weight-independent table, in entries, built for one support.
 _MAX_TABLE_ENTRIES = 50_000_000
-#: Entries of one batch of the last stage's best-response array (1 MB).
-#: Small, so the batch and its temporaries never set a solve's peak memory.
+#: Entries of one batch of the last stage's best-response array (1 MB), and
+#: 32 times the entries of one chunk of an earlier stage's expansion.
+#: Small, so a batch and its temporaries never set a solve's peak memory.
 _BATCH_ENTRIES = 1 << 17
 
 
@@ -205,6 +216,7 @@ class _Classes:
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
         layout = stage_layout(spec, t)
+        self.support = support
         self.x_sup = layout.x_of[support]
         self.cards = spec.action_cards
         n_points = [ny * nm for ny, nm in zip(layout.ny, layout.nm)]
@@ -258,13 +270,23 @@ class _Classes:
 
 
 class _ClassStructure(_Classes):
-    """Weight-independent class tables of a stage with a continuation.
+    """Weight-independent class and branch tables of a stage with a continuation.
 
     Everything here depends only on the stage and the support pattern,
-    so belief nodes sharing a support share one structure:
-    ``u_flat[c, s]`` / ``z_flat[c, s]`` / ``m_next[c, s]`` give the
-    joint action, message and next joint memory for support state ``s``
-    in class ``c``; ``cost_matrix[c, s]`` is the stage cost there.
+    so every belief node sharing a support shares one structure.
+    ``cost_matrix[c, s]`` is the stage cost of support entry ``s`` under
+    class ``c``.  The branches are the pairs ``class * |Z| + z`` that
+    occur on the support, sorted, so in (class, message) order: branch
+    ``b`` is class ``cls[b]`` emitting joint message ``z[b]``, and class
+    ``c`` owns branches ``bounds[c]:bounds[c + 1]``.  Over the raveled
+    ``(class, support entry)`` grid, ``branch`` is each entry's branch,
+    ``slot`` its ``branch * |M'| + m'`` with ``m'`` the next joint
+    memory, and ``xu`` its ``(x, u)`` row of the cost table and the
+    kernel.  The kernel's columns are gathered through ``xu`` when they
+    are used, so a structure holds four tables of ``|classes| *
+    |support|`` entries whatever ``|X'|``.  ``entries`` is the size of
+    the largest array one node adds to a batch of :func:`_successors`.
+    Representatives are computed once per class.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
@@ -278,21 +300,45 @@ class _ClassStructure(_Classes):
             mem_strides[i] = mem_strides[i + 1] * layout_next.nm[i + 1]
 
         ids = np.arange(self.count, dtype=np.int64)
-        self.u_flat = np.zeros((self.count, len(support)), dtype=np.int64)
-        self.z_flat = np.zeros_like(self.u_flat)
-        self.m_next = np.zeros_like(self.u_flat)
-        for i, acts in enumerate(self._point_actions(ids, n)):
-            acts = acts[:, self.inv[i]]  # (count, S)
+        u_flat = np.zeros((self.count, len(support)), dtype=np.int64)
+        z_flat = np.zeros_like(u_flat)
+        m_next = np.zeros_like(u_flat)
+        later = self.count  # joint classes of the controllers after i
+        for i in range(n):
+            later //= self.counts[i]
+            # controller i's terms per class of its own, then per joint class
+            acts = _digits(np.arange(self.counts[i]), self.cards[i],
+                           len(self.uniq[i]))[:, self.inv[i]]  # (own class, S)
             mi, yi = layout.m_of[i][support], layout.y_of[i][support]
-            self.u_flat += acts * layout.act_strides[i]
-            self.z_flat += spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i]
-            self.m_next += spec.mem_update(i, t)[mi, yi, acts] * mem_strides[i]
-        self.cost_matrix = spec.cost(t)[self.x_sup[None, :], self.u_flat]
+            own = ids // later % self.counts[i]
+            u_flat += (acts * layout.act_strides[i])[own]
+            z_flat += (spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i])[own]
+            m_next += (spec.mem_update(i, t)[mi, yi, acts] * mem_strides[i])[own]
+        # the (x, u) row of the cost table and the kernel at each
+        # (class, support entry)
+        cost = spec.cost(t)
+        self.xu = (self.x_sup * cost.shape[1] + u_flat).reshape(-1)
+        self.cost_matrix = cost.take(self.xu).reshape(u_flat.shape)
+
+        n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
+        # every support entry carries more than ZERO_MASS, so every pair
+        # that occurs is a live branch
+        pairs, branch = np.unique(ids[:, None] * n_msgs + z_flat, return_inverse=True)
+        self.cls, self.z = pairs // n_msgs, pairs % n_msgs
+        self.bounds = np.searchsorted(self.cls, np.arange(self.count + 1)).tolist()
+        self.branch = branch.reshape(-1)
+        self.slot = self.branch * layout_next.n_mem + m_next.reshape(-1)
+        width = layout_next.nx * layout_next.n_mem  # of a successor over (x', m')
+        self.entries = max(self.count * len(support), len(pairs) * width)
+        self._representatives: dict[int, int] = {}
 
     def representative(self, c: int) -> int:
-        """Smallest full prescription index in class ``c``."""
-        return self._encode([acts.tolist()
-                             for acts in self._point_actions(c, len(self.uniq))])
+        """Smallest full prescription index in class ``c``, computed once."""
+        rep = self._representatives.get(c)
+        if rep is None:
+            rep = self._representatives[c] = self._encode(
+                [acts.tolist() for acts in self._point_actions(c, len(self.uniq))])
+        return rep
 
 
 class _LastStage(_Classes):
@@ -428,8 +474,8 @@ def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
     """The class structure of ``support`` at stage ``t``, built once per solve.
 
     ``structures`` is owned by one solve, so every node on the same
-    support shares the tables; only a node's expected stage costs
-    ``cost_matrix @ w_sup`` depend on its weights.
+    support shares the tables; only a node's stage costs, branch masses
+    and successors depend on its weights.
     """
     key = (t, support.tobytes())
     structure = structures.get(key)
@@ -440,43 +486,52 @@ def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
 
 def _successors(spec: ProblemSpec, t: int, structure: _ClassStructure,
                 w_sup: np.ndarray):
-    """Every live (class, message) branch of one node, in (class, z) order.
+    """Every live branch of a batch of nodes on one support.
 
-    ``w_sup`` holds the node's full weights on the structure's support.
-    Returns ``(cls, z, mass, succ)``: branch ``b`` is class ``cls[b]``
-    emitting joint message ``z[b]`` with probability ``mass[b]``, and
-    ``succ[b]`` is its normalized successor belief over ``(x', m')``,
-    flattened with ``x'`` most significant.  Messages of probability
-    <= ``ZERO_MASS`` have no branch.
+    ``w_sup`` holds one node's full weights on the structure's support
+    per row.  Every node has the structure's branches, so node ``k``'s
+    branches sit at offset ``k * len(structure.cls)`` of the flat
+    arrays.  Returns ``(mass, succ)``: ``mass[k, b]`` is the probability
+    that node ``k`` takes branch ``b``, and row ``k * len(cls) + b`` of
+    ``succ`` is that branch's normalized successor belief over
+    ``(x', m')``, flattened with ``x'`` most significant.
+
+    Each output slot receives the same addends in the same order as in a
+    one-node batch: ``np.bincount`` adds its weights in index order, and
+    the batch only offsets every index by its node's block.  Row sums
+    reduce a contiguous axis of fixed length.  So no result depends on
+    the batch.
     """
-    layout = stage_layout(spec, t)
     layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
-    n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
-    count, n_sup = structure.u_flat.shape
-    # the (class, z) pairs that occur, sorted; every support point carries
-    # more than ZERO_MASS, so every pair that occurs is a live branch
-    pairs, branch = np.unique(
-        np.arange(count, dtype=np.int64)[:, None] * n_msgs + structure.z_flat,
-        return_inverse=True)
-    branch = branch.reshape(-1)
-    w = np.broadcast_to(w_sup, (count, n_sup)).reshape(-1)
-    mass = np.bincount(branch, weights=w)
-    cond = w / mass[branch]
-    slot = branch * layout_next.n_mem + structure.m_next.reshape(-1)
+    nodes = len(w_sup)
+    count, n_sup = structure.cost_matrix.shape
+    n_branches = len(structure.cls)
+    offset = np.arange(nodes, dtype=np.int64)[:, None] * n_branches
+    w = np.broadcast_to(w_sup[:, None, :], (nodes, count, n_sup)).reshape(nodes, -1)
+    index = (offset + structure.branch).reshape(-1)
+    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * n_branches)
+    cond = w / mass[index].reshape(w.shape)
+    index = (offset * layout_next.n_mem + structure.slot).reshape(-1)
+    rows = nodes * n_branches
+    succ = np.empty((rows, layout_next.nx, layout_next.n_mem))
     kernel = spec.transition(t)
-    succ = np.empty((len(pairs), layout_next.nx, layout_next.n_mem))
+    kernel = kernel.reshape(-1, kernel.shape[2])  # rows (x, u), columns x'
     for xn in range(layout_next.nx):
-        p = kernel[:, :, xn][structure.x_sup[None, :], structure.u_flat].reshape(-1)
+        p = kernel[:, xn].take(structure.xu)
         succ[:, xn, :] = np.bincount(
-            slot, weights=cond * p,
-            minlength=len(pairs) * layout_next.n_mem).reshape(len(pairs), -1)
-    succ = succ.reshape(len(pairs), -1)
+            index, weights=(cond * p).reshape(-1),
+            minlength=rows * layout_next.n_mem).reshape(rows, -1)
+    succ = succ.reshape(rows, -1)
     succ /= succ.sum(axis=1, keepdims=True)
-    return pairs // n_msgs, pairs % n_msgs, mass, succ
+    return mass.reshape(nodes, n_branches), succ
 
 
 class _BeliefTable:
-    """Deduplicated beliefs of one stage, in creation order."""
+    """Deduplicated beliefs of one stage, in creation order.
+
+    ``keys`` maps each belief's canonical key to its index and lists the
+    keys in creation order; ``weights[i]`` is belief ``i``'s row.
+    """
 
     def __init__(self):
         self.keys = {}
@@ -485,17 +540,114 @@ class _BeliefTable:
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
 
-        Beliefs are keyed by ``canonical_keys``; a new belief stores a
-        copy of its row, so the batch it came from can be freed.
+        The batch is deduplicated before the table is consulted: one
+        ``np.unique`` over the canonical rows, viewed as one opaque item
+        each, finds the distinct rows, and only those are looked up or
+        added, in order of first occurrence, so beliefs are created in
+        the order a row-by-row pass would create them.  A new belief
+        stores a copy of its row, so the batch it came from can be freed.
         """
-        out = np.empty(len(rows), dtype=np.int64)
-        for b, key in enumerate(canonical_keys(rows)):
-            idx = self.keys.get(key)
-            if idx is None:
-                idx = self.keys[key] = len(self.weights)
-                self.weights.append(rows[b].copy())
-            out[b] = idx
-        return out
+        rounded = canonical_rows(rows)
+        items = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
+        distinct, first, inverse = np.unique(items.reshape(-1), return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)
+        known = len(self.weights)
+        # a key not yet in the table gets the next index
+        ids = np.array([self.keys.setdefault(key, len(self.keys))
+                        for key in distinct[order].tolist()], dtype=np.int64)
+        self.weights.extend(map(np.copy, rows[first[order[ids >= known]]]))
+        out = np.empty(len(ids), dtype=np.int64)
+        out[order] = ids
+        return out[inverse]
+
+
+def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
+                  table: _BeliefTable, cap: int, structures: dict):
+    """Expand every node of stage ``t < T``, interning successors into ``table``.
+
+    ``weights`` holds one node's full weights per row.  Nodes are walked
+    in order, in chunks of consecutive nodes whose entries
+    (:attr:`_ClassStructure.entries`) total at most ``_BATCH_ENTRIES //
+    32``, or else of one node.  About eight arrays of a chunk's entries
+    are alive at once; at this bound each holds at most 32 KB.  Chunks
+    twice as large expanded ``periodic_4stage`` about a tenth faster,
+    but changed how the allocator reused the freed memory, so that a
+    rollout after the solve peaked up to 1 MB higher.  A chunk's nodes
+    are grouped by support, each group is expanded by one
+    :func:`_successors` call, and the chunk's successors are interned by
+    one call, in (node, class, message) order, so node ids are those of
+    a node-by-node expansion.  Stage costs stay one matrix-vector
+    product per node: a matrix product over the group would group the
+    sums differently.
+
+    Returns ``(groups, classes)``: per group ``(structure, nodes, costs,
+    mass, child)``, with row ``k`` of ``costs``, ``mass`` and ``child``
+    belonging to node ``nodes[k]``, and the number of classes expanded.
+    """
+    node_structures = [
+        _structure(spec, t, np.flatnonzero(w > ZERO_MASS), cap, structures)
+        for w in weights]
+    bound = _BATCH_ENTRIES // 32
+    groups = []
+    lo = 0
+    while lo < len(weights):
+        hi, entries = lo + 1, node_structures[lo].entries
+        while (hi < len(weights)
+               and entries + node_structures[hi].entries <= bound):
+            entries += node_structures[hi].entries
+            hi += 1
+        members: dict[_ClassStructure, list[int]] = {}
+        for node in range(lo, hi):
+            members.setdefault(node_structures[node], []).append(node)
+        parts = []  # per group: (structure, nodes, costs, mass, succ)
+        start = np.empty(hi - lo, dtype=np.int64)  # of each node's rows in parts
+        size = np.empty(hi - lo, dtype=np.int64)
+        base = 0
+        for structure, nodes in members.items():
+            w_sup = weights[np.ix_(nodes, structure.support)]
+            mass, succ = _successors(spec, t, structure, w_sup)
+            costs = np.array([structure.cost_matrix @ w for w in w_sup])
+            parts.append((structure, nodes, costs, mass, succ))
+            at = np.asarray(nodes) - lo
+            start[at] = base + np.arange(len(nodes)) * mass.shape[1]
+            size[at] = mass.shape[1]
+            base += mass.size
+        # the chunk's rows in node order, and their indices back in group order
+        order = np.repeat(start - np.cumsum(size) + size, size) + np.arange(base)
+        child = np.empty(base, dtype=np.int64)
+        child[order] = table.intern(np.concatenate([part[4] for part in parts])[order])
+        base = 0
+        for structure, nodes, costs, mass, _ in parts:
+            groups.append((structure, nodes, costs, mass,
+                           child[base:base + mass.size].reshape(mass.shape)))
+            base += mass.size
+        lo = hi
+    return groups, sum(structure.count for structure in node_structures)
+
+
+def _backward(groups, values_next: np.ndarray, values: np.ndarray, chosen: list):
+    """Best class, value and children of every node of one expanded stage.
+
+    Per group, ``q = costs + np.bincount(node * count + cls, weights=mass
+    * values_next[child])`` sums each class's continuation in message
+    order, as a one-node pass would, and the first ``argmin`` of each
+    row is its smallest representative, because classes are ordered by
+    representative.  ``chosen[node]`` becomes ``(representative,
+    {z: child})``.
+    """
+    for structure, nodes, costs, mass, child in groups:
+        rows, count = costs.shape
+        index = np.arange(rows, dtype=np.int64)[:, None] * count + structure.cls
+        q = costs + np.bincount(index.reshape(-1),
+                                weights=(mass * values_next[child]).reshape(-1),
+                                minlength=rows * count).reshape(rows, count)
+        best = q.argmin(axis=1)
+        values[nodes] = q[np.arange(rows), best]
+        for node, b, kids in zip(nodes, best.tolist(), child):
+            lo, hi = structure.bounds[b], structure.bounds[b + 1]
+            chosen[node] = (structure.representative(b),
+                            dict(zip(structure.z[lo:hi].tolist(), kids[lo:hi].tolist())))
 
 
 # -- finite horizon ----------------------------------------------------------
@@ -519,38 +671,24 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
     first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
-    expansions: list[list] = [[] for _ in range(T)]
+    expansions = []  # per stage t < T: its groups from _expand_stage
     expanded_classes = [0] * T
     lifted = []  # per stage: the full weights of its stored beliefs, by row
     for t in range(1, T):
         lifted.append(stage_layout(spec, t).lift(np.stack(stages[t - 1].weights)))
-        for w in lifted[t - 1]:
-            support = np.nonzero(w > ZERO_MASS)[0]
-            structure = _structure(spec, t, support, cap, structures)
-            expanded_classes[t - 1] += structure.count
-            w_sup = w[support]
-            cls, z, mass, succ = _successors(spec, t, structure, w_sup)
-            expansions[t - 1].append((structure.representative,
-                                      structure.cost_matrix @ w_sup, cls, z,
-                                      mass, stages[t].intern(succ)))
+        groups, expanded_classes[t - 1] = _expand_stage(
+            spec, t, lifted[t - 1], stages[t], cap, structures)
+        expansions.append(groups)
 
     lifted.append(stage_layout(spec, T).lift(np.stack(stages[T - 1].weights)))
     values = [np.zeros(len(table.weights)) for table in stages]
     values[T - 1], last_reps, expanded_classes[T - 1] = \
         _solve_last_stage(spec, T, lifted[T - 1], cap)
-    chosen = [[] for _ in range(T)]  # per node: (representative, {z: child})
+    # per node: (representative, {z: child})
+    chosen = [[None] * len(table.weights) for table in stages]
     chosen[T - 1] = [(rep, {}) for rep in last_reps]
     for t in range(T - 1, 0, -1):
-        for idx, (representative, costs, cls, z, mass, child) in enumerate(
-                expansions[t - 1]):
-            q = costs + np.bincount(cls, weights=mass * values[t][child],
-                                    minlength=len(costs))
-            best = int(np.argmin(q))  # first occurrence = smallest representative
-            lo, hi = np.searchsorted(cls, (best, best + 1))
-            values[t - 1][idx] = q[best]
-            chosen[t - 1].append(
-                (representative(best),
-                 dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
+        _backward(expansions[t - 1], values[t], values[t - 1], chosen[t - 1])
 
     total = sum(prob * values[0][idx] for prob, idx in roots)
 
@@ -681,7 +819,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     layout = stage_layout(spec, 1)
     structures: dict = {}
     table = _BeliefTable()
-    # belief -> (representative, costs, cls, z, mass, child)
+    # belief -> (structure, costs, mass, child)
     expansions: dict[int, tuple] = {}
 
     def intern(rows):
@@ -696,19 +834,17 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
         got = expansions.get(i)
         if got is None:
             w = table.weights[i]
-            support = np.nonzero(w > ZERO_MASS)[0]
-            structure = _structure(spec, 1, support, cap_prescriptions,
-                                   structures)
-            w_sup = w[support]
-            cls, z, mass, succ = _successors(spec, 1, structure, w_sup)
-            got = expansions[i] = (structure.representative,
-                                   structure.cost_matrix @ w_sup, cls, z, mass,
-                                   intern(layout.lift(succ)))
+            structure = _structure(spec, 1, np.flatnonzero(w > ZERO_MASS),
+                                   cap_prescriptions, structures)
+            w_sup = w[structure.support]
+            mass, succ = _successors(spec, 1, structure, w_sup[None])
+            got = expansions[i] = (structure, structure.cost_matrix @ w_sup,
+                                   mass[0], intern(layout.lift(succ)))
         return got
 
     def q_values(i, child_values):
-        _, costs, cls, _, mass, _ = expansions[i]
-        return costs + beta * np.bincount(cls, weights=mass * child_values,
+        structure, costs, mass, _ = expansions[i]
+        return costs + beta * np.bincount(structure.cls, weights=mass * child_values,
                                           minlength=len(costs))
 
     memo: dict[tuple[int, int], float] = {}
@@ -728,7 +864,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
             stack = [(i, k, [])]
             while stack:
                 top, depth, done = stack[-1]
-                child = expansions[top][5]
+                child = expansions[top][3]
                 while len(done) < len(child):
                     got = memo.get((int(child[len(done)]), depth - 1),
                                    0.0 if depth == 1 else None)
@@ -754,12 +890,12 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     for i in range(len(table.weights)):  # the sweep itself may intern new beliefs
         if i not in expansions:
             continue  # interned but never expanded (leaf of the truncation)
-        representative, _, cls, z, _, child = expansions[i]
+        structure, _, _, child = expansions[i]
         q = q_values(i, [value(int(c), K - 1) for c in child])
         best = int(np.argmin(q))
-        lo, hi = np.searchsorted(cls, (best, best + 1))
-        chosen.append((i, representative(best), float(q[best]),
-                       dict(zip(z[lo:hi].tolist(), child[lo:hi].tolist()))))
+        lo, hi = structure.bounds[best], structure.bounds[best + 1]
+        chosen.append((i, structure.representative(best), float(q[best]),
+                       dict(zip(structure.z[lo:hi].tolist(), child[lo:hi].tolist()))))
     keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
     entries = [PolicyEntry(
         belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=table.weights[i]),

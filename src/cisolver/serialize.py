@@ -791,6 +791,52 @@ def _json_number(value, what: str) -> float:
                            f"got {value!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """``value``; InvalidParameter unless it is a JSON int.
+
+    ``int`` reads ``"0"``, ``0.0`` and ``true`` as ids, so the type is
+    checked; a value ``int`` cannot read at all, such as an infinite
+    number, still raises from ``int`` and makes the document malformed.
+    """
+    int(value)
+    if type(value) is not int:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_children(node_doc) -> dict[int, int]:
+    """A node document's children, as ``{message: child id}``."""
+    return {int(z): _json_int(c, f"node {node_doc['id']!r}'s child for message {z}")
+            for z, c in node_doc["children"].items()}
+
+
+def _json_roots(doc) -> tuple[tuple[float, int], ...]:
+    """A policy document's roots, as ``(probability, node id)`` pairs."""
+    return tuple((_json_number(p, "a root probability"), _json_int(i, "a root id"))
+                 for p, i in doc["roots"])
+
+
+def _check_root_probabilities(spec: ProblemSpec, roots):
+    """Raise InvalidParameter unless the roots carry the problem's initial law.
+
+    There is one root per initial common signal of positive mass, in
+    signal order, and each root's probability is within ``BELIEF_TOL`` of
+    its signal's; a NaN probability fails.  Returns the problem's
+    ``initial_belief``.
+    """
+    initial = initial_belief(spec)
+    if len(roots) != len(initial):
+        raise InvalidParameter(
+            f"policy has {len(roots)} roots; the problem has {len(initial)} "
+            "initial common signals of positive mass")
+    for (prob, node_id), (want, _) in zip(roots, initial):
+        if not abs(prob - want) <= BELIEF_TOL:
+            raise InvalidParameter(
+                f"root {node_id}: its probability is {prob!r}; the problem's "
+                f"initial law gives {want!r}")
+    return initial
+
+
 def _value_gap_ok(stored, want) -> bool:
     """Whether ``stored`` is within ``VALUE_TOL`` of ``want``; never for a NaN."""
     return abs(stored - want) <= VALUE_TOL * max(1.0, abs(want))
@@ -800,10 +846,10 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree) -> list[list]:
     """Raise InvalidParameter unless every reachable node stores the belief its path gives.
 
     Roots must carry the problem's initial beliefs and their
-    probabilities, one per initial common signal of positive mass, in
-    signal order.  Each child must carry the update of its parent's
-    stored belief under the parent's prescription and the message that
-    leads to it (through ``zeta`` and ``chi`` in the reduced variant).
+    probabilities (:func:`_check_root_probabilities`).  Each child must
+    carry the update of its parent's stored belief under the parent's
+    prescription and the message that leads to it (through ``zeta`` and
+    ``chi`` in the reduced variant).
     Stages are checked in order, so every parent was checked before its
     update is taken.  A gap above ``BELIEF_TOL`` in sup-norm fails, and
     so does a NaN weight or probability.  Nodes that no root reaches are
@@ -812,11 +858,7 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree) -> list[list]:
     Returns, per stage, ``(node, belief over (x, y, m), prescription)``
     for every reachable node.
     """
-    initial = initial_belief(spec)
-    if len(tree.roots) != len(initial):
-        raise InvalidParameter(
-            f"policy has {len(tree.roots)} roots; the problem has {len(initial)} "
-            "initial common signals of positive mass")
+    initial = _check_root_probabilities(spec, tree.roots)
     reduced = tree.variant == "reduced"
 
     def check(node_id, t, belief, origin):
@@ -827,11 +869,7 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree) -> list[list]:
                 f"node {node_id} at t={t}: its belief is {gap!r} away in "
                 f"sup-norm from the one {origin} gives")
 
-    for (prob, node_id), (want, belief) in zip(tree.roots, initial):
-        if not abs(prob - want) <= BELIEF_TOL:
-            raise InvalidParameter(
-                f"root {node_id}: its probability is {prob!r}; the problem's "
-                f"initial law gives {want!r}")
+    for (_, node_id), (_, belief) in zip(tree.roots, initial):
         check(node_id, 1, belief, "the problem's initial law")
     reached = dict.fromkeys(node_id for _, node_id in tree.roots)
     stages = []
@@ -933,10 +971,9 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
                 node_id=nd["id"], t=nd["t"], belief=belief,
                 gamma_index=nd["gamma"]["index"],
                 value=_json_number(nd["value"], f"node {nd['id']!r}'s value"),
-                children={int(z): int(c) for z, c in nd["children"].items()}))
+                children=_json_children(nd)))
         stages.append(stage)
-    roots = tuple((_json_number(p, "a root probability"), int(i))
-                  for p, i in doc["roots"])
+    roots = _json_roots(doc)
     _check_links(spec, doc["horizon"], roots, stages)
     _check_indices(spec, stages)
     _check_tree_nodes(spec, variant, stages, doc["stages"])
@@ -981,15 +1018,17 @@ def control_strategy_to_dict(spec: ProblemSpec,
 
 
 def control_strategy_from_dict(doc, spec: ProblemSpec) -> ControlStrategy:
+    """Decode and check a control strategy document."""
     stages = []
     for stage_doc in doc["stages"]:
         stages.append([StrategyNode(
             node_id=nd["id"], t=nd["t"],
             tables=tuple(np.asarray(t) for t in nd["tables"]),
-            children={int(z): int(c) for z, c in nd["children"].items()},
+            children=_json_children(nd),
         ) for nd in stage_doc])
-    roots = tuple((float(p), int(i)) for p, i in doc["roots"])
+    roots = _json_roots(doc)
     _check_links(spec, doc["horizon"], roots, stages)
+    _check_root_probabilities(spec, roots)
     _check_tables(spec, stages, doc["stages"])
     return ControlStrategy(n=doc["n"], horizon=doc["horizon"], roots=roots,
                            stages=stages).finalize()

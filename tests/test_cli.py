@@ -345,6 +345,57 @@ def test_simulate_rejects_a_stored_value_its_tree_does_not_give(
     assert named in err
 
 
+def _child_as_string(policy):
+    children = policy["stages"][0][0]["children"]
+    children["21"] = str(children["21"])
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda policy: policy["roots"][0].__setitem__(1, "0"),
+     "a root id must be an integer, got '0'"),
+    (lambda policy: policy["roots"][0].__setitem__(1, 0.0),
+     "a root id must be an integer, got 0.0"),
+    (_child_as_string, "node 0's child for message 21 must be an integer, got '9'"),
+], ids=["root-id-string", "root-id-float", "child-string"])
+def test_simulate_rejects_an_id_that_is_not_a_json_int(capsys, tmp_path, problems_dir,
+                                                       corrupt, named):
+    """Each of these once exited 0 with a byte-identical report."""
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    doc = json.loads(policy.read_text())
+    corrupt(doc["policy"])
+    policy.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "2000", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("probability,named", [
+    (0.25, "root 0: its probability is 0.25; the problem's initial law gives 1.0"),
+    ("1.0", "a root probability must be a number in the range of floats, got '1.0'"),
+], ids=["quarter", "string"])
+def test_simulate_rejects_a_strategy_root_probability_off_the_initial_law(
+        capsys, tmp_path, problems_dir, probability, named):
+    """Each of these once exited 0 with a byte-identical report."""
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    result = tmp_path / "enumeration.json"
+    run(capsys, "enumerate", problem, "--output", str(result))
+    strategy = json.loads(result.read_text())["coordinator"]["strategy"]
+    strategy["roots"][0][0] = probability
+    policy = tmp_path / "strategy.json"
+    policy.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", "2000", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
 @pytest.mark.parametrize("table", [[[0, 1, 1]], [[0], [2]], [[-1], [0]],
                                    [[0.0], [1.0]], [[0], [10**30]]])
 def test_simulate_rejects_a_malformed_action_table(capsys, tmp_path,

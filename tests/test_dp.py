@@ -11,6 +11,7 @@ from cisolver import dp
 from cisolver.coordinator import (
     ZERO_MASS,
     PrescriptionSpace,
+    canonical_keys,
     eta_update,
     expected_cost,
     message_distribution,
@@ -29,6 +30,7 @@ from cisolver.errors import InvalidParameter, SizeOverflow
 from cisolver.model import FiniteSpace, ProblemSpec
 from cisolver.oracle import (
     enumerate_basic_strategies,
+    enumerate_coordinator_strategies,
     exact_cost_of_strategy,
 )
 from cisolver.protocols import delayed_sharing_protocol
@@ -258,24 +260,67 @@ def test_both_variants_give_one_tree_where_interning_splits(filter_family_doc, s
 def test_batched_successors_match_eta_update(problems_dir, name):
     spec, _ = load_problem(str(problems_dir / f"{name}.json"))
     _, tree = solve_finite(spec)
+    structures = {}
     for stage in tree.stages[:-1]:
+        t = stage[0].t
+        space = PrescriptionSpace(spec, t)
+        by_support = {}
         for node in stage:
-            t, w = node.t, node.belief.weights
-            support = np.nonzero(w > ZERO_MASS)[0]
+            support = np.flatnonzero(node.belief.weights > ZERO_MASS)
+            by_support.setdefault(support.tobytes(), (support, []))[1].append(node)
+        for support, nodes in by_support.values():
+            # every node on the support in one batch
             structure = dp._structure(spec, t, support, DEFAULT_PRESCRIPTION_CAP,
-                                      structures={})
-            cls, z, mass, succ = dp._successors(spec, t, structure, w[support])
-            lifted = stage_layout(spec, t + 1).lift(succ)
-            space = PrescriptionSpace(spec, t)
+                                      structures)
+            w_sup = np.stack([node.belief.weights[support] for node in nodes])
+            mass, succ = dp._successors(spec, t, structure, w_sup)
+            lifted = stage_layout(spec, t + 1).lift(succ).reshape(
+                len(nodes), len(structure.cls), -1)
+            cls, z = structure.cls, structure.z
             for c in range(structure.count):
                 gamma = space.decode(structure.representative(c))
-                dist = message_distribution(spec, node.belief, gamma)
-                mine = np.nonzero(cls == c)[0]
-                assert z[mine].tolist() == np.nonzero(dist > ZERO_MASS)[0].tolist()
-                for b in mine:
-                    assert abs(mass[b] - dist[z[b]]) <= 1e-12
-                    expect = eta_update(spec, node.belief, gamma, int(z[b]))
-                    assert np.abs(lifted[b] - expect.weights).max() <= 1e-12
+                lo, hi = structure.bounds[c], structure.bounds[c + 1]
+                assert np.array_equal(np.flatnonzero(cls == c), np.arange(lo, hi))
+                for k, node in enumerate(nodes):
+                    dist = message_distribution(spec, node.belief, gamma)
+                    assert z[lo:hi].tolist() == np.flatnonzero(dist > ZERO_MASS).tolist()
+                    for b in range(lo, hi):
+                        assert abs(mass[k, b] - dist[z[b]]) <= 1e-12
+                        expect = eta_update(spec, node.belief, gamma, int(z[b]))
+                        assert np.abs(lifted[k, b] - expect.weights).max() <= 1e-12
+
+
+def _intern_row_by_row(table, rows):
+    """The reference: one dictionary lookup per row, in row order."""
+    out = []
+    for row, key in zip(rows, canonical_keys(rows)):
+        if key not in table.keys:
+            table.keys[key] = len(table.weights)
+            table.weights.append(row.copy())
+        out.append(table.keys[key])
+    return np.array(out, dtype=np.int64)
+
+
+def test_interning_a_batch_matches_a_row_by_row_loop():
+    rng = np.random.default_rng(3)
+    beliefs = rng.dirichlet(np.ones(6), size=5)
+    # repeats within a batch, a copy that differs below the canonical
+    # precision, and a -0.0 that must share the key of 0.0
+    beliefs[4, 0] = 0.0
+    negative = beliefs[4].copy()
+    negative[0] = -0.0
+    first = np.stack([beliefs[3], beliefs[1], beliefs[3], beliefs[0],
+                      beliefs[1] + 1e-15, beliefs[4], negative, beliefs[3]])
+    # repeats of earlier keys, interleaved with new beliefs
+    second = np.stack([beliefs[2], beliefs[0], beliefs[4], beliefs[2], beliefs[1]])
+    batched, reference = dp._BeliefTable(), dp._BeliefTable()
+    for rows in (first, second):
+        assert batched.intern(rows).tolist() == \
+            _intern_row_by_row(reference, rows).tolist()
+        assert list(batched.keys.items()) == list(reference.keys.items())
+        assert [w.tobytes() for w in batched.weights] == \
+            [w.tobytes() for w in reference.weights]
+    assert len(batched.weights) == 5
 
 
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
@@ -416,3 +461,50 @@ def test_last_stage_bits_do_not_depend_on_the_batch(problems_dir, filter_family_
     batched = _tree_bits(solve_finite(spec)[1])
     monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per batch
     assert _tree_bits(solve_finite(spec)[1]) == batched
+
+
+@pytest.mark.parametrize("name", ["periodic_4stage", "filter_control_sharing"])
+def test_expansion_bits_do_not_depend_on_the_chunk(problems_dir, filter_family_doc,
+                                                   monkeypatch, name):
+    # on the filter member, nodes of nine supports interleave in stage 2
+    if name == "periodic_4stage":
+        spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    else:
+        spec, _ = problem_from_document(filter_family_doc(1, 3))
+    report, tree = solve_finite(spec)
+    bits = _tree_bits(tree)
+    calls = []  # one entry per interned batch
+    intern, structure = dp._BeliefTable.intern, dp._structure
+
+    def spy(table, rows):
+        calls.append(len(rows))
+        return intern(table, rows)
+
+    def whole_stage(*args):
+        got = structure(*args)
+        got.entries = 0  # so every stage is one chunk
+        return got
+
+    monkeypatch.setattr(dp._BeliefTable, "intern", spy)
+    monkeypatch.setattr(dp, "_structure", whole_stage)
+    assert _tree_bits(solve_finite(spec)[1]) == bits
+    assert len(calls) == tree.horizon  # the roots, then one per stage before the last
+    calls.clear()
+    monkeypatch.setattr(dp, "_structure", structure)
+    monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per chunk
+    assert _tree_bits(solve_finite(spec)[1]) == bits
+    assert len(calls) == 1 + sum(report.stage_nodes[:-1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_three_controllers_with_a_continuation_match_the_coordinator_oracle(seed):
+    # the basic oracle is left out: it would enumerate about 2.8e14
+    # strategies here, far past its cap
+    spec = instances.random_delayed_instance(seed, n=3, T=2)
+    expect = enumerate_coordinator_strategies(spec).minimum
+    for solve in (solve_finite, solve_finite_reduced):
+        report, tree = solve(spec)
+        assert report.stage_nodes[0] == 1 and report.expanded_classes[0] == 64
+        assert abs(report.value - expect) <= 1e-9
+        strategy = extract_control_strategy(spec, tree)
+        assert abs(exact_cost_of_strategy(spec, strategy) - report.value) <= 1e-9

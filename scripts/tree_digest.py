@@ -2,10 +2,11 @@
 
 Solves every finite fixture in ``problems/`` and the benchmark's filter
 family members k = 0, 3 and 4 at seeds 0-9, in both belief variants.
-Each digest covers the whole in-memory tree (per node: id, stage,
+Each digest covers the tree nodes that the roots reach through the
+nodes' ``children``, stage by stage in stage order (per node: id, stage,
 prescription index, children in message order, and the bytes of its
-value and belief weights, stage by stage) and the solve document as
-``cis solve`` writes it.  Then it solves every discounted fixture, and
+value and belief weights), and the solve document as ``cis solve``
+writes it.  Then it solves every discounted fixture, and
 ``discounted_chain`` at discount factors 0.9, 0.95 and 0.99, at
 epsilon = 1e-4, and digests the solve document with its
 ``stationary_policy`` as ``cis solve`` writes it.  Two checkouts that
@@ -63,10 +64,19 @@ def problems():
             yield f"filter_k{k}_seed{seed}", spec
 
 
+def _reached(tree):
+    """The nodes the roots reach through ``children``, stage by stage, in stage order."""
+    reached = {node_id for _, node_id in tree.roots}
+    for stage in tree.stages:
+        kept = [nd for nd in stage if nd.node_id in reached]
+        yield kept
+        reached = {child for nd in kept for child in nd.children.values()}
+
+
 def digest(spec, report, tree) -> str:
     h = hashlib.sha256()
     h.update(repr(tree.roots).encode())
-    for stage in tree.stages:
+    for stage in _reached(tree):
         for nd in stage:
             h.update(repr((nd.node_id, nd.t, nd.gamma_index,
                            sorted(nd.children.items()))).encode())

@@ -5,7 +5,9 @@ Each side is a ``perfbench/out`` directory holding one
 ``perfbench/run.py`` writes them.  Runs of the two sides with the same
 workload, seed and trace setting form a pair.  For every workload and
 setting the document gives, per metric, each side's median, quartiles and
-IQR (``numpy.percentile``, linear interpolation) and the number of pairs in
+IQR (``numpy.percentile``, linear interpolation), the same statistics of
+the per-pair differences ``change - parent`` (so drift of the machine
+between pairs does not count as spread), and the number of pairs in
 which the change reads better, plus the attempted, failed and correct
 counts and the seeds.  Run from the repository root:
 
@@ -89,6 +91,8 @@ def fold(parent_dir, change_dir, title: str, command: str, note: str) -> dict:
                 "unit": entry["unit"],
                 "pairs_won_by_change": _wins(values["parent"], values["change"],
                                              better[name]),
+                "change_minus_parent": _stats([c - p for p, c in
+                                               zip(values["parent"], values["change"])]),
                 **{side: _stats(values[side]) for side in SIDES},
             }
         workloads.setdefault(workload, {})[SECTIONS[trace]] = {

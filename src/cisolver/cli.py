@@ -75,7 +75,6 @@ class RunConfig:
     epsilon: float
     episodes: int
     seed: int
-    threads: int
     variant: str
     cap_branches: int
     cap_prescriptions: int
@@ -88,8 +87,6 @@ class RunConfig:
             raise InvalidParameter(f"episodes must be >= 1, got {self.episodes}")
         if not 0 <= self.seed < 1 << 64:
             raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.threads < 1:
-            raise InvalidParameter(f"threads must be >= 1, got {self.threads}")
         if self.variant not in ("full", "reduced"):
             raise InvalidParameter(f"variant must be full or reduced, got "
                                    f"{self.variant!r}")
@@ -103,7 +100,6 @@ def _config(args) -> RunConfig:
         epsilon=getattr(args, "epsilon", 1e-4),
         episodes=getattr(args, "episodes", 1),
         seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 1),
         variant=getattr(args, "variant", "full"),
         cap_branches=getattr(args, "cap_branches", DEFAULT_BRANCH_CAP),
         cap_prescriptions=getattr(args, "cap_prescriptions",
@@ -190,7 +186,7 @@ def cmd_simulate(cfg: RunConfig, policy_path: str,
     policy_doc = serialize.parse_file(policy_path)
     policy = serialize.policy_from_document(policy_doc, spec)
     report = rollout(spec, policy, seed=cfg.seed, episodes=cfg.episodes,
-                     threads=cfg.threads, record=trajectory_path is not None)
+                     record=trajectory_path is not None)
     if trajectory_path is not None:
         with open(trajectory_path, "w", encoding="utf-8") as fh:
             for tr in report.trajectories:
@@ -253,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--episodes", type=int,
                        default=_env("EPISODES", int, 1000))
     p_sim.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    p_sim.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
     p_sim.add_argument("--dump-trajectories", metavar="PATH",
                        default=_env("DUMP_TRAJECTORIES", str, None),
                        help="also write one JSON trajectory per line here")

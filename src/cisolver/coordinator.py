@@ -314,12 +314,6 @@ def message_distribution(spec: ProblemSpec, belief: Belief,
     return np.bincount(z, weights=belief.weights, minlength=n_msgs)
 
 
-def observation_probability(spec: ProblemSpec, belief: Belief,
-                            gamma: JointPrescription, z: int) -> float:
-    """Probability that the coordinator observes joint message ``z``."""
-    return float(message_distribution(spec, belief, gamma)[z])
-
-
 def eta_update(spec: ProblemSpec, belief: Belief, gamma: JointPrescription,
                z: int) -> Belief:
     """Next-stage belief given that ``gamma`` was prescribed and ``z`` emitted.

@@ -8,7 +8,9 @@ satisfies, for every reachable belief ``pi`` at stage ``t``,
 
 with ``V_{T+1} = 0``.  The solver grows the reachable belief set forward
 from the root (memoizing beliefs by canonical form), then runs the
-recursion backward, recording one prescription per belief node.
+recursion backward, recording one prescription per belief node in
+per-stage arrays.  Tree nodes are built last, by a forward walk from the
+roots through the chosen children, for only the beliefs the policy reaches.
 
 Three exact reductions keep the enumeration small without changing any
 value or argmin:
@@ -118,7 +120,7 @@ DEFAULT_PRESCRIPTION_CAP = 10_000_000
 
 @dataclass
 class TreeNode:
-    """One reachable belief with its chosen prescription and value."""
+    """One belief of the policy with its chosen prescription and value."""
 
     node_id: int
     t: int
@@ -130,7 +132,10 @@ class TreeNode:
 
 @dataclass
 class PolicyTree:
-    """Optimal coordinator policy over the reachable belief tree."""
+    """Optimal coordinator policy over exactly the nodes its roots reach.
+
+    Solved or loaded, it holds only the nodes reached through ``children``.
+    """
 
     variant: str  # "full" or "reduced"
     horizon: int
@@ -657,13 +662,12 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
     """One solve over reduced beliefs; ``variant`` only picks what nodes carry.
 
     The ``"reduced"`` tree carries the stored rows over ``(x, m)``, the
-    ``"full"`` tree their lifts, which every expansion computes anyway.
+    ``"full"`` tree their lifts, bit for bit those the expansion used.
     """
     if spec.mode != "finite":
         raise InvalidParameter("finite-horizon solver requires mode='finite'")
     started = time.perf_counter()
     T = spec.horizon
-    n = spec.n
     structures: dict = {}
 
     stages = [_BeliefTable() for _ in range(T)]
@@ -671,19 +675,19 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
     first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
+    def lifted(t):  # the full weights of stage t's stored beliefs, by row
+        return stage_layout(spec, t).lift(np.stack(stages[t - 1].weights))
+
     expansions = []  # per stage t < T: its groups from _expand_stage
     expanded_classes = [0] * T
-    lifted = []  # per stage: the full weights of its stored beliefs, by row
     for t in range(1, T):
-        lifted.append(stage_layout(spec, t).lift(np.stack(stages[t - 1].weights)))
         groups, expanded_classes[t - 1] = _expand_stage(
-            spec, t, lifted[t - 1], stages[t], cap, structures)
+            spec, t, lifted(t), stages[t], cap, structures)
         expansions.append(groups)
 
-    lifted.append(stage_layout(spec, T).lift(np.stack(stages[T - 1].weights)))
     values = [np.zeros(len(table.weights)) for table in stages]
     values[T - 1], last_reps, expanded_classes[T - 1] = \
-        _solve_last_stage(spec, T, lifted[T - 1], cap)
+        _solve_last_stage(spec, T, lifted(T), cap)
     # per node: (representative, {z: child})
     chosen = [[None] * len(table.weights) for table in stages]
     chosen[T - 1] = [(rep, {}) for rep in last_reps]
@@ -692,27 +696,35 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
 
     total = sum(prob * values[0][idx] for prob, idx in roots)
 
-    # globally sequential node ids, stage by stage
+    # globally sequential node ids over the whole DP, stage by stage
     offset = [0]
     for table in stages:
         offset.append(offset[-1] + len(table.weights))
+    # tree nodes for the nodes the roots reach through chosen children only
     tree_stages = []
+    reached = sorted({idx for _, idx in roots})
     for t in range(1, T + 1):
         layout = stage_layout(spec, t)
+        rows = [stages[t - 1].weights[idx] for idx in reached]  # each a copy
         if variant == "full":
-            beliefs = [Belief(t=t, n=n, dims=layout.dims, weights=w)
-                       for w in lifted[t - 1]]
+            # lift is elementwise, so these are the bits the solve used; the
+            # rows are views of one array, so each belief gets its own copy
+            cls, dims = Belief, layout.dims
+            rows = map(np.copy, layout.lift(np.stack(rows)))
         else:
-            beliefs = [ReducedBelief(t=t, n=n, dims=(layout.nx,) + layout.nm,
-                                     weights=w) for w in stages[t - 1].weights]
+            cls, dims = ReducedBelief, (layout.nx,) + layout.nm
         nodes = []
-        for idx, (bel, (rep, children)) in enumerate(zip(beliefs, chosen[t - 1])):
+        for idx, w in zip(reached, rows):
+            rep, children = chosen[t - 1][idx]
             nodes.append(TreeNode(
-                node_id=offset[t - 1] + idx, t=t, belief=bel,
+                node_id=offset[t - 1] + idx, t=t,
+                belief=cls(t=t, n=spec.n, dims=dims, weights=w),
                 gamma_index=rep, value=float(values[t - 1][idx]),
                 children={z: offset[t] + child for z, child in children.items()},
             ))
         tree_stages.append(nodes)
+        reached = sorted({child for idx in reached
+                          for child in chosen[t - 1][idx][1].values()})
 
     tree = PolicyTree(
         variant=variant,
@@ -724,7 +736,7 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
         value=float(total),
         variant=variant,
         mode="finite",
-        stage_nodes=[len(s) for s in tree_stages],
+        stage_nodes=[len(table.weights) for table in stages],
         prescription_space_sizes=[PrescriptionSpace(spec, t).size
                                   for t in range(1, T + 1)],
         expanded_classes=expanded_classes,

@@ -18,11 +18,11 @@ values (belief weights, prescription tables) to the C encoder in one
 call, with the newline and indentation of its depth as the item
 separator.
 
-A finite-horizon policy document holds only the tree nodes that the
-policy's own prescriptions reach from its roots, under their solver ids;
-the loader recomputes the belief and the value of every such node, and
-the value of a solve result's report, and rejects a document whose
-stored numbers disagree.
+A finite-horizon policy document holds the nodes of its tree, those its
+roots reach, under their solver ids; the loader recomputes the belief and
+the value of every such node, and the value of a solve result's report,
+rejects a document whose stored numbers disagree, and drops any node no
+root reaches.
 """
 
 from __future__ import annotations
@@ -853,7 +853,7 @@ def _check_beliefs(spec: ProblemSpec, tree: PolicyTree) -> list[list]:
     Stages are checked in order, so every parent was checked before its
     update is taken.  A gap above ``BELIEF_TOL`` in sup-norm fails, and
     so does a NaN weight or probability.  Nodes that no root reaches are
-    left unchecked.
+    left unchecked; the loader drops them.
 
     Returns, per stage, ``(node, belief over (x, y, m), prescription)``
     for every reachable node.
@@ -922,18 +922,13 @@ def _check_values(spec: ProblemSpec, stages: list[list]):
 def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
     """The document of a finite-horizon policy tree.
 
-    Only the nodes reachable from ``tree.roots`` through the nodes'
-    ``children`` are written, in solver order and under their solver ids;
-    the other beliefs the solver expanded serve no execution of the
-    policy.
+    The tree holds only the nodes its roots reach, so its stages are
+    written as they are, in order and under their solver ids.
     """
     stages = []
-    reached = {node_id for _, node_id in tree.roots}
     for t, stage in enumerate(tree.stages, start=1):
-        kept = [nd for nd in stage if nd.node_id in reached]
-        reached = {child for nd in kept for child in nd.children.values()}
         gammas = _gamma_docs(PrescriptionSpace(spec, t),
-                             (nd.gamma_index for nd in kept))
+                             (nd.gamma_index for nd in stage))
         stages.append([{
             "id": nd.node_id,
             "t": nd.t,
@@ -941,7 +936,7 @@ def policy_tree_to_dict(spec: ProblemSpec, tree: PolicyTree) -> dict:
             "gamma": gammas[nd.gamma_index],
             "value": float(nd.value),
             "children": {str(z): int(c) for z, c in sorted(nd.children.items())},
-        } for nd in kept])
+        } for nd in stage])
     return {
         "kind": "policy_tree",
         "variant": tree.variant,
@@ -957,7 +952,7 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
 
     A document may also carry nodes that no root reaches, as documents
     written before pruning do: their links, indices and shapes are
-    checked, their beliefs and values are not.
+    checked, and the returned tree, in document order, leaves them out.
     """
     variant = doc["variant"]
     cls = ReducedBelief if variant == "reduced" else Belief
@@ -979,8 +974,11 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
     _check_tree_nodes(spec, variant, stages, doc["stages"])
     tree = PolicyTree(variant=variant, horizon=doc["horizon"], roots=roots,
                       stages=stages).finalize()
-    _check_values(spec, _check_beliefs(spec, tree))
-    return tree
+    checked = _check_beliefs(spec, tree)
+    _check_values(spec, checked)
+    kept = {nd.node_id for stage in checked for nd, _, _ in stage}
+    tree.stages = [[nd for nd in stage if nd.node_id in kept] for stage in stages]
+    return tree.finalize()
 
 
 def _check_report_value(report, tree: PolicyTree):

@@ -462,8 +462,8 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     report's ``violations`` must be zero for a correctly solved pair).
 
     Episodes are stepped sequentially in blocks of ``_BLOCK`` while one
-    helper thread draws the next block.  ``threads`` is accepted for
-    compatibility and changes neither the results nor the work done.
+    helper thread draws the next block.  ``threads`` changes nothing; it
+    is kept for the benchmark workloads, which still pass it.
 
     Recorded trajectories name each node by its ``id`` in the policy.
 

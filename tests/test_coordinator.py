@@ -15,7 +15,6 @@ from cisolver.coordinator import (
     expected_cost,
     initial_belief,
     message_distribution,
-    observation_probability,
     stage_layout,
     zeta,
 )
@@ -126,7 +125,7 @@ def test_message_split_and_eta_update_match_hand_computation():
     dist = message_distribution(spec, belief, gamma)
     # null message never fires; z = 1 + (2 y + u) with u = y
     assert np.allclose(dist, [0.0, 0.62, 0.0, 0.0, 0.38])
-    assert abs(observation_probability(spec, belief, gamma, 1) - 0.62) < 1e-12
+    assert abs(dist[1] - 0.62) < 1e-12
 
     nxt = eta_update(spec, belief, gamma, 1)
     # condition on y = 0 (posterior (0.54, 0.08) / 0.62), act u = 0,

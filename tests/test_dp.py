@@ -106,7 +106,7 @@ def test_extracted_strategy_achieves_the_value(solved_seed1):
 
 def test_extracted_tables_equal_a_fresh_decode(problems_dir):
     spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
-    _, tree = solve_finite(spec)
+    report, tree = solve_finite(spec)
     strategy = extract_control_strategy(spec, tree)
     nodes = 0
     for tree_stage, stage in zip(tree.stages, strategy.stages):
@@ -117,7 +117,26 @@ def test_extracted_tables_equal_a_fresh_decode(problems_dir):
             for table, e in zip(st_nd.tables, expect):
                 assert table.dtype == e.dtype and np.array_equal(table, e)
             nodes += 1
-    assert nodes == sum(len(stage) for stage in tree.stages) == 4369
+    # the tree holds the policy's nodes; the report counts the whole DP
+    assert nodes == sum(len(stage) for stage in tree.stages) == 34
+    assert sum(report.stage_nodes) == 4369
+
+
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced],
+                         ids=["full", "reduced"])
+def test_the_tree_holds_only_the_nodes_its_roots_reach(problems_dir, solve):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    report, tree = solve(spec)
+    assert report.stage_nodes == [1, 16, 256, 4096]
+    assert [len(stage) for stage in tree.stages] == [1, 1, 16, 16]
+    reached = {node_id for _, node_id in tree.roots}
+    for stage in tree.stages:
+        ids = [nd.node_id for nd in stage]
+        assert ids == sorted(reached)  # in solver order
+        reached = {c for nd in stage for c in nd.children.values()}
+    # each belief owns its weights: a view would keep a whole DP stage alive
+    assert all(nd.belief.weights.base is None
+               for stage in tree.stages for nd in stage)
 
 
 def test_one_shot_team_with_common_signal():
@@ -441,9 +460,36 @@ def test_last_stage_batches_stay_within_the_bound(filter_family_doc, monkeypatch
     assert len(calls) > len({id(stage) for stage, _ in calls})  # groups were split
 
 
-def _tree_bits(tree):
-    """Everything a tree holds, with values and beliefs as their bytes."""
-    return [tree.roots] + [
+def _solve_bits(spec):
+    """Everything a solve computes, with values and beliefs as their bytes.
+
+    The tree holds only the policy's nodes, so the whole DP's beliefs,
+    values and chosen representatives and children are recorded as the
+    solve hands them between its stages.
+    """
+    seen = []
+    expand, backward, last = dp._expand_stage, dp._backward, dp._solve_last_stage
+
+    def expand_spy(spec, t, weights, *args):
+        seen.append(weights.tobytes())
+        return expand(spec, t, weights, *args)
+
+    def backward_spy(groups, values_next, values, chosen):
+        backward(groups, values_next, values, chosen)
+        seen.append((values.tobytes(), [(rep, sorted(kids.items()))
+                                        for rep, kids in chosen]))
+
+    def last_spy(spec, t, weights, cap):
+        values, reps, classes = last(spec, t, weights, cap)
+        seen.append((weights.tobytes(), values.tobytes(), list(reps), classes))
+        return values, reps, classes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_expand_stage", expand_spy)
+        mp.setattr(dp, "_backward", backward_spy)
+        mp.setattr(dp, "_solve_last_stage", last_spy)
+        tree = solve_finite(spec)[1]
+    return seen + [tree.roots] + [
         (nd.node_id, nd.gamma_index, sorted(nd.children.items()),
          np.float64(nd.value).tobytes(), nd.belief.weights.tobytes())
         for stage in tree.stages for nd in stage]
@@ -458,9 +504,9 @@ def test_last_stage_bits_do_not_depend_on_the_batch(problems_dir, filter_family_
         spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
     else:
         spec, _ = problem_from_document(filter_family_doc(21, 4))
-    batched = _tree_bits(solve_finite(spec)[1])
+    batched = _solve_bits(spec)
     monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per batch
-    assert _tree_bits(solve_finite(spec)[1]) == batched
+    assert _solve_bits(spec) == batched
 
 
 @pytest.mark.parametrize("name", ["periodic_4stage", "filter_control_sharing"])
@@ -472,7 +518,7 @@ def test_expansion_bits_do_not_depend_on_the_chunk(problems_dir, filter_family_d
     else:
         spec, _ = problem_from_document(filter_family_doc(1, 3))
     report, tree = solve_finite(spec)
-    bits = _tree_bits(tree)
+    bits = _solve_bits(spec)
     calls = []  # one entry per interned batch
     intern, structure = dp._BeliefTable.intern, dp._structure
 
@@ -487,12 +533,12 @@ def test_expansion_bits_do_not_depend_on_the_chunk(problems_dir, filter_family_d
 
     monkeypatch.setattr(dp._BeliefTable, "intern", spy)
     monkeypatch.setattr(dp, "_structure", whole_stage)
-    assert _tree_bits(solve_finite(spec)[1]) == bits
+    assert _solve_bits(spec) == bits
     assert len(calls) == tree.horizon  # the roots, then one per stage before the last
     calls.clear()
     monkeypatch.setattr(dp, "_structure", structure)
     monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per chunk
-    assert _tree_bits(solve_finite(spec)[1]) == bits
+    assert _solve_bits(spec) == bits
     assert len(calls) == 1 + sum(report.stage_nodes[:-1])
 
 

@@ -58,6 +58,10 @@ def test_fold_pairs_runs_by_workload_and_seed(fold_bench, tmp_path, capsys):
     assert wall["parent"] == {"iqr": 1.5, "median": 3.5, "n": 4, "q1": 2.75,
                               "q3": 4.25}
     assert wall["change"]["median"] == 1.75
+    # per pair, change - parent: -3, 0, -1.5, +1; sorted, the quartiles sit
+    # at positions 0.75, 1.5 and 2.25 between them
+    assert wall["change_minus_parent"] == {"iqr": 2.125, "median": -0.75, "n": 4,
+                                           "q1": -1.875, "q3": 0.25}
     # a higher-is-better metric that ties in every pair wins none
     assert section["metrics"]["sim.episodes_per_s"]["pairs_won_by_change"] == 0
 
@@ -74,6 +78,8 @@ def test_fold_writes_sorted_json(fold_bench, tmp_path):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     traced = doc["workloads"]["deep"]["traced"]
     assert traced["metrics"]["dp.full_s"]["pairs_won_by_change"] == 1
+    assert traced["metrics"]["dp.full_s"]["change_minus_parent"] == {
+        "iqr": 0.0, "median": -1.0, "n": 1, "q1": -1.0, "q3": -1.0}
     # without --command, the document says how runs are made
     assert doc["command"] == (
         "python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0|1, "

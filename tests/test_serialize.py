@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from cisolver.coordinator import PrescriptionSpace
 from cisolver.dp import (
     extract_control_strategy,
     solve_discounted,
@@ -114,33 +113,22 @@ def test_digest_changes_with_the_data():
     assert problem_digest(spec_a) != problem_digest(spec_b)
 
 
-def _reachable(tree):
-    """Per stage, the ids of the nodes the tree's roots reach through ``children``."""
-    stages, ids = [], {node_id for _, node_id in tree.roots}
-    for _ in tree.stages:
-        stages.append(ids)
-        ids = {child for node_id in ids
-               for child in tree.node(node_id).children.values()}
-    return stages
+def _nodes(tree):
+    """Everything a tree holds, node by node, with values and beliefs as bytes."""
+    return (tree.variant, tree.horizon, tree.roots, [[
+        (nd.node_id, nd.t, nd.gamma_index, sorted(nd.children.items()),
+         np.float64(nd.value).tobytes(), type(nd.belief), nd.belief.dims,
+         nd.belief.weights.tobytes())
+        for nd in stage] for stage in tree.stages])
 
 
 def test_policy_tree_round_trip(solved_seed1):
     spec, report, tree = solved_seed1
     doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
-    reachable = _reachable(tree)
-    assert [{nd["id"] for nd in stage} for stage in doc["stages"]] == reachable
-    assert sum(map(len, reachable)) < sum(map(len, tree.stages))
-    again = policy_tree_from_dict(doc, spec)
-    assert again.roots == tree.roots
-    assert again.variant == tree.variant
-    for stage_a, stage_b, ids in zip(tree.stages, again.stages, reachable):
-        kept = [nd for nd in stage_a if nd.node_id in ids]  # in solver order
-        assert len(kept) == len(stage_b)
-        for a, b in zip(kept, stage_b):
-            assert (a.node_id, a.t, a.gamma_index) == (b.node_id, b.t, b.gamma_index)
-            assert a.value == b.value
-            assert a.children == b.children
-            assert a.belief.canonical_key() == b.belief.canonical_key()
+    assert [[nd["id"] for nd in stage] for stage in doc["stages"]] == \
+        [[nd.node_id for nd in stage] for stage in tree.stages]
+    assert sum(map(len, tree.stages)) < sum(report.stage_nodes)
+    assert _nodes(policy_tree_from_dict(doc, spec)) == _nodes(tree)
 
 
 @pytest.fixture(scope="module")
@@ -155,44 +143,44 @@ def test_a_pruned_document_rolls_out_as_the_solver_tree(periodic_trees, variant)
     report, tree = trees[variant]
     doc = json.loads(dumps(solve_result_to_dict(spec, report, tree)))
     again = policy_from_document(doc, spec)
-    assert sum(map(len, again.stages)) == 34 < sum(map(len, tree.stages)) == 4369
+    assert _nodes(again) == _nodes(tree)
+    assert sum(map(len, tree.stages)) == 34 < sum(report.stage_nodes) == 4369
     a = rollout(spec, tree, seed=5, episodes=400, record=True)
     b = rollout(spec, again, seed=5, episodes=400, record=True)
     assert (a.mean, a.stderr, a.violations) == (b.mean, b.stderr, b.violations)
     assert a.trajectories == b.trajectories
 
 
-def _unpruned_document(spec, tree):
-    """The policy document with every node the solver expanded, as once written."""
-    doc = json.loads(dumps(policy_tree_to_dict(spec, tree)))
-    for t, (stage, stage_doc) in enumerate(zip(tree.stages, doc["stages"]), start=1):
-        written = {nd["id"]: nd for nd in stage_doc}
-        space = PrescriptionSpace(spec, t)
-        stage_doc[:] = [written.get(nd.node_id) or {
-            "id": nd.node_id, "t": nd.t,
-            "belief": {"dims": list(nd.belief.dims),
-                       "weights": nd.belief.weights.tolist()},
-            "gamma": {"index": nd.gamma_index,
-                      "tables": [e.tolist() for e in space.decode(nd.gamma_index).tables]},
-            "value": nd.value,
-            "children": {str(z): c for z, c in sorted(nd.children.items())},
-        } for nd in stage]
-    return doc
+def _unpruned_document(doc):
+    """``doc`` with a node no root reaches before each of its nodes.
+
+    Documents written before pruning carried every node the solver
+    expanded.  Each added node copies the node after it under a new id,
+    so its children are nodes of the next stage and nothing links to it.
+    """
+    old = copy.deepcopy(doc)
+    fresh = 1 + max(nd["id"] for stage in doc["stages"] for nd in stage)
+    for stage in old["stages"]:
+        stage[:] = [item for nd in stage
+                    for item in (dict(copy.deepcopy(nd), id=fresh + nd["id"]), nd)]
+    return old
 
 
 def test_a_document_with_unreachable_nodes_still_loads(solved_seed1):
     spec, report, tree = solved_seed1
     pruned = json.loads(dumps(policy_tree_to_dict(spec, tree)))
-    old = _unpruned_document(spec, tree)
-    assert [len(s) for s in old["stages"]] == [len(s) for s in tree.stages]
-    assert [len(s) for s in old["stages"]] != [len(s) for s in pruned["stages"]]
+    old = _unpruned_document(pruned)
+    assert [len(s) for s in old["stages"]] == [2 * len(s) for s in pruned["stages"]]
     # nodes no root reaches are not checked, so a broken belief there loads
-    unreachable = next(nd for nd in old["stages"][1]
-                       if nd["id"] not in _reachable(tree)[1])
+    unreachable = old["stages"][1][0]
     unreachable["belief"]["weights"][0] = float("nan")
+    loaded = policy_from_document(json.loads(json.dumps(old)), spec)
+    # and the loaded tree leaves them out
+    assert _nodes(loaded) == _nodes(policy_from_document(pruned, spec)) == _nodes(tree)
+    assert unreachable["id"] not in {nd.node_id for stage in loaded.stages
+                                     for nd in stage}
     reports = []
-    for doc in (pruned, old):
-        policy = policy_from_document(json.loads(json.dumps(doc)), spec)
+    for policy in (tree, loaded):
         rep = rollout(spec, policy, seed=2, episodes=300, record=True)
         reports.append((rep.mean, rep.stderr, rep.violations, rep.trajectories))
     assert reports[0] == reports[1]

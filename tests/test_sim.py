@@ -192,13 +192,13 @@ def test_long_paired_reports_are_pinned(problems_dir):
     report = paired_rollout(spec, tree, strategy, seed=12, episodes=100_003)
     assert report.identical and report.divergences == []
     # controller 1 flips its stage-3 action on y = 1, and the stage-2 node
-    # most episodes reach loses every other child
+    # every episode reaches loses every other child
     corrupted = extract_control_strategy(spec, tree)
     for node in corrupted.stages[2]:
         flipped = node.tables[1].copy()
         flipped[1] = 1 - flipped[1]
         node.tables = (node.tables[0], flipped)
-    children = corrupted.stages[1][3].children
+    children = corrupted.stages[1][0].children
     for z in sorted(children)[::2]:
         del children[z]
     report = paired_rollout(spec, tree, corrupted, seed=12, episodes=100_003)
@@ -317,15 +317,15 @@ def test_trajectories_name_nodes_by_their_ids(problems_dir):
             assert all(nd in ids for nd, ids in zip(traj.nodes, stage_ids))
             for t, z in enumerate(traj.messages):
                 assert policy.node(traj.nodes[t]).children[z] == traj.nodes[t + 1]
-        # every episode reaches the fourth node of stage 2, whose id is 4
+        # every episode reaches the one node of stage 2, whose id is 4
         assert {traj.nodes[1] for traj in report.trajectories} == {4}
-        assert policy.stages[1][3].node_id == 4
+        assert [nd.node_id for nd in policy.stages[1]] == [4]
 
 
 def test_unreachable_information_names_the_node_id(problems_dir):
     spec, tree, _ = _periodic_policies(problems_dir)
     broken = extract_control_strategy(spec, tree)
-    node = broken.stages[1][3]
+    node = broken.stages[1][0]
     node.children.clear()
     with pytest.raises(UnreachableInformation,
                        match=rf"at stage 2 for message \d+ from node {node.node_id}$"):

@@ -8,8 +8,9 @@ prescription index, children in message order, and the bytes of its
 value and belief weights), and the solve document as ``cis solve``
 writes it.  Then it solves every discounted fixture, and
 ``discounted_chain`` at discount factors 0.9, 0.95 and 0.99, at
-epsilon = 1e-4, and digests the solve document with its
-``stationary_policy`` as ``cis solve`` writes it.  Two checkouts that
+epsilon = 1e-4, and prints the value's ``repr`` and a digest of the
+solve document with its ``stationary_policy`` as ``cis solve`` writes
+it.  Two checkouts that
 print the same lines solved every problem to the same bits.  Run from
 the repository root:
 
@@ -98,9 +99,9 @@ def discounted_problems():
 
 
 def discounted_digest(spec) -> str:
-    doc = serialize.solve_result_to_dict(
-        spec, *solve_discounted(spec, epsilon=EPSILON))
-    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()
+    report, policy = solve_discounted(spec, epsilon=EPSILON)
+    doc = serialize.solve_result_to_dict(spec, report, policy)
+    return f"{report.value!r} {hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()}"
 
 
 def main():

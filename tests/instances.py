@@ -169,12 +169,13 @@ def discounted_constant(beta, cost_value=1.0):
         protocol=no_sharing_protocol(0, 2, obs, act))
 
 
-def discounted_chain(beta=0.9):
+def discounted_chain(beta=0.9, obs_kernel=None):
     """Two-state single-controller chain with state-revealing observations.
 
     Deterministic observations keep the reachable belief set finite, so
-    the truncated fixed point can be compared against an independent
-    value iteration.
+    the fixed point can be compared against an independent value
+    iteration.  A noisy ``obs_kernel`` (rows ``x``, columns ``y``) makes
+    the reachable set infinite.
     """
     obs, act = _spaces([2]), _spaces([2])
     transition = np.array([
@@ -188,6 +189,6 @@ def discounted_chain(beta=0.9):
         obs_spaces=obs, action_spaces=act,
         initial_dist=np.array([0.7, 0.3]),
         transitions=[transition],
-        obs_kernels=[[np.eye(2)]],
+        obs_kernels=[[np.eye(2) if obs_kernel is None else obs_kernel]],
         costs=[cost],
         protocol=delayed_sharing_protocol(1, 2, obs, act))

@@ -26,7 +26,7 @@ from cisolver.dp import (
     solve_finite_reduced,
     truncation_depth,
 )
-from cisolver.errors import InvalidParameter, SizeOverflow
+from cisolver.errors import Infeasible, InvalidParameter, SizeOverflow
 from cisolver.model import FiniteSpace, ProblemSpec
 from cisolver.oracle import (
     enumerate_basic_strategies,
@@ -214,6 +214,15 @@ def test_discounted_chain_matches_independent_value_iteration():
     # five stationary beliefs, four prescription classes each
     assert report.stage_nodes == [5]
     assert report.expanded_classes == [20]
+
+
+def test_an_open_belief_graph_is_infeasible():
+    # noisy observations give a new posterior at every step, so the
+    # stationary belief graph never closes and the solve stops at the cap
+    spec = instances.discounted_chain(0.1, np.array([[0.8, 0.2], [0.3, 0.7]]))
+    with pytest.raises(Infeasible, match="exceed cap 2000") as exc:
+        solve_discounted(spec, cap_beliefs=2000)
+    assert exc.value.count > 2000
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-4])

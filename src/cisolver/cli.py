@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="belief state: full (x, y, m) or reduced (x, m)")
     p_solve.add_argument("--epsilon", type=float,
                          default=_env("EPSILON", float, 1e-4),
-                         help="accuracy of the discounted fixed point")
+                         help="accuracy asked of a discounted solve; the "
+                              "exact solve meets it")
     p_solve.add_argument("--cap-prescriptions", type=int,
                          default=_env("CAP_PRESCRIPTIONS", int,
                                       DEFAULT_PRESCRIPTION_CAP),

@@ -85,11 +85,20 @@ weights=mass * V_next[child])``, which sums each class's continuation in
 message order, then ``argmin`` per node, whose first minimum is the
 smallest representative because classes are ordered by representative.
 
-Discounted problems use the same expansion on stationary tables and a
-depth-limited fixed-point evaluation whose truncation depth is chosen
-from the discount factor so the tail is below the requested accuracy.
-The evaluation walks the belief graph depth first on an explicit stack,
-so a deep truncation does not recurse.
+Discounted problems use the same expansion on the stationary tables,
+breadth first from the roots until no new belief appears; a graph that
+does not close within the belief cap is infeasible.  The closed graph,
+with one prescription per belief, is a finite-state controller for the
+coordinator, and Howard policy iteration solves its Bellman equation
+exactly: each policy is evaluated by one dense solve of ``(I - beta
+P) v = c``, or, on a graph too large for an ``n x n`` system, by sweeps
+of its own Bellman operator (modified policy iteration), and a belief
+switches to its best class only where that beats its current one by
+more than a rounding tolerance.  Each belief then takes the first
+argmin of its q-values under the final values.  The report's
+``iterations`` counts the policy evaluations, ``residual`` is the
+Bellman residual of the final values and ``tail_bound = residual / (1
+- beta)`` bounds their distance to the fixed point.
 """
 
 from __future__ import annotations
@@ -160,7 +169,13 @@ class PolicyEntry:
 
 @dataclass
 class StationaryPolicy:
-    """Greedy stationary prescription rule from the truncated fixed point."""
+    """Stationary prescription rule, one entry per belief of the closed graph.
+
+    ``iterations`` counts policy evaluations, ``residual`` is the Bellman
+    residual of the entry values and ``tail_bound = residual / (1 -
+    beta)`` bounds their distance to the fixed point; ``epsilon`` is the
+    accuracy that was asked for.
+    """
 
     epsilon: float
     iterations: int
@@ -194,6 +209,13 @@ _MAX_TABLE_ENTRIES = 50_000_000
 #: 32 times the entries of one chunk of an earlier stage's expansion.
 #: Small, so a batch and its temporaries never set a solve's peak memory.
 _BATCH_ENTRIES = 1 << 17
+#: Largest stationary belief graph whose policies are evaluated by one dense
+#: solve; its ``n x n`` system takes 8 n**2 bytes, 32 MB at this size.
+_DENSE_BELIEFS = 2048
+#: Tolerance of policy improvement and of the sweep evaluation, in units of
+#: the bound ``max|c| / (1 - beta)`` on values: eight units in the last
+#: place, so it scales with the rounding of the values it compares.
+_TOLERANCE = 8 * np.finfo(float).eps
 
 
 def _digits(index, base: int, width: int) -> np.ndarray:
@@ -571,6 +593,8 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
                   table: _BeliefTable, cap: int, structures: dict):
     """Expand every node of stage ``t < T``, interning successors into ``table``.
 
+    A discounted solve expands its stationary stage ``t = 1`` the same way.
+
     ``weights`` holds one node's full weights per row.  Nodes are walked
     in order, in chunks of consecutive nodes whose entries
     (:attr:`_ClassStructure.entries`) total at most ``_BATCH_ENTRIES //
@@ -803,20 +827,93 @@ def truncation_depth(discount: float, epsilon: float, max_abs_cost: float) -> in
     return max(1, k)
 
 
+class _StationaryTable(_BeliefTable):
+    """Full stationary beliefs, at most ``cap`` of them.
+
+    :func:`_expand_stage` interns successors over ``(x', m')``; this
+    table lifts them first, so it stores and keys full beliefs, as
+    stationary documents do.
+    """
+
+    def __init__(self, layout, cap: int):
+        super().__init__()
+        self.layout, self.cap = layout, cap
+
+    def intern_full(self, rows: np.ndarray) -> np.ndarray:
+        out = super().intern(rows)
+        if len(self.weights) > self.cap:
+            raise Infeasible(f"reachable stationary beliefs exceed cap {self.cap}",
+                             count=len(self.weights))
+        return out
+
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        return self.intern_full(self.layout.lift(rows))
+
+
+def _first_argmin(q: np.ndarray, low: np.ndarray, owner: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Index of each belief's first class whose ``q`` equals its minimum ``low``.
+
+    Belief ``i`` owns classes ``starts[i]:starts[i + 1]``; ``owner[c]`` is
+    the belief of class ``c``.
+    """
+    hit = np.where(q == low[owner], np.arange(len(q)), len(q))
+    return np.minimum.reduceat(hit, starts[:-1])
+
+
+def _policy_values(beta: float, tol: float, cost: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Values of a policy whose branches go ``src -> dst`` with ``mass``.
+
+    Up to ``_DENSE_BELIEFS`` beliefs, one dense solve of
+    ``(I - beta P) v = cost``.  Above, sweeps ``v <- cost + beta P v``
+    from ``start``, each one ``np.bincount`` over the branches, until
+    ``beta / (1 - beta) * |v_k - v_{k-1}|`` (a bound on the distance to
+    the policy's values) is at most ``tol``.  A step shrinks by ``beta``
+    per sweep, so it halves within ``patience`` sweeps; when it sets no
+    new low for that long, it has reached the rounding of the sums, and
+    the sweeps stop there too.
+    """
+    n = len(cost)
+    if n <= _DENSE_BELIEFS:
+        system = np.bincount(src * n + dst, weights=mass, minlength=n * n).reshape(n, n)
+        system *= -beta
+        system.flat[::n + 1] += 1.0
+        return np.linalg.solve(system, cost)
+    patience = math.ceil(math.log(0.5) / math.log(beta)) if beta > 0 else 1
+    values, least, stale = start, math.inf, 0
+    while stale < patience:
+        new = cost + beta * np.bincount(src, weights=mass * values[dst], minlength=n)
+        step = float(np.abs(new - values).max())
+        values = new
+        if beta / (1.0 - beta) * step <= tol:
+            break
+        least, stale = (step, 0) if step < least else (least, stale + 1)
+    return values
+
+
 def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
                      cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP,
                      cap_beliefs: int = 100_000):
-    """Evaluate the discounted fixed point to accuracy ``epsilon``.
+    """Solve the discounted fixed point exactly on the closed belief graph.
 
-    Expands the reachable stationary beliefs and evaluates the Bellman
-    operator to the truncation depth implied by the discount factor;
-    the returned value is within ``epsilon`` of the fixed point
-    (``tail_bound`` certifies the truncation error).  Returns
+    Expands the stationary beliefs the roots reach, breadth first, until
+    no new belief appears, and solves the Bellman equation on that graph
+    by Howard policy iteration: ``iterations`` counts the policy
+    evaluations.  Each belief then takes the first argmin of its
+    q-values under the final values, so ties go to the smallest
+    representative, and its entry value is that minimum.  ``residual``
+    is the Bellman residual of the final values and ``tail_bound =
+    residual / (1 - beta)`` bounds their distance to the fixed point.
+    ``epsilon`` is the accuracy asked for; it is validated and recorded,
+    and the exact solve meets it.  When ``beta * max|c| == 0`` the
+    continuation vanishes and only the roots are expanded.  Returns
     ``(ValueReport, StationaryPolicy)``.
 
     Raises:
         InvalidParameter: ``epsilon`` is not a finite number > 0.
-        Infeasible: more than ``cap_beliefs`` distinct beliefs reached.
+        Infeasible: more than ``cap_beliefs`` distinct beliefs reached,
+            as on a graph that does not close.
     """
     if spec.mode != "discounted":
         raise InvalidParameter("fixed-point solver requires mode='discounted'")
@@ -825,104 +922,91 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     started = time.perf_counter()
     beta = spec.discount
     max_c = spec.max_abs_cost
-    K = truncation_depth(beta, epsilon, max_c)
-    tail = 0.0 if beta == 0.0 else (beta ** K) * max_c / (1.0 - beta)
-
     layout = stage_layout(spec, 1)
     structures: dict = {}
-    table = _BeliefTable()
-    # belief -> (structure, costs, mass, child)
-    expansions: dict[int, tuple] = {}
-
-    def intern(rows):
-        out = table.intern(rows)
-        if len(table.weights) > cap_beliefs:
-            raise Infeasible(
-                f"reachable stationary beliefs exceed cap {cap_beliefs}",
-                count=len(table.weights))
-        return out
-
-    def expansion(i):
-        got = expansions.get(i)
-        if got is None:
-            w = table.weights[i]
-            structure = _structure(spec, 1, np.flatnonzero(w > ZERO_MASS),
-                                   cap_prescriptions, structures)
-            w_sup = w[structure.support]
-            mass, succ = _successors(spec, 1, structure, w_sup[None])
-            got = expansions[i] = (structure, structure.cost_matrix @ w_sup,
-                                   mass[0], intern(layout.lift(succ)))
-        return got
-
-    def q_values(i, child_values):
-        structure, costs, mass, _ = expansions[i]
-        return costs + beta * np.bincount(structure.cls, weights=mass * child_values,
-                                          minlength=len(costs))
-
-    memo: dict[tuple[int, int], float] = {}
-
-    def value(i, k) -> float:
-        """Depth-``k`` value of belief ``i``, depth first on an explicit stack.
-
-        A frame is ``(belief, depth, values of its children so far)``.
-        Children are visited in branch order and a belief is expanded
-        when its frame is pushed, so beliefs are interned in the order a
-        recursive evaluation would intern them.
-        """
-        if k <= 0:
-            return 0.0
-        if (i, k) not in memo:
-            expansion(i)
-            stack = [(i, k, [])]
-            while stack:
-                top, depth, done = stack[-1]
-                child = expansions[top][3]
-                while len(done) < len(child):
-                    got = memo.get((int(child[len(done)]), depth - 1),
-                                   0.0 if depth == 1 else None)
-                    if got is None:
-                        break
-                    done.append(got)
-                if len(done) < len(child):
-                    nxt = int(child[len(done)])
-                    expansion(nxt)
-                    stack.append((nxt, depth - 1, []))
-                    continue
-                memo[(top, depth)] = float(q_values(top, done).min())
-                stack.pop()
-        return memo[(i, k)]
-
+    table = _StationaryTable(layout, cap_beliefs)
     roots = initial_belief(spec)
-    root_ids = intern(np.stack([bel.weights for _, bel in roots])).tolist()
-    v_top = sum(prob * value(i, K) for (prob, _), i in zip(roots, root_ids))
-    v_prev = sum(prob * value(i, K - 1) for (prob, _), i in zip(roots, root_ids))
-    residual = abs(v_top - v_prev)
+    root_ids = table.intern_full(np.stack([bel.weights for _, bel in roots]))
 
-    chosen = []
-    for i in range(len(table.weights)):  # the sweep itself may intern new beliefs
-        if i not in expansions:
-            continue  # interned but never expanded (leaf of the truncation)
-        structure, _, _, child = expansions[i]
-        q = q_values(i, [value(int(c), K - 1) for c in child])
-        best = int(np.argmin(q))
-        lo, hi = structure.bounds[best], structure.bounds[best + 1]
-        chosen.append((i, structure.representative(best), float(q[best]),
-                       dict(zip(structure.z[lo:hi].tolist(), child[lo:hi].tolist()))))
+    groups = []  # per support group: (structure, beliefs, costs, mass, child)
+    expanded_classes = 0
+    n = 0  # beliefs expanded so far, in creation order
+    while n < len(table.weights):
+        frontier = np.stack(table.weights[n:])
+        got, classes = _expand_stage(spec, 1, frontier, table, cap_prescriptions,
+                                     structures)
+        groups += [(structure, n + np.asarray(nodes), costs, mass, child)
+                   for structure, nodes, costs, mass, child in got]
+        expanded_classes += classes
+        n += len(frontier)
+        if beta * max_c == 0.0:
+            break  # no continuation: the roots' values are their stage costs
+
+    # belief i owns the classes starts[i]:starts[i + 1], in class order; the
+    # branches are flat over every group, each class's in message order
+    counts = np.empty(n, dtype=np.int64)
+    rows = [None] * n  # per belief: (structure, its children by branch)
+    for structure, nodes, _, _, child in groups:
+        counts[nodes] = structure.count
+        for node, kids in zip(nodes.tolist(), child):
+            rows[node] = (structure, kids)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    owner = np.repeat(np.arange(n), counts)
+    at, costs, cls, mass, child = map(np.concatenate, zip(*(
+        ((starts[nodes][:, None] + np.arange(structure.count)).reshape(-1),
+         costs.reshape(-1), (starts[nodes][:, None] + structure.cls).reshape(-1),
+         mass.reshape(-1), child.reshape(-1))
+        for structure, nodes, costs, mass, child in groups)))
+    cost = np.empty(starts[-1])
+    cost[at] = costs
+    live = child < n  # every branch, unless only the roots were expanded
+    cls, mass, child = cls[live], mass[live], child[live]
+
+    # Howard policy iteration from the first argmin of the stage costs; a
+    # belief switches only to a class better by more than tol, so rounding
+    # cannot make the policies cycle
+    tol = _TOLERANCE * max_c / (1.0 - beta)
+    choice = _first_argmin(cost, np.minimum.reduceat(cost, starts[:-1]), owner, starts)
+    values = np.zeros(n)
+    iterations = 0
+    while True:
+        chosen = np.zeros(len(cost), dtype=bool)
+        chosen[choice] = True
+        on = chosen[cls]
+        values = _policy_values(beta, tol, cost[choice], owner[cls[on]], child[on],
+                                mass[on], values)
+        iterations += 1
+        q = cost + beta * np.bincount(cls, weights=mass * values[child],
+                                      minlength=len(cost))
+        low = np.minimum.reduceat(q, starts[:-1])
+        better = low < q[choice] - tol
+        if not better.any():
+            break
+        choice[better] = _first_argmin(q, low, owner, starts)[better]
+    choice = _first_argmin(q, low, owner, starts) - starts[:-1]
+    residual = float(np.abs(values - low).max())
+    tail = residual / (1.0 - beta)
+    value = float(sum(prob * low[i] for (prob, _), i in zip(roots, root_ids.tolist())))
+
     keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
-    entries = [PolicyEntry(
-        belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=table.weights[i]),
-        gamma_index=rep, value=q,
-        children={zz: keys[c] for zz, c in children.items()})
-        for i, rep, q, children in chosen]
+    entries = []
+    for i, ((structure, kids), best) in enumerate(zip(rows, choice.tolist())):
+        lo, hi = structure.bounds[best], structure.bounds[best + 1]
+        entries.append(PolicyEntry(
+            belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=table.weights[i]),
+            gamma_index=structure.representative(best), value=float(low[i]),
+            children={z: keys[c] for z, c in zip(structure.z[lo:hi].tolist(),
+                                                  kids[lo:hi].tolist())}))
 
     policy = StationaryPolicy(
-        epsilon=epsilon, iterations=K, residual=float(residual),
-        tail_bound=float(tail), value=float(v_top), entries=entries)
+        epsilon=epsilon, iterations=iterations, residual=residual,
+        tail_bound=tail, value=value, entries=entries)
     report = ValueReport(
-        value=float(v_top), variant="full", mode="discounted",
-        stage_nodes=[len(entries)],
+        value=value, variant="full", mode="discounted",
+        stage_nodes=[n],
         prescription_space_sizes=[PrescriptionSpace(spec, 1).size],
-        expanded_classes=[sum(len(e[1]) for e in expansions.values())],
+        expanded_classes=[expanded_classes],
         runtime_s=time.perf_counter() - started,
-        iterations=K, residual=float(residual), tail_bound=float(tail))
+        iterations=iterations, residual=residual, tail_bound=tail)
     return report, policy

@@ -74,6 +74,53 @@ def discounted_pomdp_value(initial, transition, obs_kernel, cost, beta, depth):
     return value(np.asarray(initial, dtype=float), depth)
 
 
+def closed_graph_discounted_value(initial, transition, obs_kernel, cost, beta,
+                                  tol=1e-13, cap=10_000):
+    """Discounted value on the closed graph of predictive beliefs.
+
+    The same setting as :func:`discounted_pomdp_value`, solved another
+    way: the beliefs reachable from ``initial`` are collected under the
+    rounded key first (the graph must close within ``cap`` of them), and
+    value iteration then runs on that finite graph until the residual
+    rule ``beta / (1 - beta) * |V_k - V_{k-1}| <= tol`` bounds the
+    distance to its fixed point.
+    """
+    def key(b):
+        return (np.round(b, 12) + 0.0).tobytes()
+
+    n_obs, n_act = obs_kernel.shape[1], cost.shape[1]
+    beliefs, index = [np.asarray(initial, dtype=float)], {}
+    index[key(beliefs[0])] = 0
+    mass, stage, succ = [], [], []  # per belief: (y,), (y, u), (y, u)
+    for b in beliefs:  # grows while it is walked, so it ends closed
+        assert len(beliefs) <= cap, "the belief graph does not close"
+        mass.append(np.zeros(n_obs))
+        stage.append(np.zeros((n_obs, n_act)))
+        succ.append(np.zeros((n_obs, n_act), dtype=int))
+        for y in range(n_obs):
+            m = float(b @ obs_kernel[:, y])
+            if m <= 1e-15:
+                continue
+            post = b * obs_kernel[:, y] / m
+            mass[-1][y] = m
+            for u in range(n_act):
+                stage[-1][y, u] = float(post @ cost[:, u])
+                nxt = post @ transition[:, u, :]
+                k = index.setdefault(key(nxt), len(beliefs))
+                if k == len(beliefs):
+                    beliefs.append(nxt)
+                succ[-1][y, u] = k
+    mass, stage, succ = np.array(mass), np.array(stage), np.array(succ)
+    values = np.zeros(len(beliefs))
+    for _ in range(1_000_000):
+        new = (mass * (stage + beta * values[succ]).min(axis=2)).sum(axis=1)
+        step = np.abs(new - values).max()
+        values = new
+        if beta / (1.0 - beta) * step <= tol:
+            return float(values[0])
+    raise AssertionError("value iteration did not meet the residual rule")
+
+
 def _msg_strides(cards):
     strides = []
     acc = 1

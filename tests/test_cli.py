@@ -85,7 +85,7 @@ def test_solve_discounted_constant_cost(capsys, problems_dir):
                          str(problems_dir / "discounted_constant_beta05.json"))
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["report"]["value"] - 2.0) <= 1e-4
+    assert abs(doc["report"]["value"] - 2.0) <= 1e-12
     assert err.splitlines()[-1] == f"{doc['report']['value']:.12g}"
 
 

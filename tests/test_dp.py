@@ -196,8 +196,8 @@ def test_constant_cost_fixed_point():
     for beta in (0.5, 0.9):
         spec = instances.discounted_constant(beta)
         report, _ = solve_discounted(spec, epsilon=1e-4)
-        assert abs(report.value - 1.0 / (1.0 - beta)) <= 1e-4
-        assert report.tail_bound <= 1e-4
+        assert abs(report.value - 1.0 / (1.0 - beta)) <= 1e-12
+        assert report.tail_bound <= 1e-12
 
 
 def test_discounted_chain_matches_independent_value_iteration():
@@ -423,23 +423,88 @@ def test_last_stage_is_the_first_argmin_over_every_prescription(build, tied):
             assert abs(node.value - costs[best]) <= 1e-12
 
 
-def test_discounted_chain_at_099_matches_policy_evaluation():
-    # K = 1375 here; the reference oracle recurses that deep, so the exact
-    # value comes from evaluating every stationary policy of the chain,
-    # whose observations reveal the state: (I - beta P_mu) v = c_mu
-    beta, epsilon = 0.99, 1e-4
-    spec = instances.discounted_chain(beta)
-    report, policy = solve_discounted(spec, epsilon=epsilon)
+def _exact_chain_value(spec):
+    """Exact value of a chain whose observations reveal the state.
+
+    Its best stationary policy is deterministic in the state, so the
+    value is the least ``initial @ v`` over policies ``mu``, with
+    ``(I - beta P_mu) v = c_mu``.
+    """
     kernel, cost = spec.transitions[0], spec.costs[0]
     states = [0, 1]
-    exact = min(
+    return min(
         float(spec.initial_dist @ np.linalg.solve(
-            np.eye(2) - beta * kernel[states, list(mu)], cost[states, list(mu)]))
+            np.eye(2) - spec.discount * kernel[states, list(mu)],
+            cost[states, list(mu)]))
         for mu in itertools.product(range(2), repeat=2))
-    assert report.iterations == truncation_depth(beta, epsilon,
-                                                 spec.max_abs_cost)
-    assert abs(report.value - exact) <= 2 * epsilon
+
+
+def test_discounted_chain_at_099_matches_policy_evaluation():
+    spec = instances.discounted_chain(0.99)
+    report, policy = solve_discounted(spec, epsilon=1e-4)
+    assert abs(report.value - _exact_chain_value(spec)) <= 1e-12
+    assert report.tail_bound <= 1e-12
     assert policy.entries
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
+def test_discounted_chain_matches_the_closed_graph_reference(beta):
+    spec = instances.discounted_chain(beta)
+    report, policy = solve_discounted(spec)
+    expect = reference.closed_graph_discounted_value(
+        spec.initial_dist, spec.transitions[0], spec.obs_kernels[0][0],
+        spec.costs[0], beta)
+    assert abs(report.value - expect) <= 1e-12
+    assert abs(report.value - _exact_chain_value(spec)) <= 1e-12
+    assert report.tail_bound <= 1e-12
+    assert policy.value == report.value
+
+
+@pytest.mark.parametrize("name", ["discounted_chain", "discounted_constant_beta05",
+                                  "discounted_constant_beta09"])
+def test_discounted_entries_take_the_first_argmin(problems_dir, name):
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    report, policy = solve_discounted(spec)
+    if spec.n == 1:
+        exact = _exact_chain_value(spec)
+    else:  # every state and action costs the same
+        exact = spec.max_abs_cost / (1.0 - spec.discount)
+    assert abs(report.value - exact) <= 1e-12
+    assert report.tail_bound <= 1e-12
+    value_of = {entry.belief.canonical_key()[1]: entry.value
+                for entry in policy.entries}
+    for entry in policy.entries:
+        # q-values of every full prescription, from the coordinator's own
+        # cost, message law and update, under the entries' values
+        q = np.array([
+            expected_cost(spec, entry.belief, gamma) + spec.discount * sum(
+                p * value_of[eta_update(spec, entry.belief, gamma, z).canonical_key()[1]]
+                for z, p in enumerate(message_distribution(spec, entry.belief, gamma))
+                if p > ZERO_MASS)
+            for gamma in PrescriptionSpace(spec, 1)])
+        best = entry.gamma_index
+        assert abs(entry.value - q[best]) <= 1e-12
+        assert q[best] <= q.min() + 1e-12
+        assert np.all(q[:best] > q.min() + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
+def test_sweep_evaluation_agrees_with_the_dense_solve(monkeypatch, beta):
+    spec = instances.discounted_chain(beta)
+    dense, dense_policy = solve_discounted(spec)
+
+    def no_dense_solve(*args):
+        raise AssertionError("an n x n system above the dense-size constant")
+
+    monkeypatch.setattr(dp, "_DENSE_BELIEFS", 1)
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    swept, swept_policy = solve_discounted(spec)
+    assert ([entry.gamma_index for entry in swept_policy.entries]
+            == [entry.gamma_index for entry in dense_policy.entries])
+    for a, b in zip(swept_policy.entries, dense_policy.entries):
+        assert abs(a.value - b.value) <= 1e-12
+    assert abs(swept.value - dense.value) <= 1e-12
+    assert swept.tail_bound <= 1e-12
 
 
 def test_class_structures_are_freed_after_a_solve():

@@ -367,21 +367,23 @@ def test_policy_from_document_checks_the_digest(solved_seed1):
         policy_from_document(doc, other)
 
 
-def test_stationary_policy_document_shape():
-    spec = instances.discounted_chain()
-    report, policy = solve_discounted(spec, epsilon=1e-3)
-    doc = stationary_policy_to_dict(spec, policy)
-    assert doc["kind"] == "stationary_policy"
-    entries = doc["entries"]
-    assert len(entries) == len(policy.entries)
-    keys = {e["key"] for e in entries}
-    for entry in entries:
-        bytes.fromhex(entry["key"])  # keys are hex-encoded belief digests
-        for child in entry["children"].values():
-            bytes.fromhex(child)
-    # the reachable set of this chain closes on itself
-    assert all(child in keys
-               for e in entries for child in e["children"].values())
+def test_stationary_policy_document_shape(problems_dir):
+    for name in ("discounted_chain", "discounted_constant_beta05",
+                 "discounted_constant_beta09"):
+        spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+        report, policy = solve_discounted(spec, epsilon=1e-3)
+        doc = stationary_policy_to_dict(spec, policy)
+        assert doc["kind"] == "stationary_policy"
+        entries = doc["entries"]
+        assert len(entries) == len(policy.entries)
+        keys = {e["key"] for e in entries}
+        for entry in entries:
+            bytes.fromhex(entry["key"])  # keys are hex-encoded belief digests
+            for child in entry["children"].values():
+                bytes.fromhex(child)
+        # the solved graph is closed: every child names an entry
+        assert all(child in keys
+                   for e in entries for child in e["children"].values())
 
 
 def test_reports_do_not_carry_runtimes(solved_seed1):

@@ -10,9 +10,8 @@ writes it.  Then it solves every discounted fixture, and
 ``discounted_chain`` at discount factors 0.9, 0.95 and 0.99, at
 epsilon = 1e-4, and prints the value's ``repr`` and a digest of the
 solve document with its ``stationary_policy`` as ``cis solve`` writes
-it.  Two checkouts that
-print the same lines solved every problem to the same bits.  Run from
-the repository root:
+it.  Two checkouts that print the same lines solved every problem to the
+same bits.  Run from the repository root:
 
     python3 scripts/tree_digest.py > digests.txt
 """

@@ -1,4 +1,4 @@
-"""Print one sha256 per solved (problem, variant), to compare two checkouts.
+"""Print one sha256 per solved (problem, variant) and per command document.
 
 Solves every finite fixture in ``problems/`` and the benchmark's filter
 family members k = 0, 3 and 4 at seeds 0-9, in both belief variants.
@@ -11,7 +11,11 @@ writes it.  Then it solves every discounted fixture, and
 epsilon = 1e-4, and prints the value's ``repr`` and a digest of the
 solve document with its ``stationary_policy`` as ``cis solve`` writes
 it.  Two checkouts that print the same lines solved every problem to the
-same bits.  Run from the repository root:
+same bits.  Last, for every fixture, it prints a digest of the document
+``cis validate`` writes; for every valid finite fixture, one of the
+report ``cis simulate`` writes for 200 episodes of the full tree at seed
+1; and for the fixtures in ``ENUMERATED``, one of the document ``cis
+enumerate`` writes.  Run from the repository root:
 
     python3 scripts/tree_digest.py > digests.txt
 """
@@ -30,11 +34,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from cisolver import serialize  # noqa: E402
 from cisolver.dp import solve_discounted, solve_finite, solve_finite_reduced  # noqa: E402
+from cisolver.oracle import (  # noqa: E402
+    enumerate_basic_strategies,
+    enumerate_coordinator_strategies,
+)
+from cisolver.sim import rollout  # noqa: E402
 
 FILTER_MEMBERS = (0, 3, 4)
 SEEDS = range(10)
 CHAIN_BETAS = (0.9, 0.95, 0.99)
 EPSILON = 1e-4
+ENUMERATED = ("delayed_sharing_2x2", "static_team")  # small enough for both oracles
 
 
 def _filter_family_doc():
@@ -103,6 +113,26 @@ def discounted_digest(spec) -> str:
     return f"{report.value!r} {hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()}"
 
 
+def _text_digest(doc) -> str:
+    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()
+
+
+def command_documents():
+    """``(name, command, doc)`` of the other documents the commands write."""
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec, report = serialize.load_problem(str(path))
+        yield path.stem, "validate", serialize.validation_report_to_dict(report)
+        if spec is None or not report.ok or spec.mode != "finite":
+            continue
+        _, tree = solve_finite(spec)
+        yield path.stem, "simulate", serialize.sim_report_to_dict(
+            rollout(spec, tree, seed=1, episodes=200))
+        if path.stem in ENUMERATED:
+            yield path.stem, "enumerate", serialize.enumeration_result_to_dict(
+                spec, enumerate_basic_strategies(spec),
+                enumerate_coordinator_strategies(spec))
+
+
 def main():
     for name, spec in problems():
         for variant, solve in (("full", solve_finite),
@@ -110,6 +140,8 @@ def main():
             print(f"{name} {variant} {digest(spec, *solve(spec))}", flush=True)
     for name, spec in discounted_problems():
         print(f"{name} stationary {discounted_digest(spec)}", flush=True)
+    for name, command, doc in command_documents():
+        print(f"{name} {command} {_text_digest(doc)}", flush=True)
 
 
 if __name__ == "__main__":

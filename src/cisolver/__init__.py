@@ -56,7 +56,6 @@ from .dp import (
     solve_discounted,
     solve_finite,
     solve_finite_reduced,
-    truncation_depth,
 )
 from .model import ControlStrategy
 from .oracle import (
@@ -113,7 +112,6 @@ __all__ = [
     "solve_finite",
     "solve_finite_reduced",
     "solve_discounted",
-    "truncation_depth",
     "EnumerationReport",
     "enumerate_basic_strategies",
     "enumerate_coordinator_strategies",

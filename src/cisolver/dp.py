@@ -818,15 +818,6 @@ def extract_control_strategy(spec: ProblemSpec, tree: PolicyTree) -> ControlStra
 # -- discounted ---------------------------------------------------------------
 
 
-def truncation_depth(discount: float, epsilon: float, max_abs_cost: float) -> int:
-    """Smallest depth whose geometric cost tail is below ``epsilon``."""
-    if discount == 0.0 or max_abs_cost == 0.0:
-        return 1
-    k = math.ceil(math.log(epsilon * (1.0 - discount) / max_abs_cost)
-                  / math.log(discount))
-    return max(1, k)
-
-
 class _StationaryTable(_BeliefTable):
     """Full stationary beliefs, at most ``cap`` of them.
 

@@ -7,16 +7,8 @@ exactly, and no timing data is embedded.  Policy documents carry a
 sha256 digest of the canonical problem encoding so a policy can never
 silently be replayed against a different problem.
 
-``dumps`` writes every document.  Its text is byte-identical to
-``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``;
-dict keys must be str, and NaN and infinities raise ValueError.  It does
-not call ``json.dumps`` with ``indent=``, because the standard library
-then falls back from its C encoder to a pure-Python one, which made
-writing a solve document slower than solving the problem.  Instead
-``dumps`` walks dicts and lists itself and hands each list of plain
-values (belief weights, prescription tables) to the C encoder in one
-call, with the newline and indentation of its depth as the item
-separator.
+``dumps`` writes every document, as ``json.dumps(doc, indent=2,
+sort_keys=True, allow_nan=False)`` and a newline.
 
 A finite-horizon policy document holds the nodes of its tree, those its
 roots reach, under their solver ids; the loader recomputes the belief and
@@ -30,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -88,98 +79,12 @@ _PRESET_ALIASES = {
 }
 
 
-#: Element types a list may hold to be written by one C encoder call.
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-def _not_serializable(o):
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-class _IndentWriter:
-    """Appends the indented text of one document to ``parts``.
-
-    Containers are walked here.  Scalars and lists of scalars go to the
-    standard library's C encoder, one call per list: the encoder of each
-    depth has ``"," + newline + indentation`` as its item separator.
-
-    The ids of the containers being written are kept open, so a document
-    that contains itself raises ``ValueError("Circular reference
-    detected")``, as the standard library does, instead of recursing
-    without bound.
-    """
-
-    def __init__(self):
-        self.parts: list[str] = []
-        self._open: set[int] = set()  # ids of the containers being written
-        self._levels: list[tuple[str, Any]] = []  # per depth: (newline + pad, encoder)
-
-    def _level(self, depth: int) -> tuple[str, Any]:
-        while len(self._levels) <= depth:
-            pad = "\n" + "  " * len(self._levels)
-            self._levels.append((pad, c_make_encoder(
-                None, _not_serializable, encode_basestring_ascii, None,
-                ": ", "," + pad, True, False, False)))
-        return self._levels[depth]
-
-    def write(self, o: Any, depth: int):
-        if not isinstance(o, (dict, list, tuple)) or not o:
-            self._write(o, depth)
-            return
-        if id(o) in self._open:
-            raise ValueError("Circular reference detected")
-        self._open.add(id(o))
-        self._write(o, depth)
-        self._open.remove(id(o))
-
-    def _write(self, o: Any, depth: int):
-        parts = self.parts
-        if isinstance(o, dict):
-            if not o:
-                parts.append("{}")
-                return
-            pad, encode = self._level(depth + 1)
-            sep = "{" + pad
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                parts += (sep, encode_basestring_ascii(key), ": ")
-                if type(value) in _SCALAR_TYPES:
-                    parts += encode(value, 0)
-                else:
-                    self.write(value, depth + 1)
-                sep = "," + pad
-            parts += (self._level(depth)[0], "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                parts.append("[]")
-                return
-            pad, encode = self._level(depth + 1)
-            if set(map(type, o)) <= _SCALAR_TYPES:
-                # C writes "[a,<pad>b]"; the brackets get lines of their own
-                parts += ("[", pad, "".join(encode(o, 0))[1:-1])
-            else:
-                sep = "[" + pad
-                for item in o:
-                    parts.append(sep)
-                    self.write(item, depth + 1)
-                    sep = "," + pad
-            parts += (self._level(depth)[0], "]")
-        else:
-            parts += self._level(0)[1](o, 0)
-
-
 def dumps(doc: Any) -> str:
     """Serialize a document to deterministic, human-readable JSON text.
 
-    The text equals ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``.  Keys must be str (TypeError otherwise);
     NaN and infinities raise ValueError.
     """
-    writer = _IndentWriter()
-    writer.write(doc, 0)
-    writer.parts.append("\n")
-    return "".join(writer.parts)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_file(path: str) -> Any:
@@ -955,6 +860,9 @@ def policy_tree_from_dict(doc, spec: ProblemSpec) -> PolicyTree:
     checked, and the returned tree, in document order, leaves them out.
     """
     variant = doc["variant"]
+    if variant not in ("full", "reduced"):
+        raise InvalidParameter(
+            f"a policy tree's variant must be \"full\" or \"reduced\", got {variant!r}")
     cls = ReducedBelief if variant == "reduced" else Belief
     stages = []
     for stage_doc in doc["stages"]:

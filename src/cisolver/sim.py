@@ -44,7 +44,7 @@ import numpy as np
 
 from .coordinator import stage_layout, PrescriptionSpace
 from .dp import PolicyTree
-from .errors import InvalidParameter, UnreachableInformation
+from .errors import InvalidParameter, SizeOverflow, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
 
 _AUDIT_TOL = 1e-15
@@ -363,8 +363,8 @@ class _Prefetch:
     """
 
     def __init__(self, spec: ProblemSpec, seed: int, episodes: int):
+        self.episodes = episodes
         self.starts = range(0, episodes, _BLOCK)
-        self.sizes = [min(_BLOCK, episodes - lo) for lo in self.starts]
         self._asked = threading.Semaphore(1)  # blocks the helper may draw: block 0
         self._drawn = threading.Semaphore(0)  # released once the slot holds a block
         self._slot = None  # the drawn block, or the helper's exception
@@ -376,10 +376,11 @@ class _Prefetch:
     def _draw(self, spec: ProblemSpec, seed: int):
         try:
             streams = _streams(spec, seed)
-            for n in self.sizes:
+            for lo in self.starts:
                 self._asked.acquire()
                 if self._closed:
                     return
+                n = min(_BLOCK, self.episodes - lo)
                 self._slot = {k: g.random(n) for k, g in streams.items()}
                 self._drawn.release()
         except BaseException as exc:  # raised again in the caller
@@ -468,6 +469,8 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     Recorded trajectories name each node by its ``id`` in the policy.
 
     Raises:
+        SizeOverflow: the per-episode costs cannot be allocated; raised
+            before any episode is drawn.
         UnreachableInformation: a realized message has no policy entry; the
             message names the lowest such episode and the id of the node
             that emitted it.
@@ -475,7 +478,11 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     _check_run(seed, episodes)
     plan = _ExecPlan(spec, policy)
     T = spec.horizon
-    costs = np.empty(episodes)
+    try:
+        costs = np.empty(episodes)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+        raise SizeOverflow(f"the costs of {episodes} episodes do not fit in "
+                           f"memory ({8 * episodes} bytes)", size=episodes) from None
     violations = 0
     trajectories = [] if record else None
     with closing(_steps(spec, (plan,), seed, episodes)) as steps:

@@ -5,6 +5,8 @@ plain arrays with straightforward enumeration, so agreement with the
 solver is a meaningful check rather than a tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -40,6 +42,15 @@ def finite_pomdp_value(initial, transitions, obs_kernels, costs):
         return total
 
     return value(np.asarray(initial, dtype=float), 1)
+
+
+def truncation_depth(discount, epsilon, max_abs_cost):
+    """Smallest depth whose geometric cost tail is below ``epsilon``."""
+    if discount == 0.0 or max_abs_cost == 0.0:
+        return 1
+    k = math.ceil(math.log(epsilon * (1.0 - discount) / max_abs_cost)
+                  / math.log(discount))
+    return max(1, k)
 
 
 def discounted_pomdp_value(initial, transition, obs_kernel, cost, beta, depth):

@@ -23,7 +23,6 @@ from cisolver.dp import (
     solve_discounted,
     solve_finite,
     solve_finite_reduced,
-    truncation_depth,
 )
 from cisolver.model import ProblemSpec, validate_problem
 from cisolver.oracle import (
@@ -137,7 +136,7 @@ def test_criterion_08_discounted_fixed_point():
 
     chain = instances.discounted_chain(0.9)
     report, _ = solve_discounted(chain, epsilon=eps)
-    depth = truncation_depth(0.9, eps / 10.0, chain.max_abs_cost)
+    depth = reference.truncation_depth(0.9, eps / 10.0, chain.max_abs_cost)
     expect = reference.discounted_pomdp_value(
         chain.initial_dist, chain.transitions[0], chain.obs_kernels[0][0],
         chain.costs[0], 0.9, depth)

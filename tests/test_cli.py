@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 import cisolver.cli as cli
+from cisolver import sim
 from cisolver.oracle import EnumerationReport
 from cisolver.sim import SimReport
 
@@ -190,14 +191,17 @@ def test_simulate_rejects_a_policy_that_names_no_node(capsys, tmp_path,
      "node ids must be distinct integers"),
     (lambda policy: policy["stages"][0][0].update(children={})
      or policy["stages"][1].clear(), "policy stage 2 has no nodes"),
+    *((lambda policy, v=v: policy.update(variant=v),
+       f'variant must be "full" or "reduced", got {v!r}') for v in ("banana", 5, None)),
 ])
 def test_simulate_rejects_broken_roots_children_and_ids(capsys, tmp_path, problems_dir,
                                                         corrupt, named):
     """Each of these once exited 6 (internal error) or was read silently.
 
     No roots, an infinite root id, a children list instead of an object
-    and an empty stage exited 6; an extra root was ignored, and a duplicate
-    id sent the root's children to the wrong node.
+    and an empty stage exited 6; an extra root was ignored, a duplicate
+    id sent the root's children to the wrong node, and any variant but
+    "reduced" was read as "full".
     """
     problem = str(problems_dir / "delayed_sharing_2x2.json")
     policy = tmp_path / "policy.json"
@@ -586,6 +590,26 @@ def test_bad_episode_count_is_invalid(capsys, tmp_path, problems_dir):
     code, _, _ = run(capsys, "simulate", problem, str(policy),
                      "--episodes", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("episodes", [10**18, 2**62])
+def test_an_episode_count_past_memory_hits_the_size_cap(capsys, tmp_path, problems_dir,
+                                                        monkeypatch, episodes):
+    """These once exited 6, with a MemoryError and with numpy's "array is too big".
+
+    Both counts need more bytes for their per-episode costs than a 64-bit
+    address space holds, so they fail on every machine, and before any
+    episode is drawn.
+    """
+    problem = str(problems_dir / "delayed_sharing_2x2.json")
+    policy = tmp_path / "policy.json"
+    run(capsys, "solve", problem, "--output", str(policy))
+    monkeypatch.setattr(sim, "_Prefetch", None)  # starting the draws would exit 6
+    code, out, err = run(capsys, "simulate", problem, str(policy),
+                         "--episodes", str(episodes))
+    assert code == 3
+    assert out == ""
+    assert f"cap exceeded: the costs of {episodes} episodes do not fit" in err
 
 
 @pytest.mark.parametrize("seed", [str(2**64), "-1"])

@@ -24,7 +24,6 @@ from cisolver.dp import (
     solve_discounted,
     solve_finite,
     solve_finite_reduced,
-    truncation_depth,
 )
 from cisolver.errors import Infeasible, InvalidParameter, SizeOverflow
 from cisolver.model import FiniteSpace, ProblemSpec
@@ -162,14 +161,6 @@ def test_mode_checks():
         solve_finite(discounted)
 
 
-def test_truncation_depth_edges():
-    assert truncation_depth(0.0, 1e-4, 1.0) == 1
-    assert truncation_depth(0.9, 1e-4, 0.0) == 1
-    deep = truncation_depth(0.9, 1e-4, 1.0)
-    assert 0.9 ** deep * 1.0 / 0.1 <= 1e-4
-    assert 0.9 ** (deep - 1) * 1.0 / 0.1 > 1e-4
-
-
 def test_discount_zero_equals_one_shot_solve():
     base = instances.discounted_constant(0.5)
     zero = ProblemSpec(
@@ -204,7 +195,7 @@ def test_discounted_chain_matches_independent_value_iteration():
     spec = instances.discounted_chain(0.9)
     epsilon = 1e-4
     report, policy = solve_discounted(spec, epsilon=epsilon)
-    depth = truncation_depth(0.9, epsilon / 10.0, spec.max_abs_cost)
+    depth = reference.truncation_depth(0.9, epsilon / 10.0, spec.max_abs_cost)
     expect = reference.discounted_pomdp_value(
         spec.initial_dist, spec.transitions[0], spec.obs_kernels[0][0],
         spec.costs[0], 0.9, depth)

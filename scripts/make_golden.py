@@ -8,14 +8,17 @@ repository root:
 """
 
 import pathlib
+import sys
 
-from cisolver import serialize
-from cisolver.oracle import (
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the package of this checkout, not an installed one
+sys.path.insert(0, str(ROOT / "src"))
+
+from cisolver import serialize  # noqa: E402
+from cisolver.oracle import (  # noqa: E402
     enumerate_basic_strategies,
     enumerate_coordinator_strategies,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SUBJECTS = ["delayed_sharing_2x2", "static_team", "acceptance_seed1"]
 

@@ -15,7 +15,10 @@ same bits.  Last, for every fixture, it prints a digest of the document
 ``cis validate`` writes; for every valid finite fixture, one of the
 report ``cis simulate`` writes for 200 episodes of the full tree at seed
 1; and for the fixtures in ``ENUMERATED``, one of the document ``cis
-enumerate`` writes.  Run from the repository root:
+enumerate`` writes.  Finally, for filter member k = 0 at seeds 0-9, it
+prints the coordinator oracle's count, the ``repr`` of its minimum and a
+digest of its strategy (roots, then per node: id, stage, tables and
+children in message order).  Run from the repository root:
 
     python3 scripts/tree_digest.py > digests.txt
 """
@@ -45,6 +48,7 @@ SEEDS = range(10)
 CHAIN_BETAS = (0.9, 0.95, 0.99)
 EPSILON = 1e-4
 ENUMERATED = ("delayed_sharing_2x2", "static_team")  # small enough for both oracles
+ORACLE_MEMBER = 0  # delayed sharing, as on the benchmark's certify workload
 
 
 def _filter_family_doc():
@@ -133,6 +137,16 @@ def command_documents():
                 enumerate_coordinator_strategies(spec))
 
 
+def coordinator_oracle_line(spec) -> str:
+    got = enumerate_coordinator_strategies(spec)
+    h = hashlib.sha256(repr(got.strategy.roots).encode())
+    for stage in got.strategy.stages:
+        for nd in stage:
+            h.update(repr((nd.node_id, nd.t, [tb.tolist() for tb in nd.tables],
+                           sorted(nd.children.items()))).encode())
+    return f"{got.count} {got.minimum!r} {h.hexdigest()}"
+
+
 def main():
     for name, spec in problems():
         for variant, solve in (("full", solve_finite),
@@ -142,6 +156,12 @@ def main():
         print(f"{name} stationary {discounted_digest(spec)}", flush=True)
     for name, command, doc in command_documents():
         print(f"{name} {command} {_text_digest(doc)}", flush=True)
+    family = _filter_family_doc()
+    for seed in SEEDS:
+        spec, report = serialize.problem_from_document(family(seed, ORACLE_MEMBER))
+        assert spec is not None and report.ok, report
+        print(f"filter_k{ORACLE_MEMBER}_seed{seed} coordinator_oracle "
+              f"{coordinator_oracle_line(spec)}", flush=True)
 
 
 if __name__ == "__main__":

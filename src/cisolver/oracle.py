@@ -20,11 +20,23 @@ Three operations:
   its options.
 
 Both enumerations return the minimizing strategy in executable form.
+
+Each public call first compiles the model into a private per-stage view
+of plain Python values (:class:`_Stage`): cost rows, message maps and
+memory updates as nested lists, each transition row as its positive
+``(x', p)`` pairs, the joint positive observations, the strides and the
+prescription radix.  The loops read that view instead of indexing numpy
+arrays one element at a time.  Every float in it is the double numpy
+held, and every sum and product is formed from the same operands in the
+same order, so counts, minima and strategies are those of reading the
+arrays.  The view is the model, not the solver's structures: this module
+still imports nothing from ``dp``, ``coordinator`` or ``sim``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,18 +67,10 @@ def _require_finite(spec: ProblemSpec, what: str):
         raise InvalidParameter(f"{what} requires a finite-horizon problem")
 
 
-def _msg_strides(spec: ProblemSpec, t: int) -> list[int]:
-    cards = spec.msg_cards(t)
-    strides = [1] * spec.n
-    for i in range(spec.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * cards[i + 1]
-    return strides
-
-
-def _act_strides(spec: ProblemSpec) -> list[int]:
-    cards = spec.action_cards
-    strides = [1] * spec.n
-    for i in range(spec.n - 2, -1, -1):
+def _strides(cards) -> list[int]:
+    """Mixed-radix strides, the first entry most significant."""
+    strides = [1] * len(cards)
+    for i in range(len(cards) - 2, -1, -1):
         strides[i] = strides[i + 1] * cards[i + 1]
     return strides
 
@@ -75,10 +79,114 @@ def _positive_obs(spec: ProblemSpec, t: int) -> list[list[list[tuple[int, float]
     """Per controller, per state: the positive-probability observations."""
     out = []
     for i in range(spec.n):
-        k = spec.obs_kernel(i, t)
-        out.append([[(y, float(k[x, y])) for y in range(k.shape[1]) if k[x, y] > 0.0]
-                    for x in range(k.shape[0])])
+        rows = spec.obs_kernel(i, t).tolist()
+        out.append([[(y, py) for y, py in enumerate(row) if py > 0.0] for row in rows])
     return out
+
+
+def _digits(index: int, bases: list[int]) -> tuple[int, ...]:
+    """``index`` in the mixed radix ``bases``, the first digit most significant."""
+    digits = []
+    for base in reversed(bases):
+        digits.append(index % base)
+        index //= base
+    digits.reverse()
+    return tuple(digits)
+
+
+class _Stage:
+    """One stage of the model as Python values, read by the oracles' loops.
+
+    Every float is the double numpy held (``tolist``), so sums and products
+    over these values are bitwise those over the arrays.
+
+    * ``cost[x][u_flat]``; the joint-action strides ``act_strides``; ``ny``
+      and ``nm``, per controller;
+    * ``bases``: one digit base ``|U_i|`` per (controller, point ``(y, m)``),
+      controller 0 and ``y * nm_i + m`` = 0 most significant, so a joint
+      prescription index is a number in this radix; controller ``i``'s
+      digits start at ``offsets[i]``;
+    * before the last stage: ``msg_map[i][m][y][a]``,
+      ``mem_update[i][m][y][a]``, the message strides ``zstr``,
+      ``trans[x][u_flat]`` as the positive ``(x', p)`` pairs in state order,
+      and ``obs_next[x']`` as ``(ys, probabilities)`` for every joint
+      positive-probability observation at the next stage, in product order.
+    """
+
+    def __init__(self, spec: ProblemSpec, t: int):
+        n = spec.n
+        self.act_strides = _strides(spec.action_cards)
+        self.cost = spec.cost(t).tolist()
+        self.ny = [spec.obs_spaces[i].cardinality for i in range(n)]
+        self.nm = list(spec.mem_cards(t))
+        self.bases = [spec.action_cards[i] for i in range(n)
+                      for _ in range(self.ny[i] * self.nm[i])]
+        self.offsets = [sum(self.ny[j] * self.nm[j] for j in range(i)) for i in range(n)]
+        if t == spec.horizon:
+            return
+        self.msg_map = [spec.msg_map(i, t).tolist() for i in range(n)]
+        self.mem_update = [spec.mem_update(i, t).tolist() for i in range(n)]
+        self.zstr = _strides(spec.msg_cards(t))
+        self.trans = [[[(x2, px) for x2, px in enumerate(row) if px > 0.0]
+                       for row in rows] for rows in spec.transition(t).tolist()]
+        obs = _positive_obs(spec, t + 1)
+        self.obs_next = [
+            [(tuple(y for y, _ in combo), tuple(py for _, py in combo))
+             for combo in itertools.product(*(obs[i][x2] for i in range(n)))]
+            for x2 in range(spec.state_space.cardinality)]
+
+    def positions(self, ys, ms) -> tuple[int, ...]:
+        """Each controller's digit position in a joint prescription at ``(ys, ms)``."""
+        return tuple(o + y * nm + m for o, nm, y, m in zip(self.offsets, self.nm, ys, ms))
+
+    def u_flat(self, u) -> int:
+        return sum(a * s for a, s in zip(u, self.act_strides))
+
+    def message(self, ys, ms, u) -> int:
+        """The joint message that actions ``u`` emit at ``(ys, ms)``."""
+        return sum(self.msg_map[i][ms[i]][ys[i]][a] * self.zstr[i]
+                   for i, a in enumerate(u))
+
+    def extend(self, state, p: float, u, sink: dict, prefix: tuple = (),
+               counter: list | None = None, cap: int = 0):
+        """Push one weighted state through this stage's dynamics into ``sink``.
+
+        Keys are ``prefix + (x', observations, memories)``.
+        """
+        x, ys, ms = state
+        m_next = tuple(self.mem_update[i][ms[i]][ys[i]][a] for i, a in enumerate(u))
+        for x2, px in self.trans[x][self.u_flat(u)]:
+            px = p * px
+            for ys2, pys in self.obs_next[x2]:
+                q = px
+                for py in pys:
+                    q *= py
+                if counter is not None:
+                    counter[0] += 1
+                    if counter[0] > cap:
+                        raise Infeasible(
+                            f"trajectory branches exceed cap {cap} "
+                            f"(reached {counter[0]})", count=counter[0])
+                if q > 0.0:
+                    key = prefix + (x2, ys2, m_next)
+                    sink[key] = sink.get(key, 0.0) + q
+
+
+def _costed(st: _Stage, measure: dict, positions) -> list:
+    """Per measure entry, in measure order: ``p * cost[x]`` as a row over
+    ``u_flat``, and ``(digit position, action stride)`` per controller.
+
+    A choice's stage cost is the sum over entries of ``row[u_flat]``, added
+    in measure order: the same products, added in the same order, as
+    ``p * cost[x][u_flat]`` entry by entry.
+    """
+    return [([p * c for c in st.cost[x]], tuple(zip(positions(ys, ms), st.act_strides)))
+            for (x, ys, ms), p in measure.items()]
+
+
+def _compile(spec: ProblemSpec) -> list[_Stage]:
+    """The model's stages as Python values, built once per public call."""
+    return [_Stage(spec, t) for t in range(1, spec.horizon + 1)]
 
 
 def _initial_joint(spec: ProblemSpec):
@@ -119,32 +227,6 @@ def _initial_joint(spec: ProblemSpec):
         pos += 1
 
 
-def _extend(spec: ProblemSpec, t: int, state, p: float, u: tuple[int, ...],
-            obs_next, sink: dict, counter: list | None = None, cap: int = 0):
-    """Push one weighted state through stage ``t``'s dynamics into ``sink``."""
-    x, ys, ms = state
-    strides = _act_strides(spec)
-    u_flat = sum(u[i] * strides[i] for i in range(spec.n))
-    m_next = tuple(int(spec.mem_update(i, t)[ms[i], ys[i], u[i]])
-                   for i in range(spec.n))
-    row = spec.transition(t)[x, u_flat]
-    for x2 in np.nonzero(row > 0.0)[0]:
-        px = p * float(row[x2])
-        for combo in itertools.product(*(obs_next[i][x2] for i in range(spec.n))):
-            q = px
-            for _, py in combo:
-                q *= py
-            if counter is not None:
-                counter[0] += 1
-                if counter[0] > cap:
-                    raise Infeasible(
-                        f"trajectory branches exceed cap {cap} "
-                        f"(reached {counter[0]})", count=counter[0])
-            if q > 0.0:
-                key = (int(x2), tuple(y for y, _ in combo), m_next)
-                sink[key] = sink.get(key, 0.0) + q
-
-
 def exact_cost_of_strategy(spec: ProblemSpec, strategy: ControlStrategy,
                            cap_branches: int = 100_000_000) -> float:
     """Exact expected total cost of ``strategy``, by trajectory summation.
@@ -169,38 +251,37 @@ def exact_cost_of_strategy(spec: ProblemSpec, strategy: ControlStrategy,
         for state, p in joint.items():
             measure[(root_id,) + state] = measure.get((root_id,) + state, 0.0) + p
 
+    stages = _compile(spec)
+    tables: dict = {}  # node id -> per controller, its action table as lists
+
+    def actions(node_id, ys, ms):
+        got = tables.get(node_id)
+        if got is None:
+            got = tables[node_id] = [np.asarray(tb, dtype=np.int64).tolist()
+                                     for tb in strategy.node(node_id).tables]
+        return tuple(tb[y][m] for tb, y, m in zip(got, ys, ms))
+
     total = 0.0
-    for t in range(1, spec.horizon + 1):
-        cost_t = spec.cost(t)
-        strides = _act_strides(spec)
+    for t, st in enumerate(stages, start=1):
+        cost = st.cost
         stage_cost = 0.0
+        us = []
         for (node_id, x, ys, ms), p in measure.items():
-            nd = strategy.node(node_id)
-            u_flat = sum(int(nd.tables[i][ys[i], ms[i]]) * strides[i]
-                         for i in range(spec.n))
-            stage_cost += p * float(cost_t[x, u_flat])
+            u = actions(node_id, ys, ms)
+            us.append(u)
+            stage_cost += p * cost[x][st.u_flat(u)]
         total += stage_cost
         if t == spec.horizon:
             break
-        obs_next = _positive_obs(spec, t + 1)
-        zstr = _msg_strides(spec, t)
         nxt: dict = {}
-        for (node_id, x, ys, ms), p in measure.items():
-            nd = strategy.node(node_id)
-            u = tuple(int(nd.tables[i][ys[i], ms[i]]) for i in range(spec.n))
-            z = sum(int(spec.msg_map(i, t)[ms[i], ys[i], u[i]]) * zstr[i]
-                    for i in range(spec.n))
-            child = nd.children.get(z)
+        for ((node_id, x, ys, ms), p), u in zip(measure.items(), us):
+            z = st.message(ys, ms, u)
+            child = strategy.node(node_id).children.get(z)
             if child is None:
                 raise UnreachableInformation(
                     f"strategy node {node_id} at stage {t} has no successor for "
                     f"message {z}, which occurs with probability {p!r}")
-            bucket: dict = {}
-            _extend(spec, t, (x, ys, ms), p, u, obs_next, bucket, counter,
-                    cap_branches)
-            for state, q in bucket.items():
-                key = (child,) + state
-                nxt[key] = nxt.get(key, 0.0) + q
+            st.extend((x, ys, ms), p, u, nxt, (child,), counter, cap_branches)
         measure = nxt
     return float(total)
 
@@ -209,56 +290,50 @@ def exact_cost_of_strategy(spec: ProblemSpec, strategy: ControlStrategy,
 
 
 class _EnumNode:
-    """One realizable node while a strategy is being built depth-first."""
+    """One realizable node while a strategy is being built depth-first.
 
-    __slots__ = ("label", "measure", "points", "n_assign", "costs", "decode_cache")
+    An assignment gives an action to each realizable decision point
+    ``(y_i, m_i)``, the points of controller 0 first and each controller's
+    in sorted order; its index is a number in the radix ``bases``, the first
+    point most significant.
+    """
 
-    def __init__(self, spec: ProblemSpec, t: int, label, measure: dict):
+    __slots__ = ("label", "measure", "bases", "n_assign", "where", "entries", "costed")
+
+    def __init__(self, spec: ProblemSpec, st: _Stage, label, measure: dict):
         self.label = label
         self.measure = measure
         # realizable decision points per controller, sorted
-        self.points = []
-        for i in range(spec.n):
-            pts = sorted({(ys[i], ms[i]) for (x, ys, ms) in measure})
-            self.points.append(pts)
-        self.n_assign = 1
-        for i in range(spec.n):
-            self.n_assign *= spec.action_cards[i] ** len(self.points[i])
-        self.decode_cache = {}
+        points = [sorted({(ys[i], ms[i]) for (x, ys, ms) in measure})
+                  for i in range(spec.n)]
+        self.bases = [spec.action_cards[i] for i in range(spec.n) for _ in points[i]]
+        self.n_assign = math.prod(self.bases)
+        # per controller: point -> its position in an assignment's digits
+        self.where = []
+        for pts in points:
+            offset = sum(map(len, self.where))
+            self.where.append({pt: offset + k for k, pt in enumerate(pts)})
+        # per measure entry: (state, p, each controller's digit position)
+        self.entries = [(state, p, self.positions(state[1], state[2]))
+                        for state, p in measure.items()]
+        self.costed = _costed(st, measure, self.positions)
 
-    def actions(self, spec: ProblemSpec, assignment: int):
+    def positions(self, ys, ms) -> tuple[int, ...]:
+        return tuple(w[(y, m)] for w, y, m in zip(self.where, ys, ms))
+
+    def actions(self, assignment: int):
         """Per-controller point -> action maps for one assignment index."""
-        got = self.decode_cache.get(assignment)
-        if got is not None:
-            return got
-        maps = []
-        rest = assignment
-        sizes = [spec.action_cards[i] ** len(self.points[i]) for i in range(spec.n)]
-        digits = []
-        for i in range(spec.n - 1, -1, -1):
-            digits.append(rest % sizes[i])
-            rest //= sizes[i]
-        digits.reverse()
-        for i in range(spec.n):
-            nu = spec.action_cards[i]
-            acts = {}
-            d = digits[i]
-            for pt in reversed(self.points[i]):
-                acts[pt] = d % nu
-                d //= nu
-            maps.append(acts)
-        got = tuple(maps)
-        self.decode_cache[assignment] = got
-        return got
+        digits = _digits(assignment, self.bases)
+        return tuple({pt: digits[k] for pt, k in w.items()} for w in self.where)
 
-    def stage_cost(self, spec: ProblemSpec, t: int, assignment: int) -> float:
-        strides = _act_strides(spec)
-        maps = self.actions(spec, assignment)
-        cost_t = spec.cost(t)
+    def stage_cost(self, digits) -> float:
+        """The stage cost of the assignment with these digits."""
         out = 0.0
-        for (x, ys, ms), p in self.measure.items():
-            u_flat = sum(maps[i][(ys[i], ms[i])] * strides[i] for i in range(spec.n))
-            out += p * float(cost_t[x, u_flat])
+        for row, terms in self.costed:
+            u_flat = 0
+            for k, stride in terms:
+                u_flat += digits[k] * stride
+            out += row[u_flat]
         return out
 
 
@@ -280,33 +355,27 @@ def enumerate_basic_strategies(spec: ProblemSpec,
     _require_finite(spec, "basic-strategy enumeration")
     started = time.perf_counter()
     T = spec.horizon
+    stages = _compile(spec)
     counted = [0]
     best = [np.inf, None]  # minimum, snapshot of (levels, leaf assignment indices)
 
-    root_nodes = [_EnumNode(spec, 1, (pos,), joint)
+    root_nodes = [_EnumNode(spec, stages[0], (pos,), joint)
                   for pos, joint in _initial_joint(spec)]
 
-    def children_of(nodes, assignment_ids, t):
-        obs_next = _positive_obs(spec, t + 1)
-        zstr = _msg_strides(spec, t)
+    def children_of(nodes, assignment_digits, t):
+        st = stages[t - 1]
         buckets: dict = {}
-        for nd, a in zip(nodes, assignment_ids):
-            maps = nd.actions(spec, a)
-            for (x, ys, ms), p in nd.measure.items():
-                u = tuple(maps[i][(ys[i], ms[i])] for i in range(spec.n))
-                z = sum(int(spec.msg_map(i, t)[ms[i], ys[i], u[i]]) * zstr[i]
-                        for i in range(spec.n))
-                label = nd.label + (z,)
-                sink = buckets.setdefault(label, {})
-                _extend(spec, t, (x, ys, ms), p, u, obs_next, sink)
-        return [_EnumNode(spec, t + 1, label, buckets[label])
+        for nd, digits in zip(nodes, assignment_digits):
+            for (x, ys, ms), p, pos in nd.entries:
+                u = tuple(digits[k] for k in pos)
+                label = nd.label + (st.message(ys, ms, u),)
+                st.extend((x, ys, ms), p, u, buckets.setdefault(label, {}))
+        return [_EnumNode(spec, stages[t], label, buckets[label])
                 for label in sorted(buckets)]
 
     def leaf_sweep(nodes, t, acc, path):
         sizes = [nd.n_assign for nd in nodes]
-        total = 1
-        for s in sizes:
-            total *= s
+        total = math.prod(sizes)
         if counted[0] + total > cap_strategies:
             raise Infeasible(
                 f"basic strategies exceed cap {cap_strategies} "
@@ -314,28 +383,24 @@ def enumerate_basic_strategies(spec: ProblemSpec,
         counted[0] += total
         acc_arr = np.array([acc])
         for nd in nodes:
-            costs = np.array([nd.stage_cost(spec, t, a) for a in range(nd.n_assign)])
+            costs = np.array([nd.stage_cost(digits) for digits
+                              in itertools.product(*map(range, nd.bases))])
             acc_arr = (acc_arr[:, None] + costs[None, :]).reshape(-1)
         pos = int(np.argmin(acc_arr))
         if acc_arr[pos] < best[0]:
-            leaf_assign = []
-            rest = pos
-            for s in reversed(sizes):
-                leaf_assign.append(rest % s)
-                rest //= s
-            leaf_assign.reverse()
             best[0] = float(acc_arr[pos])
-            best[1] = path + [(nodes, leaf_assign)]
+            best[1] = path + [(nodes, list(_digits(pos, sizes)))]
 
     def dfs(nodes, t, acc, path):
         if t == T:
             leaf_sweep(nodes, t, acc, path)
             return
         for assignment_ids in itertools.product(*(range(nd.n_assign) for nd in nodes)):
+            digits = [_digits(a, nd.bases) for nd, a in zip(nodes, assignment_ids)]
             stage = acc
-            for nd, a in zip(nodes, assignment_ids):
-                stage += nd.stage_cost(spec, t, a)
-            kids = children_of(nodes, assignment_ids, t)
+            for nd, d in zip(nodes, digits):
+                stage += nd.stage_cost(d)
+            kids = children_of(nodes, digits, t)
             dfs(kids, t + 1, stage, path + [(nodes, list(assignment_ids))])
 
     dfs(root_nodes, 1, 0.0, [])
@@ -357,7 +422,7 @@ def _strategy_from_snapshot(spec: ProblemSpec, snapshot) -> ControlStrategy:
     for level, (nodes, assignment_ids) in enumerate(snapshot, start=1):
         out = []
         for nd, a in zip(nodes, assignment_ids):
-            maps = nd.actions(spec, a)
+            maps = nd.actions(a)
             tables = []
             for i in range(spec.n):
                 ny = spec.obs_spaces[i].cardinality
@@ -413,64 +478,29 @@ def enumerate_coordinator_strategies(spec: ProblemSpec,
     _require_finite(spec, "coordinator enumeration")
     started = time.perf_counter()
     T = spec.horizon
+    stages = _compile(spec)
     evaluated = [0]
-    memo: dict = {}  # (t, canonical measure) -> (value, gamma digits, children)
+    memo: dict = {}  # (t, canonical measure) -> (value, gamma index, children)
 
-    def presc_sizes(t):
-        sizes = []
-        for i in range(spec.n):
-            points = spec.obs_spaces[i].cardinality * spec.mem_space(i, t).cardinality
-            sizes.append(spec.action_cards[i] ** points)
-        return sizes
+    def push(st, entries, digits):
+        """Conditional successor measures per message, with message masses.
 
-    def decode_gamma(t, index):
-        """Flat joint prescription index -> per-controller (y, m) tables."""
-        sizes = presc_sizes(t)
-        parts = []
-        rest = index
-        for i in range(spec.n - 1, -1, -1):
-            parts.append(rest % sizes[i])
-            rest //= sizes[i]
-        parts.reverse()
-        tables = []
-        for i in range(spec.n):
-            ny = spec.obs_spaces[i].cardinality
-            nm = spec.mem_space(i, t).cardinality
-            nu = spec.action_cards[i]
-            flat = np.zeros(ny * nm, dtype=np.int64)
-            d = parts[i]
-            for p in range(ny * nm - 1, -1, -1):
-                flat[p] = d % nu
-                d //= nu
-            tables.append(flat.reshape(ny, nm))
-        return tables
-
-    def push(t, measure, tables):
-        """Conditional successor measures per message, with message masses."""
-        zstr = _msg_strides(spec, t)
-        obs_next = _positive_obs(spec, t + 1)
+        ``entries`` holds ``(state, p, digit positions)`` in state order.
+        """
         masses: dict = {}
-        sinks: dict = {}
-        for state in sorted(measure):
-            x, ys, ms = state
-            p = measure[state]
-            u = tuple(int(tables[i][ys[i], ms[i]]) for i in range(spec.n))
-            z = sum(int(spec.msg_map(i, t)[ms[i], ys[i], u[i]]) * zstr[i]
-                    for i in range(spec.n))
+        moves = []
+        for state, p, pos in entries:
+            _, ys, ms = state
+            u = tuple(digits[k] for k in pos)
+            z = st.message(ys, ms, u)
             masses[z] = masses.get(z, 0.0) + p
-        for state in sorted(measure):
-            x, ys, ms = state
-            p = measure[state]
-            u = tuple(int(tables[i][ys[i], ms[i]]) for i in range(spec.n))
-            z = sum(int(spec.msg_map(i, t)[ms[i], ys[i], u[i]]) * zstr[i]
-                    for i in range(spec.n))
+            moves.append((state, p, u, z))
+        sinks: dict = {}
+        for state, p, u, z in moves:
             if masses[z] <= _ZERO:
                 continue
-            sink = sinks.setdefault(z, {})
-            _extend(spec, t, state, p / masses[z], u, obs_next, sink)
+            st.extend(state, p / masses[z], u, sinks.setdefault(z, {}))
         return [(z, masses[z], sinks[z]) for z in sorted(sinks)]
-
-    strides = _act_strides(spec)
 
     def evaluate(t, measure):
         """Minimum expected cost-to-go per unit mass of a normalized measure."""
@@ -478,27 +508,28 @@ def enumerate_coordinator_strategies(spec: ProblemSpec,
         got = memo.get(key)
         if got is not None:
             return got[0], key
-        sizes = presc_sizes(t)
-        joint = 1
-        for s in sizes:
-            joint *= s
+        st = stages[t - 1]
+        joint = math.prod(st.bases)
         evaluated[0] += joint
         if evaluated[0] > cap_evaluations:
             raise Infeasible(
                 f"prescription evaluations exceed cap {cap_evaluations} "
                 f"(reached {evaluated[0]})", count=evaluated[0])
-        cost_t = spec.cost(t)
+        costed = _costed(st, measure, st.positions)
+        pushed = [(state, measure[state], st.positions(state[1], state[2]))
+                  for state in sorted(measure)]
         best, best_gamma, best_children = np.inf, None, None
-        for index in range(joint):
-            tables = decode_gamma(t, index)
+        # prescriptions in index order: the last digit runs fastest
+        for index, digits in enumerate(itertools.product(*map(range, st.bases))):
             q = 0.0
-            for (x, ys, ms), p in measure.items():
-                u_flat = sum(int(tables[i][ys[i], ms[i]]) * strides[i]
-                             for i in range(spec.n))
-                q += p * float(cost_t[x, u_flat])
+            for row, terms in costed:
+                u_flat = 0
+                for k, stride in terms:
+                    u_flat += digits[k] * stride
+                q += row[u_flat]
             children = {}
             if t < T:
-                for z, mass, child in push(t, measure, tables):
+                for z, mass, child in push(st, pushed, digits):
                     value, child_key = evaluate(t + 1, child)
                     q += mass * value
                     children[z] = child_key
@@ -516,13 +547,20 @@ def enumerate_coordinator_strategies(spec: ProblemSpec,
         total += mass * value
         roots.append((mass, key))
 
-    strategy = _strategy_from_memo(spec, memo, roots, decode_gamma)
+    strategy = _strategy_from_memo(spec, stages, memo, roots)
     return EnumerationReport(
         kind="coordinator", count=evaluated[0], minimum=float(total),
         strategy=strategy, runtime_s=time.perf_counter() - started)
 
 
-def _strategy_from_memo(spec, memo, roots, decode_gamma) -> ControlStrategy:
+def _gamma_tables(st: _Stage, index: int) -> tuple[np.ndarray, ...]:
+    """Flat joint prescription index -> per-controller ``(y, m)`` action tables."""
+    digits = _digits(index, st.bases)
+    return tuple(np.array(digits[o:o + ny * nm], dtype=np.int64).reshape(ny, nm)
+                 for o, ny, nm in zip(st.offsets, st.ny, st.nm))
+
+
+def _strategy_from_memo(spec, compiled, memo, roots) -> ControlStrategy:
     """Stitch the per-node argmins into one executable strategy."""
     ids = {}
     stages = [[] for _ in range(spec.horizon)]
@@ -547,7 +585,7 @@ def _strategy_from_memo(spec, memo, roots, decode_gamma) -> ControlStrategy:
     for t in range(1, spec.horizon + 1):
         out = []
         for key, gamma, children in stages[t - 1]:
-            tables = tuple(decode_gamma(t, gamma))
+            tables = _gamma_tables(compiled[t - 1], gamma)
             out.append(StrategyNode(
                 node_id=ids[key], t=t, tables=tables,
                 children={z: ids[ck] for z, ck in children.items()}))

@@ -18,7 +18,13 @@ so every rollout call owns one helper thread that reads the streams
 stepped, never more than one block ahead.  It is the only reader of the
 streams and reads each in the same order as a sequential loop would, so
 the results are the same as without it; it is joined before the call
-returns or raises.
+returns or raises.  It draws into two sets of per-stream buffers of
+``min(_BLOCK, episodes)`` allocated once per call, block ``b`` into set
+``b % 2``.  Two suffice: block ``b + 2`` is drawn only after block ``b + 1``
+has been handed over, by which time block ``b``'s draws are dropped, and
+nothing stepped from the draws aliases them.  The streams are
+counter-based, so which uniform an episode reads does not depend on where
+it is written.
 
 Sampling from a categorical row uses the inverse CDF over cumulative rows
 computed once per kernel, so equal rows and equal uniforms give equal
@@ -360,6 +366,14 @@ class _Prefetch:
     stream is read in order, block after block.  Iterating yields each
     block's first episode and draws, and raises any exception of the
     helper; :meth:`close` stops the helper and joins it.
+
+    The helper allocates two sets of per-stream buffers once and draws
+    block ``b`` into set ``b % 2`` (``Generator.random(out=...)``), so the
+    draws of a block are overwritten when block ``b + 2`` is drawn.  That
+    happens only after block ``b + 1`` has been handed over, and a caller
+    drops a block's draws before it asks for the next one (see
+    :func:`_steps`); what it builds from them are fresh arrays
+    (:func:`_sample`), so no draw is overwritten while in use.
     """
 
     def __init__(self, spec: ProblemSpec, seed: int, episodes: int):
@@ -376,12 +390,15 @@ class _Prefetch:
     def _draw(self, spec: ProblemSpec, seed: int):
         try:
             streams = _streams(spec, seed)
-            for lo in self.starts:
+            size = min(_BLOCK, self.episodes)
+            buffers = [{k: np.empty(size) for k in streams} for _ in range(2)]
+            for b, lo in enumerate(self.starts):
                 self._asked.acquire()
                 if self._closed:
                     return
                 n = min(_BLOCK, self.episodes - lo)
-                self._slot = {k: g.random(n) for k, g in streams.items()}
+                buf = buffers[b % 2]
+                self._slot = {k: g.random(out=buf[k][:n]) for k, g in streams.items()}
                 self._drawn.release()
         except BaseException as exc:  # raised again in the caller
             self._slot = exc
@@ -536,6 +553,8 @@ def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrateg
                           (_any_differ(a.y, b.y), s, "obs")]
             checks.append((a.u != b.u, t, "action"))
             for mask, stage, field in checks:
+                if not mask.any():  # equal policies: the common case
+                    continue
                 divergences.extend((lo + int(e), stage, field)
                                    for e in np.flatnonzero(mask & ~diverged))
                 diverged |= mask

@@ -339,11 +339,11 @@ class _FailingStream:
         self.stream = stream
         self.calls = 0
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         self.calls += 1
         if self.calls == 3:
             raise RuntimeError("stream failed on its third block")
-        return self.stream.random(size)
+        return self.stream.random(size, out=out)
 
 
 def test_the_helper_thread_is_joined_on_every_exit(solved_seed1, monkeypatch):

@@ -1,7 +1,11 @@
 """Print one sha256 per solved (problem, variant) and per command document.
 
-Solves every finite fixture in ``problems/`` and the benchmark's filter
-family members k = 0, 3 and 4 at seeds 0-9, in both belief variants.
+Solves every finite fixture in ``problems/``, the benchmark's filter
+family members k = 0, 3 and 4 at seeds 0-9, and the test suite's
+instances on which many branches of a node repeat (delayed sharing with
+delay 2 at T = 4 and with three controllers at T = 3, seeds 0-2, and
+``filter_instance(k)`` for k = 0-4), in both belief variants, and then
+``periodic_instance(T=5)`` in the full variant only.
 Each digest covers the tree nodes that the roots reach through the
 nodes' ``children``, stage by stage in stage order (per node: id, stage,
 prescription index, children in message order, and the bytes of its
@@ -32,8 +36,9 @@ import sys
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the package of this checkout, not an installed one
+# the package of this checkout, not an installed one, and its test builders
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
 from cisolver import serialize  # noqa: E402
 from cisolver.dp import solve_discounted, solve_finite, solve_finite_reduced  # noqa: E402
@@ -43,12 +48,15 @@ from cisolver.oracle import (  # noqa: E402
 )
 from cisolver.sim import rollout  # noqa: E402
 
+import instances  # noqa: E402
+
 FILTER_MEMBERS = (0, 3, 4)
 SEEDS = range(10)
 CHAIN_BETAS = (0.9, 0.95, 0.99)
 EPSILON = 1e-4
 ENUMERATED = ("delayed_sharing_2x2", "static_team")  # small enough for both oracles
 ORACLE_MEMBER = 0  # delayed sharing, as on the benchmark's certify workload
+REPEAT_SEEDS = range(3)
 
 
 def _filter_family_doc():
@@ -76,6 +84,12 @@ def problems():
             spec, report = serialize.problem_from_document(family(seed, k))
             assert spec is not None and report.ok, report
             yield f"filter_k{k}_seed{seed}", spec
+    for seed in REPEAT_SEEDS:
+        yield (f"delayed2_T4_seed{seed}",
+               instances.random_delayed_instance(seed, delay=2, T=4))
+        yield f"n3_T3_seed{seed}", instances.random_delayed_instance(seed, n=3, T=3)
+    for k in range(5):
+        yield f"filter_instance_k{k}", instances.filter_instance(k)
 
 
 def _reached(tree):
@@ -152,6 +166,8 @@ def main():
         for variant, solve in (("full", solve_finite),
                                ("reduced", solve_finite_reduced)):
             print(f"{name} {variant} {digest(spec, *solve(spec))}", flush=True)
+    spec = instances.periodic_instance(T=5)
+    print(f"periodic_T5 full {digest(spec, *solve_finite(spec))}", flush=True)
     for name, spec in discounted_problems():
         print(f"{name} stationary {discounted_digest(spec)}", flush=True)
     for name, command, doc in command_documents():

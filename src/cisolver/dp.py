@@ -54,8 +54,8 @@ value or argmin:
   point most significant, so the smallest minimizing class is the first
   ``argmin`` of ``V`` over ``a`` followed by the first ``argmin`` over
   ``u`` at each ``q``.  Representatives are sums of per-point place
-  values, exact ints computed once per distinct lead class and per node.
-  The last stage still reports, and checks against the cap, the number
+  values, exact ints computed for the nodes the policy reaches.  The
+  last stage still reports, and checks against the cap, the number
   of classes it would enumerate.
 
 Branches.  A stage before ``T`` is expanded in batches of nodes.  The
@@ -63,27 +63,43 @@ branches of a node are the pairs ``class * |Z| + z`` that occur on its
 support, sorted, so in the order of a loop over classes and then
 messages: branch ``b`` is class ``cls[b]`` emitting joint message
 ``z[b]``.  They depend only on the support, so the class structure of a
-support holds them once, with each ``(class, support entry)``'s branch
-and next-memory slot, for every node on it.  :func:`_successors` takes
-a block of nodes on one support and returns flat arrays, node ``k``'s
-branches at offset ``k * |branches|``: the masses from one
-``np.bincount`` over ``node * |branches| + branch``, and the successor
-beliefs over ``(x', m')`` from one ``np.bincount`` per ``x'`` over
-``(node * |branches| + branch) * |M'| + m'``.  ``np.bincount`` adds in
-index order, so each mass and successor weight receives the same addends
-in the same order as in a one-node call, and the row sums that normalize
-the successors reduce a contiguous axis of fixed length: every bit is
-independent of the batch.  A stage's nodes are walked in chunks of
-consecutive nodes whose arrays stay within a 32nd of
-``_BATCH_ENTRIES``; a chunk's nodes are grouped by support, and its
-successors are interned by one call in (node, class, message) order,
-which deduplicates the batch first and creates beliefs in order of first
-occurrence, so node creation order and node ids are those of a
-node-by-node, one-class-at-a-time expansion.  The backward pass for a
-group of nodes is ``costs + np.bincount(node * |classes| + cls,
-weights=mass * V_next[child])``, which sums each class's continuation in
-message order, then ``argmin`` per node, whose first minimum is the
-smallest representative because classes are ordered by representative.
+support holds them once for every node on it.  A branch's mass and
+successor depend on the weights only through its *signature*: its
+support entries, each with its ``(x, u)`` row and next memory, in entry
+order.  Under periodic and delayed sharing the message reveals what the
+prescription did, so many branches share one (64 per signature at stage
+2 of ``periodic_4stage``).  The structure maps each branch to its
+signature once, from per-controller tables that do not depend on the
+weights, and keeps the entries of each signature's first branch only
+(Oliehoek, Whiteson and Spaan's lossless clustering of equivalent
+histories, decided per support).  :func:`_successors` takes a block of
+nodes on one support and returns flat arrays, node ``k``'s signatures at
+offset ``k * |signatures|``: the masses from one ``np.bincount`` over
+``node * |signatures| + signature``, and the successor beliefs over
+``(x', m')`` from one ``np.bincount`` per ``x'`` over ``(node *
+|signatures| + signature) * |M'| + m'``.  ``np.bincount`` adds in index
+order, so each mass and successor weight receives the same addends in
+the same order as in a one-node call and as every branch of its
+signature would, and the row sums that normalize the successors reduce
+a contiguous axis of fixed length: every bit is independent of the
+batch and equal to a branch-by-branch computation.  A stage's nodes are
+walked in chunks of consecutive nodes whose arrays stay within a 32nd
+of ``_BATCH_ENTRIES``; a chunk's nodes are grouped by support, and its
+successors are interned by one call in (node, signature) order, which
+deduplicates the batch first and creates beliefs in order of first
+occurrence.  Signatures are numbered in order of first branch, so node
+creation order and node ids are those of a node-by-node,
+one-class-at-a-time expansion.  A stage's beliefs live in one array that
+grows by doubling, and masses and children are stored per signature.
+The backward pass for a group of nodes is ``costs + np.bincount(node *
+|classes| + cls, weights=(mass * V_next[child])[:, sig])``, which gathers
+each branch's addend from its signature and sums each class's
+continuation in message order, then ``argmin`` per node, whose first
+minimum is the smallest representative because classes are ordered by
+representative.  Only the nodes the forward walk reaches have their
+chosen class decoded into a representative and children: at the last
+stage the solve keeps each node's lead class and the last controller's
+actions, and per support only what encodes them.
 
 Discounted problems use the same expansion on the stationary tables,
 breadth first from the roots until no new belief appears; a graph that
@@ -125,6 +141,10 @@ from .errors import Infeasible, InvalidParameter, SizeOverflow
 from .model import ControlStrategy, ProblemSpec, StrategyNode
 
 DEFAULT_PRESCRIPTION_CAP = 10_000_000
+#: Distinct beliefs a finite solve admits per stage: past it a solve would
+#: most likely run out of memory.  ``periodic_instance(T=6)`` reaches
+#: 1,048,576 at its last stage.
+DEFAULT_FINITE_BELIEF_CAP = 2_000_000
 
 
 @dataclass
@@ -199,6 +219,10 @@ class ValueReport:
     iterations: int | None = None
     residual: float | None = None
     tail_bound: float | None = None
+    #: Deterministic counters kept out of the solve document: per stage,
+    #: ``branches`` and distinct branch ``signatures`` expanded (0 at the
+    #: last stage of a finite solve).
+    stats: dict[str, list[int]] = field(default_factory=dict)
 
 
 # -- prescription classes ---------------------------------------------------
@@ -286,14 +310,58 @@ class _Classes:
             out.append(_digits(own, self.cards[i], len(self.uniq[i])))
         return out[::-1]
 
-    def _encode(self, actions) -> int:
-        """Full prescription index of on-support actions, action 0 elsewhere.
 
-        ``actions[i]`` lists controller ``i``'s actions at its points, as
-        ints; controllers past ``len(actions)`` contribute nothing.
-        """
-        return sum(map(operator.mul, chain.from_iterable(self.place[:len(actions)]),
-                       chain.from_iterable(actions)))
+def _encode(place, actions) -> int:
+    """Full prescription index of on-support actions, action 0 elsewhere.
+
+    ``place`` is :attr:`_Classes.place`; ``actions[i]`` lists controller
+    ``i``'s actions at its points, as ints.
+    """
+    return sum(map(operator.mul, chain.from_iterable(place), chain.from_iterable(actions)))
+
+
+def _first_ids(keys: np.ndarray, bound: int):
+    """Ids of ``keys``, ints in ``[0, bound)``, numbered in order of first occurrence.
+
+    Returns ``(ids, first)``: equal keys get equal ids, and ``first[j]``
+    is the first position of id ``j``, increasing.  A small range is
+    numbered through a table over it, a large one by ``np.unique``.
+    """
+    n = len(keys)
+    if bound <= 4 * n + 1024:
+        at = np.full(bound, n)
+        np.minimum.at(at, keys, np.arange(n))
+        first = np.sort(at[at < n])
+        ids = np.empty(bound, dtype=np.int64)
+        ids[keys[first]] = np.arange(len(first))
+        return ids[keys], first
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _split(index: np.ndarray, radices) -> list[np.ndarray]:
+    """Mixed-radix digits of ``index``, the first radix most significant."""
+    out = []
+    for radix in radices[:0:-1]:
+        high = index // radix
+        out.append(index - high * radix)
+        index = high
+    return [index] + out[::-1]
+
+
+def _grid(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of per-controller terms over the joint ``(class, support entry)`` grid.
+
+    ``terms[i][c, s]`` is controller ``i``'s term under its own class
+    ``c``; joint classes are mixed radix, controller 0 most significant.
+    """
+    grid = terms[0]
+    for term in terms[1:]:
+        grid = (grid[:, None, :] + term[None, :, :]).reshape(-1, term.shape[1])
+    return grid
 
 
 class _ClassStructure(_Classes):
@@ -305,65 +373,118 @@ class _ClassStructure(_Classes):
     class ``c``.  The branches are the pairs ``class * |Z| + z`` that
     occur on the support, sorted, so in (class, message) order: branch
     ``b`` is class ``cls[b]`` emitting joint message ``z[b]``, and class
-    ``c`` owns branches ``bounds[c]:bounds[c + 1]``.  Over the raveled
-    ``(class, support entry)`` grid, ``branch`` is each entry's branch,
-    ``slot`` its ``branch * |M'| + m'`` with ``m'`` the next joint
-    memory, and ``xu`` its ``(x, u)`` row of the cost table and the
-    kernel.  The kernel's columns are gathered through ``xu`` when they
-    are used, so a structure holds four tables of ``|classes| *
-    |support|`` entries whatever ``|X'|``.  ``entries`` is the size of
-    the largest array one node adds to a batch of :func:`_successors`.
-    Representatives are computed once per class.
+    ``c`` owns branches ``bounds[c]:bounds[c + 1]``.
+
+    A branch's *signature* is its support entries, each with its ``(x,
+    u)`` row of the cost table and the kernel and its next joint memory
+    ``m'``, in entry order.  Two branches with equal signatures get the
+    same addends in the same order in :func:`_successors`, so their
+    masses and successors are equal bit for bit, whatever the weights;
+    ``sig[b]`` is branch ``b``'s signature, numbered in order of first
+    branch, and ``signatures`` counts them.  The signature is decided
+    per controller: for each class of its own and each part of the
+    message, which of its points emit that part and with what action (a
+    point and its action fix the next memory).  Equal parts for every
+    controller give equal branches, so a joint id over those parts is
+    exact; it may at most split a signature that entries alone would
+    merge.
+
+    Only the first branch of each signature is computed.  Over their
+    support entries, by signature and then in entry order, ``sup`` is
+    each entry's support position, ``slot`` its ``signature * |M'| +
+    m'`` and ``xu`` its ``(x, u)`` row; the kernel's columns are
+    gathered through ``xu`` when they are used.  With no repeated branch
+    these entries are the whole ``(class, entry)`` grid, so a structure
+    holds four tables of at most ``|classes| * |support|`` entries
+    whatever ``|X'|``.
+    ``entries`` is the size of the largest array one node adds to a
+    batch of :func:`_successors` or :func:`_backward`.  Representatives
+    are computed once per class.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
         super().__init__(spec, t, support, cap)
-        n = spec.n
-        self._check_table(self.count * len(support), t)
+        n, n_sup = spec.n, len(support)
+        self._check_table(self.count * n_sup, t)
         layout = stage_layout(spec, t)
         layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
         mem_strides = np.ones(n, dtype=np.int64)
         for i in range(n - 2, -1, -1):
             mem_strides[i] = mem_strides[i + 1] * layout_next.nm[i + 1]
 
-        ids = np.arange(self.count, dtype=np.int64)
-        u_flat = np.zeros((self.count, len(support)), dtype=np.int64)
-        z_flat = np.zeros_like(u_flat)
-        m_next = np.zeros_like(u_flat)
+        cost = spec.cost(t)
+        n_msgs = math.prod(layout.msg_cards)
+        # per controller and class of its own, at each support entry: the
+        # class's and message part's share of class * |Z| + z, of the (x, u)
+        # row and of m'
+        pair_terms, xu_terms, mem_terms = [], [], []
+        parts = []  # per controller: id of each (own class, message part), and count
         later = self.count  # joint classes of the controllers after i
         for i in range(n):
             later //= self.counts[i]
-            # controller i's terms per class of its own, then per joint class
-            acts = _digits(np.arange(self.counts[i]), self.cards[i],
-                           len(self.uniq[i]))[:, self.inv[i]]  # (own class, S)
-            mi, yi = layout.m_of[i][support], layout.y_of[i][support]
-            own = ids // later % self.counts[i]
-            u_flat += (acts * layout.act_strides[i])[own]
-            z_flat += (spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i])[own]
-            m_next += (spec.mem_update(i, t)[mi, yi, acts] * mem_strides[i])[own]
-        # the (x, u) row of the cost table and the kernel at each
-        # (class, support entry)
-        cost = spec.cost(t)
-        self.xu = (self.x_sup * cost.shape[1] + u_flat).reshape(-1)
-        self.cost_matrix = cost.take(self.xu).reshape(u_flat.shape)
+            # at each point: action, message part and next memory per own class
+            y, m = np.divmod(self.uniq[i], layout.nm[i])
+            acts = _digits(np.arange(self.counts[i]), self.cards[i], len(y))
+            msgs = spec.msg_map(i, t)[m, y, acts]
+            mems = spec.mem_update(i, t)[m, y, acts]
+            own = np.arange(self.counts[i])[:, None] * (later * n_msgs)
+            pair_terms.append((msgs * layout.msg_strides[i] + own)[:, self.inv[i]])
+            xu_terms.append((acts * layout.act_strides[i])[:, self.inv[i]])
+            mem_terms.append((mems * mem_strides[i])[:, self.inv[i]])
+            # per (own class, part): 1 + the action at each point that emits
+            # the part, 0 at the others, as one id per row; a point and its
+            # action fix the next memory
+            code = (acts + 1)[:, None, :] * (
+                msgs[:, None, :] == np.arange(layout.msg_cards[i])[:, None])
+            base = self.cards[i] + 1
+            key, radix = 0, 1
+            for column in code.reshape(-1, len(y)).T:
+                if radix * base >= 1 << 62:
+                    key, first = _first_ids(key, radix)
+                    radix = len(first)
+                key, radix = key * base + column, radix * base
+            key, first = _first_ids(key, radix)
+            parts.append((key.reshape(len(acts), -1), len(first)))
+        xu_terms[0] = xu_terms[0] + self.x_sup * cost.shape[1]
+        pairs = _grid(pair_terms)
+        xu = _grid(xu_terms)
+        self.cost_matrix = cost.take(xu)
 
-        n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
         # every support entry carries more than ZERO_MASS, so every pair
-        # that occurs is a live branch
-        pairs, branch = np.unique(ids[:, None] * n_msgs + z_flat, return_inverse=True)
-        self.cls, self.z = pairs // n_msgs, pairs % n_msgs
+        # that occurs is a live branch; a class's pairs lie above the
+        # previous class's, so sorting each row sorts them all
+        flat = np.sort(pairs, axis=1).reshape(-1)
+        new = np.empty(len(flat), dtype=bool)
+        new[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=new[1:])
+        flat = flat[new]
+        self.cls = flat // n_msgs
+        self.z = flat - self.cls * n_msgs
         self.bounds = np.searchsorted(self.cls, np.arange(self.count + 1)).tolist()
-        self.branch = branch.reshape(-1)
-        self.slot = self.branch * layout_next.n_mem + m_next.reshape(-1)
+
+        joint, bound = 0, 1
+        for (part, distinct), own, msg in zip(
+                parts, _split(self.cls, self.counts), _split(self.z, layout.msg_cards)):
+            joint, bound = joint * distinct + part[own, msg], bound * distinct
+        self.sig, first = _first_ids(joint, bound)
+        self.branches, self.signatures = len(flat), len(first)
+
+        # the entries of each signature's first branch, by signature, then entry
+        rows = self.cls[first]
+        sig, self.sup = np.nonzero(pairs[rows] == flat[first][:, None])
+        rows = rows[sig]
+        self.slot = sig * layout_next.n_mem + _grid(mem_terms)[rows, self.sup]
+        self.xu = xu[rows, self.sup]
         width = layout_next.nx * layout_next.n_mem  # of a successor over (x', m')
-        self.entries = max(self.count * len(support), len(pairs) * width)
+        self.entries = max(len(sig), self.signatures * width, self.branches)
         self._representatives: dict[int, int] = {}
 
     def representative(self, c: int) -> int:
         """Smallest full prescription index in class ``c``, computed once."""
         rep = self._representatives.get(c)
         if rep is None:
-            rep = self._representatives[c] = self._encode(
+            rep = self._representatives[c] = _encode(
+                self.place,
                 [acts.tolist() for acts in self._point_actions(c, len(self.uniq))])
         return rep
 
@@ -447,53 +568,67 @@ class _LastStage(_Classes):
         r = np.arange(rows)
         return v[r, best], best, g[r, :, :, best].argmin(axis=2)
 
-    def representatives(self, lead: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        """Smallest full prescription index of each row's class from :meth:`best`.
+def _supports(weights: np.ndarray):
+    """The distinct supports of the rows of ``weights`` and the support of each row.
 
-        Returns exact ints in an object array.  The lead controllers'
-        part of an index is computed once per distinct lead class.
-        """
-        lead = lead.tolist()
-        parts = {a: self._encode([[a // d % nu for d in div]
-                                  for div, nu in zip(self.divisors, self.cards)])
-                 for a in set(lead)}
-        return acts @ self.place[-1] + np.array([parts[a] for a in lead], dtype=object)
+    Returns ``(supports, which)``: the supports as arrays of positions,
+    in order of their first row, and the index in ``supports`` of each
+    row's.  One ``np.unique`` over the packed masks, each viewed as one
+    opaque item, finds them.
+    """
+    mask = weights > ZERO_MASS
+    packed = np.packbits(mask, axis=1)
+    items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return [np.flatnonzero(mask[row]) for row in first[order]], rank[inverse.reshape(-1)]
 
 
 def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
-    """Value, representative and class count of every last-stage node.
+    """Value and best class of every last-stage node, and the class count.
 
     ``weights`` holds one full belief per row.  Nodes are grouped by
     support, and each group is solved in batches of rows, small enough
     that a batch's ``g`` and ``low`` hold at most ``_BATCH_ENTRIES``
     entries together, or else of one node.
+
+    Returns ``(values, groups, classes)``.  Per support, in order of its
+    first node, ``groups`` holds ``((place, divisors), nodes, lead,
+    acts)``: the support's :attr:`_Classes.place` and
+    :attr:`_LastStage.divisors`, which encode a class, and for node
+    ``nodes[k]`` its best lead class ``lead[k]`` and the last
+    controller's actions ``acts[k]`` at its points.  The tables of
+    ``C`` are dropped with each support's :class:`_LastStage`.
     """
-    mask = weights > ZERO_MASS
-    groups: dict[bytes, list[int]] = {}
-    for node, key in enumerate(np.packbits(mask, axis=1)):
-        groups.setdefault(key.tobytes(), []).append(node)
+    supports, which = _supports(weights)
+    nodes_of = np.split(np.argsort(which, kind="stable"),
+                        np.cumsum(np.bincount(which))[:-1])
     values = np.empty(len(weights))
-    representatives = np.empty(len(weights), dtype=object)
+    groups = []
     classes = 0
-    # groups in order of their first node, so a cap overflow reports the
+    # supports in order of their first node, so a cap overflow reports the
     # count of the first node over the cap, as a node-by-node pass would
-    for nodes in groups.values():
-        support = np.flatnonzero(mask[nodes[0]])
+    for support, nodes in zip(supports, nodes_of):
         stage = _LastStage(spec, t, support, cap)
         classes += stage.count * len(nodes)
         points, n_u, lead = stage.shape
         rows = max(1, _BATCH_ENTRIES // (lead * points * (n_u + 1)) - 1)
         columns = support[stage.order]
+        best = np.empty(len(nodes), dtype=np.int64)
+        acts = np.empty((len(nodes), points), dtype=np.int64)
         for lo in range(0, len(nodes), rows):
             part = nodes[lo:lo + rows]
             # and a row of zeros, so that a batch of one node is still
             # contracted as a matrix, with the same sums as in any batch
             w = np.zeros((len(part) + 1, len(columns)))
             w[:-1] = weights[np.ix_(part, columns)]
-            value, best, acts = stage.best(w)
+            value, best_part, acts_part = stage.best(w)
             values[part] = value[:-1]
-            representatives[part] = stage.representatives(best[:-1], acts[:-1])
-    return values, representatives.tolist(), classes
+            best[lo:lo + rows], acts[lo:lo + rows] = best_part[:-1], acts_part[:-1]
+        groups.append(((stage.place, stage.divisors), nodes, best, acts))
+    return values, groups, classes
 
 
 def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
@@ -513,56 +648,65 @@ def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
 
 def _successors(spec: ProblemSpec, t: int, structure: _ClassStructure,
                 w_sup: np.ndarray):
-    """Every live branch of a batch of nodes on one support.
+    """Every signature's branch of a batch of nodes on one support.
 
     ``w_sup`` holds one node's full weights on the structure's support
-    per row.  Every node has the structure's branches, so node ``k``'s
-    branches sit at offset ``k * len(structure.cls)`` of the flat
-    arrays.  Returns ``(mass, succ)``: ``mass[k, b]`` is the probability
-    that node ``k`` takes branch ``b``, and row ``k * len(cls) + b`` of
-    ``succ`` is that branch's normalized successor belief over
-    ``(x', m')``, flattened with ``x'`` most significant.
+    per row.  Returns ``(mass, succ)``: ``mass[k, g]`` is the
+    probability that node ``k`` takes a branch of signature ``g``, and
+    row ``k * structure.signatures + g`` of ``succ`` is that branch's
+    normalized successor belief over ``(x', m')``, flattened with ``x'``
+    most significant.  Branch ``b``'s are those of signature
+    ``structure.sig[b]``.
 
     Each output slot receives the same addends in the same order as in a
-    one-node batch: ``np.bincount`` adds its weights in index order, and
-    the batch only offsets every index by its node's block.  Row sums
-    reduce a contiguous axis of fixed length.  So no result depends on
-    the batch.
+    one-node batch, and as it did for every branch of its signature:
+    ``np.bincount`` adds its weights in index order, a signature's
+    entries are its first branch's in entry order, and the batch only
+    offsets every index by its node's block.  Row sums reduce a
+    contiguous axis of fixed length.  So no result depends on the batch.
     """
     layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
-    nodes = len(w_sup)
-    count, n_sup = structure.cost_matrix.shape
-    n_branches = len(structure.cls)
-    offset = np.arange(nodes, dtype=np.int64)[:, None] * n_branches
-    w = np.broadcast_to(w_sup[:, None, :], (nodes, count, n_sup)).reshape(nodes, -1)
-    index = (offset + structure.branch).reshape(-1)
-    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * n_branches)
+    nodes, n_mem = len(w_sup), layout_next.n_mem
+    n_sig = structure.signatures
+    offset = np.arange(nodes, dtype=np.int64)[:, None] * n_sig
+    w = w_sup.take(structure.sup, axis=1)
+    sig = structure.slot // n_mem if n_mem > 1 else structure.slot
+    index = (offset + sig).reshape(-1)
+    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * n_sig)
     cond = w / mass[index].reshape(w.shape)
-    index = (offset * layout_next.n_mem + structure.slot).reshape(-1)
-    rows = nodes * n_branches
-    succ = np.empty((rows, layout_next.nx, layout_next.n_mem))
+    index = (offset * n_mem + structure.slot).reshape(-1)
+    rows = nodes * n_sig
+    succ = np.empty((rows, layout_next.nx, n_mem))
     kernel = spec.transition(t)
     kernel = kernel.reshape(-1, kernel.shape[2])  # rows (x, u), columns x'
     for xn in range(layout_next.nx):
         p = kernel[:, xn].take(structure.xu)
         succ[:, xn, :] = np.bincount(
             index, weights=(cond * p).reshape(-1),
-            minlength=rows * layout_next.n_mem).reshape(rows, -1)
+            minlength=rows * n_mem).reshape(rows, -1)
     succ = succ.reshape(rows, -1)
     succ /= succ.sum(axis=1, keepdims=True)
-    return mass.reshape(nodes, n_branches), succ
+    return mass.reshape(nodes, n_sig), succ
 
 
 class _BeliefTable:
-    """Deduplicated beliefs of one stage, in creation order.
+    """Deduplicated beliefs of one stage, in creation order, at most ``cap``.
 
     ``keys`` maps each belief's canonical key to its index and lists the
-    keys in creation order; ``weights[i]`` is belief ``i``'s row.
+    keys in creation order.  The rows live in one array that grows by
+    doubling; ``weights`` is a view of its first ``count`` rows, row
+    ``i`` belief ``i``'s.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int, what: str):
         self.keys = {}
-        self.weights = []
+        self.count = 0
+        self.cap, self.what = cap, what
+        self._rows = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._rows[:self.count] if self.count else np.empty((0, 0))
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
@@ -571,19 +715,31 @@ class _BeliefTable:
         ``np.unique`` over the canonical rows, viewed as one opaque item
         each, finds the distinct rows, and only those are looked up or
         added, in order of first occurrence, so beliefs are created in
-        the order a row-by-row pass would create them.  A new belief
-        stores a copy of its row, so the batch it came from can be freed.
+        the order a row-by-row pass would create them.  New beliefs are
+        copied into the table's array, so the batch can be freed.
+
+        Raises:
+            Infeasible: the table would hold more than ``cap`` beliefs.
         """
         rounded = canonical_rows(rows)
         items = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
         distinct, first, inverse = np.unique(items.reshape(-1), return_index=True,
                                              return_inverse=True)
         order = np.argsort(first)
-        known = len(self.weights)
+        known = self.count
         # a key not yet in the table gets the next index
         ids = np.array([self.keys.setdefault(key, len(self.keys))
                         for key in distinct[order].tolist()], dtype=np.int64)
-        self.weights.extend(map(np.copy, rows[first[order[ids >= known]]]))
+        self.count = len(self.keys)
+        if self.count > self.cap:
+            raise Infeasible(f"{self.what} exceed cap {self.cap}", count=self.count)
+        if self._rows is None:
+            self._rows = np.empty((self.count, rows.shape[1]))
+        elif self.count > len(self._rows):
+            grown = np.empty((max(self.count, 2 * len(self._rows)), rows.shape[1]))
+            grown[:known] = self._rows[:known]
+            self._rows = grown
+        self._rows[known:self.count] = rows[first[order[ids >= known]]]
         out = np.empty(len(ids), dtype=np.int64)
         out[order] = ids
         return out[inverse]
@@ -605,18 +761,20 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
     rollout after the solve peaked up to 1 MB higher.  A chunk's nodes
     are grouped by support, each group is expanded by one
     :func:`_successors` call, and the chunk's successors are interned by
-    one call, in (node, class, message) order, so node ids are those of
-    a node-by-node expansion.  Stage costs stay one matrix-vector
-    product per node: a matrix product over the group would group the
-    sums differently.
+    one call, in (node, signature) order, so node ids are those of a
+    node-by-node, branch-by-branch expansion.  Stage costs stay one
+    matrix-vector product per node: a matrix product over the group
+    would group the sums differently.
 
-    Returns ``(groups, classes)``: per group ``(structure, nodes, costs,
+    Returns ``(groups, counts)``: per group ``(structure, nodes, costs,
     mass, child)``, with row ``k`` of ``costs``, ``mass`` and ``child``
-    belonging to node ``nodes[k]``, and the number of classes expanded.
+    belonging to node ``nodes[k]`` and ``mass`` and ``child`` per
+    signature; and the numbers of classes, branches and signatures
+    expanded.
     """
-    node_structures = [
-        _structure(spec, t, np.flatnonzero(w > ZERO_MASS), cap, structures)
-        for w in weights]
+    supports, which = _supports(weights)
+    kinds = [_structure(spec, t, support, cap, structures) for support in supports]
+    node_structures = [kinds[k] for k in which.tolist()]
     bound = _BATCH_ENTRIES // 32
     groups = []
     lo = 0
@@ -652,37 +810,47 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
                            child[base:base + mass.size].reshape(mass.shape)))
             base += mass.size
         lo = hi
-    return groups, sum(structure.count for structure in node_structures)
+    per_kind = np.bincount(which, minlength=len(kinds)).tolist()
+    counts = tuple(sum(k * getattr(kind, name) for k, kind in zip(per_kind, kinds))
+                   for name in ("count", "branches", "signatures"))
+    return groups, counts
 
 
-def _backward(groups, values_next: np.ndarray, values: np.ndarray, chosen: list):
-    """Best class, value and children of every node of one expanded stage.
+def _backward(groups, values_next: np.ndarray, values: np.ndarray, best: np.ndarray):
+    """Best class and value of every node of one expanded stage.
 
-    Per group, ``q = costs + np.bincount(node * count + cls, weights=mass
-    * values_next[child])`` sums each class's continuation in message
-    order, as a one-node pass would, and the first ``argmin`` of each
-    row is its smallest representative, because classes are ordered by
-    representative.  ``chosen[node]`` becomes ``(representative,
-    {z: child})``.
+    Per group, ``q = costs + np.bincount(node * count + cls, weights=(mass
+    * values_next[child])[:, sig])`` sums each class's continuation in
+    message order, as a one-node, branch-by-branch pass would: a
+    branch's addend is its signature's product.  The first ``argmin`` of
+    each row is its smallest representative, because classes are ordered
+    by representative; ``best[node]`` becomes that class.
     """
     for structure, nodes, costs, mass, child in groups:
         rows, count = costs.shape
         index = np.arange(rows, dtype=np.int64)[:, None] * count + structure.cls
-        q = costs + np.bincount(index.reshape(-1),
-                                weights=(mass * values_next[child]).reshape(-1),
+        cont = (mass * values_next[child])[:, structure.sig]
+        q = costs + np.bincount(index.reshape(-1), weights=cont.reshape(-1),
                                 minlength=rows * count).reshape(rows, count)
-        best = q.argmin(axis=1)
-        values[nodes] = q[np.arange(rows), best]
-        for node, b, kids in zip(nodes, best.tolist(), child):
-            lo, hi = structure.bounds[b], structure.bounds[b + 1]
-            chosen[node] = (structure.representative(b),
-                            dict(zip(structure.z[lo:hi].tolist(), kids[lo:hi].tolist())))
+        choice = q.argmin(axis=1)
+        values[nodes] = q[np.arange(rows), choice]
+        best[nodes] = choice
+
+
+def _locate(groups, n: int):
+    """Group and row of each of a stage's ``n`` nodes; ``group[1]`` lists its nodes."""
+    sizes = [len(group[1]) for group in groups]
+    nodes = np.concatenate([group[1] for group in groups])
+    group_of, row_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    group_of[nodes] = np.repeat(np.arange(len(groups)), sizes)
+    row_of[nodes] = np.arange(len(nodes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return group_of, row_of
 
 
 # -- finite horizon ----------------------------------------------------------
 
 
-def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
+def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
     """One solve over reduced beliefs; ``variant`` only picks what nodes carry.
 
     The ``"reduced"`` tree carries the stored rows over ``(x, m)``, the
@@ -694,61 +862,76 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
     T = spec.horizon
     structures: dict = {}
 
-    stages = [_BeliefTable() for _ in range(T)]
+    stages = [_BeliefTable(cap_beliefs, f"beliefs at stage {t}") for t in range(1, T + 1)]
     roots = initial_belief(spec)
     first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
     def lifted(t):  # the full weights of stage t's stored beliefs, by row
-        return stage_layout(spec, t).lift(np.stack(stages[t - 1].weights))
+        return stage_layout(spec, t).lift(stages[t - 1].weights)
 
     expansions = []  # per stage t < T: its groups from _expand_stage
-    expanded_classes = [0] * T
+    expanded_classes, branches, signatures = [0] * T, [0] * T, [0] * T
     for t in range(1, T):
-        groups, expanded_classes[t - 1] = _expand_stage(
-            spec, t, lifted(t), stages[t], cap, structures)
+        groups, (expanded_classes[t - 1], branches[t - 1], signatures[t - 1]) = \
+            _expand_stage(spec, t, lifted(t), stages[t], cap, structures)
         expansions.append(groups)
 
-    values = [np.zeros(len(table.weights)) for table in stages]
-    values[T - 1], last_reps, expanded_classes[T - 1] = \
+    values = [np.zeros(table.count) for table in stages]
+    values[T - 1], last, expanded_classes[T - 1] = \
         _solve_last_stage(spec, T, lifted(T), cap)
-    # per node: (representative, {z: child})
-    chosen = [[None] * len(table.weights) for table in stages]
-    chosen[T - 1] = [(rep, {}) for rep in last_reps]
+    best = [np.empty(table.count, dtype=np.int64) for table in stages[:-1]]
     for t in range(T - 1, 0, -1):
-        _backward(expansions[t - 1], values[t], values[t - 1], chosen[t - 1])
+        _backward(expansions[t - 1], values[t], values[t - 1], best[t - 1])
 
     total = sum(prob * values[0][idx] for prob, idx in roots)
 
     # globally sequential node ids over the whole DP, stage by stage
     offset = [0]
     for table in stages:
-        offset.append(offset[-1] + len(table.weights))
-    # tree nodes for the nodes the roots reach through chosen children only
+        offset.append(offset[-1] + table.count)
+    # tree nodes for the nodes the roots reach through chosen children only;
+    # their representatives and children are decoded here, and nowhere else
     tree_stages = []
     reached = sorted({idx for _, idx in roots})
     for t in range(1, T + 1):
         layout = stage_layout(spec, t)
-        rows = [stages[t - 1].weights[idx] for idx in reached]  # each a copy
+        groups = expansions[t - 1] if t < T else last
+        group_of, row_of = _locate(groups, stages[t - 1].count)
+        rows = stages[t - 1].weights[reached]
         if variant == "full":
-            # lift is elementwise, so these are the bits the solve used; the
-            # rows are views of one array, so each belief gets its own copy
+            # lift is elementwise, so these are the bits the solve used
             cls, dims = Belief, layout.dims
-            rows = map(np.copy, layout.lift(np.stack(rows)))
+            rows = layout.lift(rows)
         else:
             cls, dims = ReducedBelief, (layout.nx,) + layout.nm
-        nodes = []
+        nodes, kids = [], set()
         for idx, w in zip(reached, rows):
-            rep, children = chosen[t - 1][idx]
+            group, row = groups[group_of[idx]], row_of[idx]
+            if t < T:
+                structure, child = group[0], group[4][row]
+                b = int(best[t - 1][idx])
+                lo, hi = structure.bounds[b], structure.bounds[b + 1]
+                rep = structure.representative(b)
+                children = dict(zip(structure.z[lo:hi].tolist(),
+                                    child[structure.sig[lo:hi]].tolist()))
+            else:
+                (place, divisors), _, lead, acts = group
+                a = int(lead[row])
+                rep = _encode(place, [[a // d % nu for d in div]
+                                      for div, nu in zip(divisors, spec.action_cards)]
+                              + [acts[row].tolist()])
+                children = {}
+            kids.update(children.values())
+            # each belief owns its weights: a view would keep a whole stage alive
             nodes.append(TreeNode(
                 node_id=offset[t - 1] + idx, t=t,
-                belief=cls(t=t, n=spec.n, dims=dims, weights=w),
+                belief=cls(t=t, n=spec.n, dims=dims, weights=np.copy(w)),
                 gamma_index=rep, value=float(values[t - 1][idx]),
                 children={z: offset[t] + child for z, child in children.items()},
             ))
         tree_stages.append(nodes)
-        reached = sorted({child for idx in reached
-                          for child in chosen[t - 1][idx][1].values()})
+        reached = sorted(kids)
 
     tree = PolicyTree(
         variant=variant,
@@ -760,16 +943,18 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int):
         value=float(total),
         variant=variant,
         mode="finite",
-        stage_nodes=[len(table.weights) for table in stages],
+        stage_nodes=[table.count for table in stages],
         prescription_space_sizes=[PrescriptionSpace(spec, t).size
                                   for t in range(1, T + 1)],
         expanded_classes=expanded_classes,
         runtime_s=time.perf_counter() - started,
+        stats={"branches": branches, "signatures": signatures},
     )
     return report, tree
 
 
-def solve_finite(spec: ProblemSpec, cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP):
+def solve_finite(spec: ProblemSpec, cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP,
+                 cap_beliefs: int = DEFAULT_FINITE_BELIEF_CAP):
     """Solve a finite-horizon problem exactly over full coordinator beliefs.
 
     Returns ``(ValueReport, PolicyTree)``.  Ties between prescriptions
@@ -779,14 +964,17 @@ def solve_finite(spec: ProblemSpec, cap_prescriptions: int = DEFAULT_PRESCRIPTIO
     Raises:
         SizeOverflow: a node needs more prescription classes than
             ``cap_prescriptions``.
+        Infeasible: a stage reaches more than ``cap_beliefs`` distinct
+            beliefs.
     """
-    return _solve_finite(spec, "full", cap_prescriptions)
+    return _solve_finite(spec, "full", cap_prescriptions, cap_beliefs)
 
 
 def solve_finite_reduced(spec: ProblemSpec,
-                         cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP):
+                         cap_prescriptions: int = DEFAULT_PRESCRIPTION_CAP,
+                         cap_beliefs: int = DEFAULT_FINITE_BELIEF_CAP):
     """The same solve; each node carries its belief over ``(x, m)`` instead."""
-    return _solve_finite(spec, "reduced", cap_prescriptions)
+    return _solve_finite(spec, "reduced", cap_prescriptions, cap_beliefs)
 
 
 # -- strategy extraction ------------------------------------------------------
@@ -819,7 +1007,7 @@ def extract_control_strategy(spec: ProblemSpec, tree: PolicyTree) -> ControlStra
 
 
 class _StationaryTable(_BeliefTable):
-    """Full stationary beliefs, at most ``cap`` of them.
+    """Full stationary beliefs.
 
     :func:`_expand_stage` interns successors over ``(x', m')``; this
     table lifts them first, so it stores and keys full beliefs, as
@@ -827,15 +1015,10 @@ class _StationaryTable(_BeliefTable):
     """
 
     def __init__(self, layout, cap: int):
-        super().__init__()
-        self.layout, self.cap = layout, cap
+        super().__init__(cap, "reachable stationary beliefs")
+        self.layout = layout
 
-    def intern_full(self, rows: np.ndarray) -> np.ndarray:
-        out = super().intern(rows)
-        if len(self.weights) > self.cap:
-            raise Infeasible(f"reachable stationary beliefs exceed cap {self.cap}",
-                             count=len(self.weights))
-        return out
+    intern_full = _BeliefTable.intern
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
         return self.intern_full(self.layout.lift(rows))
@@ -920,21 +1103,22 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     root_ids = table.intern_full(np.stack([bel.weights for _, bel in roots]))
 
     groups = []  # per support group: (structure, beliefs, costs, mass, child)
-    expanded_classes = 0
+    expanded = [0, 0, 0]  # classes, branches, signatures
     n = 0  # beliefs expanded so far, in creation order
-    while n < len(table.weights):
-        frontier = np.stack(table.weights[n:])
-        got, classes = _expand_stage(spec, 1, frontier, table, cap_prescriptions,
-                                     structures)
+    while n < table.count:
+        frontier = table.weights[n:]
+        got, counts = _expand_stage(spec, 1, frontier, table, cap_prescriptions,
+                                    structures)
         groups += [(structure, n + np.asarray(nodes), costs, mass, child)
                    for structure, nodes, costs, mass, child in got]
-        expanded_classes += classes
+        expanded = [a + b for a, b in zip(expanded, counts)]
         n += len(frontier)
         if beta * max_c == 0.0:
             break  # no continuation: the roots' values are their stage costs
 
     # belief i owns the classes starts[i]:starts[i + 1], in class order; the
-    # branches are flat over every group, each class's in message order
+    # branches are flat over every group, each class's in message order, and
+    # each takes its signature's mass and child
     counts = np.empty(n, dtype=np.int64)
     rows = [None] * n  # per belief: (structure, its children by branch)
     for structure, nodes, _, _, child in groups:
@@ -947,7 +1131,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     at, costs, cls, mass, child = map(np.concatenate, zip(*(
         ((starts[nodes][:, None] + np.arange(structure.count)).reshape(-1),
          costs.reshape(-1), (starts[nodes][:, None] + structure.cls).reshape(-1),
-         mass.reshape(-1), child.reshape(-1))
+         mass[:, structure.sig].reshape(-1), child[:, structure.sig].reshape(-1))
         for structure, nodes, costs, mass, child in groups)))
     cost = np.empty(starts[-1])
     cost[at] = costs
@@ -985,10 +1169,11 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     for i, ((structure, kids), best) in enumerate(zip(rows, choice.tolist())):
         lo, hi = structure.bounds[best], structure.bounds[best + 1]
         entries.append(PolicyEntry(
-            belief=Belief(t=1, n=spec.n, dims=layout.dims, weights=table.weights[i]),
+            belief=Belief(t=1, n=spec.n, dims=layout.dims,
+                          weights=np.copy(table.weights[i])),
             gamma_index=structure.representative(best), value=float(low[i]),
             children={z: keys[c] for z, c in zip(structure.z[lo:hi].tolist(),
-                                                  kids[lo:hi].tolist())}))
+                                                  kids[structure.sig[lo:hi]].tolist())}))
 
     policy = StationaryPolicy(
         epsilon=epsilon, iterations=iterations, residual=residual,
@@ -997,7 +1182,8 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
         value=value, variant="full", mode="discounted",
         stage_nodes=[n],
         prescription_space_sizes=[PrescriptionSpace(spec, 1).size],
-        expanded_classes=[expanded_classes],
+        expanded_classes=[expanded[0]],
         runtime_s=time.perf_counter() - started,
-        iterations=iterations, residual=residual, tail_bound=tail)
+        iterations=iterations, residual=residual, tail_bound=tail,
+        stats={"branches": [expanded[1]], "signatures": [expanded[2]]})
     return report, policy

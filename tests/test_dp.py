@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cisolver.coordinator import (
     zeta,
 )
 from cisolver.dp import (
+    DEFAULT_FINITE_BELIEF_CAP,
     DEFAULT_PRESCRIPTION_CAP,
     extract_control_strategy,
     solve_discounted,
@@ -33,7 +35,7 @@ from cisolver.oracle import (
     exact_cost_of_strategy,
 )
 from cisolver.protocols import delayed_sharing_protocol
-from cisolver.serialize import load_problem, problem_from_document
+from cisolver.serialize import load_problem, problem_from_document, solve_result_to_dict
 
 
 def test_single_controller_matches_textbook_recursion():
@@ -294,8 +296,8 @@ def test_batched_successors_match_eta_update(problems_dir, name):
             w_sup = np.stack([node.belief.weights[support] for node in nodes])
             mass, succ = dp._successors(spec, t, structure, w_sup)
             lifted = stage_layout(spec, t + 1).lift(succ).reshape(
-                len(nodes), len(structure.cls), -1)
-            cls, z = structure.cls, structure.z
+                len(nodes), structure.signatures, -1)
+            cls, z, sig = structure.cls, structure.z, structure.sig
             for c in range(structure.count):
                 gamma = space.decode(structure.representative(c))
                 lo, hi = structure.bounds[c], structure.bounds[c + 1]
@@ -304,19 +306,129 @@ def test_batched_successors_match_eta_update(problems_dir, name):
                     dist = message_distribution(spec, node.belief, gamma)
                     assert z[lo:hi].tolist() == np.flatnonzero(dist > ZERO_MASS).tolist()
                     for b in range(lo, hi):
-                        assert abs(mass[k, b] - dist[z[b]]) <= 1e-12
+                        # branch b's mass and successor are its signature's
+                        assert abs(mass[k, sig[b]] - dist[z[b]]) <= 1e-12
                         expect = eta_update(spec, node.belief, gamma, int(z[b]))
-                        assert np.abs(lifted[k, b] - expect.weights).max() <= 1e-12
+                        assert np.abs(lifted[k, sig[b]] - expect.weights).max() <= 1e-12
 
 
-def _intern_row_by_row(table, rows):
+def _per_branch_tables(spec, t, structure):
+    """Every branch's tables, as computed before signatures.
+
+    Over the ``(class, support entry)`` grid: each entry's branch,
+    ``(x, u)`` row and next memory from each controller's own classes.
+    Returns ``(cls, z, branch, xu, slot, signatures)``, ``signatures``
+    the number of distinct lists of ``(entry, (x, u), m')`` over the
+    branches.
+    """
+    layout = stage_layout(spec, t)
+    layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
+    support, count = structure.support, structure.count
+    ids = np.arange(count)
+    u, z, m = (np.zeros((count, len(support)), dtype=np.int64) for _ in range(3))
+    later = count
+    for i in range(spec.n):
+        later //= structure.counts[i]
+        own = ids // later % structure.counts[i]
+        width = len(structure.uniq[i])
+        powers = structure.cards[i] ** np.arange(width - 1, -1, -1)
+        acts = (own[:, None] // powers % structure.cards[i])[:, structure.inv[i]]
+        mi, yi = layout.m_of[i][support], layout.y_of[i][support]
+        mem_stride = math.prod(layout_next.nm[i + 1:])
+        u += acts * layout.act_strides[i]
+        z += spec.msg_map(i, t)[mi, yi, acts] * layout.msg_strides[i]
+        m += spec.mem_update(i, t)[mi, yi, acts] * mem_stride
+    n_msgs = math.prod(layout.msg_cards)
+    pairs, branch = np.unique(ids[:, None] * n_msgs + z, return_inverse=True)
+    branch = branch.reshape(-1)
+    xu = (layout.x_of[support] * spec.cost(t).shape[1] + u).reshape(-1)
+    slot = branch * layout_next.n_mem + m.reshape(-1)
+    entries = np.stack([np.tile(np.arange(len(support)), count), xu, m.reshape(-1)], axis=1)
+    order = np.argsort(branch, kind="stable")
+    ends = np.cumsum(np.bincount(branch))[:-1]
+    signatures = len({rows.tobytes() for rows in np.split(entries[order], ends)})
+    return pairs // n_msgs, pairs % n_msgs, branch, xu, slot, signatures
+
+
+def _per_branch_successors(spec, t, tables, w_sup):
+    """Every branch's mass and successor, each computed on its own.
+
+    The formula before signatures: one ``np.bincount`` over every entry
+    of every branch.  ``succ`` has one row per node and branch.
+    """
+    layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
+    cls, _, branch, xu, slot, _ = tables
+    nodes, n_branches = len(w_sup), len(cls)
+    offset = np.arange(nodes)[:, None] * n_branches
+    w = np.broadcast_to(w_sup[:, None, :], (nodes, len(branch) // w_sup.shape[1],
+                                            w_sup.shape[1])).reshape(nodes, -1)
+    index = (offset + branch).reshape(-1)
+    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * n_branches)
+    cond = w / mass[index].reshape(w.shape)
+    index = (offset * layout_next.n_mem + slot).reshape(-1)
+    rows = nodes * n_branches
+    succ = np.empty((rows, layout_next.nx, layout_next.n_mem))
+    kernel = spec.transition(t).reshape(-1, layout_next.nx)
+    for xn in range(layout_next.nx):
+        succ[:, xn, :] = np.bincount(
+            index, weights=(cond * kernel[:, xn].take(xu)).reshape(-1),
+            minlength=rows * layout_next.n_mem).reshape(rows, -1)
+    succ = succ.reshape(rows, -1)
+    succ /= succ.sum(axis=1, keepdims=True)
+    return mass.reshape(nodes, -1), succ.reshape(nodes, n_branches, -1)
+
+
+def _repeating_instances():
+    """Instances on which branches repeat, and two on which they do not."""
+    yield instances.periodic_instance()
+    for seed in range(3):
+        yield instances.random_delayed_instance(seed, delay=2, T=4)
+        yield instances.random_delayed_instance(seed, n=3, T=3)
+    for k in range(5):
+        yield instances.filter_instance(k)
+
+
+def test_signatures_give_every_branch_its_own_bits():
+    calls = []
+    successors = dp._successors
+
+    def spy(spec, t, structure, w_sup):
+        got = successors(spec, t, structure, w_sup)
+        calls.append((spec, t, structure, w_sup, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_successors", spy)
+        for spec in _repeating_instances():
+            solve_finite(spec)
+    tables, repeated = {}, 0
+    for spec, t, structure, w_sup, (mass, succ) in calls:
+        if structure not in tables:
+            tables[structure] = _per_branch_tables(spec, t, structure)
+        cls, z, _, _, _, signatures = tables[structure]
+        expect_mass, expect_succ = _per_branch_successors(spec, t, tables[structure], w_sup)
+        assert np.array_equal(structure.cls, cls) and np.array_equal(structure.z, z)
+        sig = structure.sig
+        assert structure.branches == len(cls)
+        # numbered in order of first branch
+        assert sig[0] == 0 and np.all(np.diff(np.maximum.accumulate(sig)) <= 1)
+        assert mass[:, sig].tobytes() == expect_mass.tobytes()
+        got = succ.reshape(len(w_sup), structure.signatures, -1)[:, sig]
+        assert got.tobytes() == expect_succ.tobytes()
+        # the per-controller signature finds every repeat entries alone find
+        assert structure.signatures == signatures
+        repeated += structure.signatures < structure.branches
+    assert repeated > 0
+
+
+def _intern_row_by_row(keys, weights, rows):
     """The reference: one dictionary lookup per row, in row order."""
     out = []
     for row, key in zip(rows, canonical_keys(rows)):
-        if key not in table.keys:
-            table.keys[key] = len(table.weights)
-            table.weights.append(row.copy())
-        out.append(table.keys[key])
+        if key not in keys:
+            keys[key] = len(weights)
+            weights.append(row.copy())
+        out.append(keys[key])
     return np.array(out, dtype=np.int64)
 
 
@@ -332,14 +444,15 @@ def test_interning_a_batch_matches_a_row_by_row_loop():
                       beliefs[1] + 1e-15, beliefs[4], negative, beliefs[3]])
     # repeats of earlier keys, interleaved with new beliefs
     second = np.stack([beliefs[2], beliefs[0], beliefs[4], beliefs[2], beliefs[1]])
-    batched, reference = dp._BeliefTable(), dp._BeliefTable()
+    batched = dp._BeliefTable(DEFAULT_FINITE_BELIEF_CAP, "beliefs")
+    keys, weights = {}, []
     for rows in (first, second):
         assert batched.intern(rows).tolist() == \
-            _intern_row_by_row(reference, rows).tolist()
-        assert list(batched.keys.items()) == list(reference.keys.items())
-        assert [w.tobytes() for w in batched.weights] == \
-            [w.tobytes() for w in reference.weights]
-    assert len(batched.weights) == 5
+            _intern_row_by_row(keys, weights, rows).tolist()
+        assert list(batched.keys.items()) == list(keys.items())
+        assert batched.count == len(weights)
+        assert batched.weights.tobytes() == np.stack(weights).tobytes()
+    assert batched.count == 5
 
 
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
@@ -348,6 +461,36 @@ def test_periodic_counters_are_pinned(problems_dir, solve):
     report, _ = solve(spec)
     assert report.stage_nodes == [1, 16, 256, 4096]
     assert report.expanded_classes == [16, 4096, 4096, 1048576]
+    # the shared message reveals what each prescription did, so the 4,096
+    # branches of a stage-2 node make only 64 distinct computations
+    assert report.stats == {"branches": [16, 65536, 4096, 0],
+                            "signatures": [16, 1024, 4096, 0]}
+
+
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
+def test_delayed_sharing_counters_are_pinned(problems_dir, solve):
+    spec, _ = load_problem(str(problems_dir / "delayed_sharing_2x2.json"))
+    report, _ = solve(spec)
+    # one-stage delay: each of the 16 classes emits 4 messages, and the 64
+    # branches make 16 distinct computations
+    assert report.stats == {"branches": [64, 0], "signatures": [16, 0]}
+
+
+def test_counters_stay_out_of_the_solve_document(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    report, tree = solve_finite(spec)
+    assert "stats" not in json.dumps(solve_result_to_dict(spec, report, tree))
+
+
+def test_a_finite_solve_stops_at_the_belief_cap(problems_dir):
+    # stage 4 of periodic_4stage holds 4,096 beliefs
+    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    for solve in (solve_finite, solve_finite_reduced):
+        with pytest.raises(Infeasible, match="beliefs at stage 4 exceed cap 4000") as exc:
+            solve(spec, cap_beliefs=4000)
+        assert exc.value.count > 4000
+    report, _ = solve_finite(spec, cap_beliefs=4096)
+    assert report.stage_nodes == [1, 16, 256, 4096]
 
 
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
@@ -529,25 +672,34 @@ def _solve_bits(spec):
     """Everything a solve computes, with values and beliefs as their bytes.
 
     The tree holds only the policy's nodes, so the whole DP's beliefs,
-    values and chosen representatives and children are recorded as the
-    solve hands them between its stages.
+    branch masses, children, values and choices are recorded as the
+    solve hands them between its stages: per expanded stage its groups'
+    costs, masses and children and each node's best class, and per
+    last-stage support its nodes' lead classes and last actions.
     """
     seen = []
     expand, backward, last = dp._expand_stage, dp._backward, dp._solve_last_stage
 
     def expand_spy(spec, t, weights, *args):
-        seen.append(weights.tobytes())
-        return expand(spec, t, weights, *args)
+        groups, counts = expand(spec, t, weights, *args)
+        seen.append((weights.tobytes(), counts))
+        # by node, so the bits do not depend on how nodes were grouped
+        rows = {node: (costs[k].tobytes(), mass[k].tobytes(), child[k].tolist())
+                for _, nodes, costs, mass, child in groups
+                for k, node in enumerate(nodes)}
+        seen.append(sorted(rows.items()))
+        return groups, counts
 
-    def backward_spy(groups, values_next, values, chosen):
-        backward(groups, values_next, values, chosen)
-        seen.append((values.tobytes(), [(rep, sorted(kids.items()))
-                                        for rep, kids in chosen]))
+    def backward_spy(groups, values_next, values, best):
+        backward(groups, values_next, values, best)
+        seen.append((values.tobytes(), best.tobytes()))
 
     def last_spy(spec, t, weights, cap):
-        values, reps, classes = last(spec, t, weights, cap)
-        seen.append((weights.tobytes(), values.tobytes(), list(reps), classes))
-        return values, reps, classes
+        values, groups, classes = last(spec, t, weights, cap)
+        seen.append((weights.tobytes(), values.tobytes(), classes, [
+            (nodes.tobytes(), lead.tobytes(), acts.tobytes())
+            for _, nodes, lead, acts in groups]))
+        return values, groups, classes
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dp, "_expand_stage", expand_spy)

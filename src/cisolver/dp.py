@@ -364,6 +364,36 @@ def _grid(terms: list[np.ndarray]) -> np.ndarray:
     return grid
 
 
+def _own_tables(spec: ProblemSpec, t: int, i: int, points: np.ndarray):
+    """Controller ``i``'s tables at its ``points`` of stage ``t``, per class of its own.
+
+    Returns ``(acts, msgs, mems, part)``: the action, message part and
+    next memory at each point, and ``part = (ids, count)``, which numbers
+    each (own class, message part) by the points that emit the part and
+    the actions there.  They depend on the points only, so structures on
+    supports with the same points share them.
+    """
+    layout = stage_layout(spec, t)
+    card = spec.action_cards[i]
+    y, m = np.divmod(points, layout.nm[i])
+    acts = _digits(np.arange(card ** len(points)), card, len(points))
+    msgs = spec.msg_map(i, t)[m, y, acts]
+    mems = spec.mem_update(i, t)[m, y, acts]
+    # per (own class, part): 1 + the action at each point that emits the
+    # part, 0 at the others, as one id per row; a point and its action
+    # fix the next memory
+    code = (acts + 1)[:, None, :] * (
+        msgs[:, None, :] == np.arange(layout.msg_cards[i])[:, None])
+    key, radix = 0, 1
+    for column in code.reshape(-1, len(points)).T:
+        if radix * (card + 1) >= 1 << 62:
+            key, first = _first_ids(key, radix)
+            radix = len(first)
+        key, radix = key * (card + 1) + column, radix * (card + 1)
+    key, first = _first_ids(key, radix)
+    return acts, msgs, mems, (key.reshape(len(acts), -1), len(first))
+
+
 class _ClassStructure(_Classes):
     """Weight-independent class and branch tables of a stage with a continuation.
 
@@ -399,19 +429,18 @@ class _ClassStructure(_Classes):
     whatever ``|X'|``.
     ``entries`` is the size of the largest array one node adds to a
     batch of :func:`_successors` or :func:`_backward`.  Representatives
-    are computed once per class.
+    are computed once per class.  ``tables`` holds each controller's
+    :func:`_own_tables` for every structure of the solve.
     """
 
-    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
+    def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
+                 tables: dict):
         super().__init__(spec, t, support, cap)
         n, n_sup = spec.n, len(support)
         self._check_table(self.count * n_sup, t)
         layout = stage_layout(spec, t)
         layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
-        mem_strides = np.ones(n, dtype=np.int64)
-        for i in range(n - 2, -1, -1):
-            mem_strides[i] = mem_strides[i + 1] * layout_next.nm[i + 1]
-
+        mem_strides = [math.prod(layout_next.nm[i + 1:]) for i in range(n)]
         cost = spec.cost(t)
         n_msgs = math.prod(layout.msg_cards)
         # per controller and class of its own, at each support entry: the
@@ -422,29 +451,15 @@ class _ClassStructure(_Classes):
         later = self.count  # joint classes of the controllers after i
         for i in range(n):
             later //= self.counts[i]
-            # at each point: action, message part and next memory per own class
-            y, m = np.divmod(self.uniq[i], layout.nm[i])
-            acts = _digits(np.arange(self.counts[i]), self.cards[i], len(y))
-            msgs = spec.msg_map(i, t)[m, y, acts]
-            mems = spec.mem_update(i, t)[m, y, acts]
+            key = (t, i, self.uniq[i].tobytes())
+            if key not in tables:
+                tables[key] = _own_tables(spec, t, i, self.uniq[i])
+            acts, msgs, mems, part = tables[key]
             own = np.arange(self.counts[i])[:, None] * (later * n_msgs)
             pair_terms.append((msgs * layout.msg_strides[i] + own)[:, self.inv[i]])
             xu_terms.append((acts * layout.act_strides[i])[:, self.inv[i]])
             mem_terms.append((mems * mem_strides[i])[:, self.inv[i]])
-            # per (own class, part): 1 + the action at each point that emits
-            # the part, 0 at the others, as one id per row; a point and its
-            # action fix the next memory
-            code = (acts + 1)[:, None, :] * (
-                msgs[:, None, :] == np.arange(layout.msg_cards[i])[:, None])
-            base = self.cards[i] + 1
-            key, radix = 0, 1
-            for column in code.reshape(-1, len(y)).T:
-                if radix * base >= 1 << 62:
-                    key, first = _first_ids(key, radix)
-                    radix = len(first)
-                key, radix = key * base + column, radix * base
-            key, first = _first_ids(key, radix)
-            parts.append((key.reshape(len(acts), -1), len(first)))
+            parts.append(part)
         xu_terms[0] = xu_terms[0] + self.x_sup * cost.shape[1]
         pairs = _grid(pair_terms)
         xu = _grid(xu_terms)
@@ -637,12 +652,14 @@ def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
 
     ``structures`` is owned by one solve, so every node on the same
     support shares the tables; only a node's stage costs, branch masses
-    and successors depend on its weights.
+    and successors depend on its weights.  It also holds each
+    controller's :func:`_own_tables`, keyed by stage, controller and
+    points.
     """
     key = (t, support.tobytes())
     structure = structures.get(key)
     if structure is None:
-        structure = structures[key] = _ClassStructure(spec, t, support, cap)
+        structure = structures[key] = _ClassStructure(spec, t, support, cap, structures)
     return structure
 
 

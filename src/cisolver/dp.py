@@ -426,11 +426,10 @@ class _ClassStructure(_Classes):
     gathered through ``xu`` when they are used.  With no repeated branch
     these entries are the whole ``(class, entry)`` grid, so a structure
     holds four tables of at most ``|classes| * |support|`` entries
-    whatever ``|X'|``.
-    ``entries`` is the size of the largest array one node adds to a
-    batch of :func:`_successors` or :func:`_backward`.  Representatives
-    are computed once per class.  ``tables`` holds each controller's
-    :func:`_own_tables` for every structure of the solve.
+    whatever ``|X'|``.  ``entries`` is the size of the largest array one
+    node adds to a batch of :func:`_successors` or :func:`_backward`.
+    Representatives are computed once per class.  ``tables`` holds each
+    controller's :func:`_own_tables` for every structure of the solve.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
@@ -583,6 +582,7 @@ class _LastStage(_Classes):
         r = np.arange(rows)
         return v[r, best], best, g[r, :, :, best].argmin(axis=2)
 
+
 def _supports(weights: np.ndarray):
     """The distinct supports of the rows of ``weights`` and the support of each row.
 
@@ -715,15 +715,15 @@ class _BeliefTable:
     ``i`` belief ``i``'s.
     """
 
-    def __init__(self, cap: int, what: str):
+    def __init__(self, width: int, cap: int, what: str):
         self.keys = {}
         self.count = 0
         self.cap, self.what = cap, what
-        self._rows = None
+        self._rows = np.empty((0, width))
 
     @property
     def weights(self) -> np.ndarray:
-        return self._rows[:self.count] if self.count else np.empty((0, 0))
+        return self._rows[:self.count]
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
@@ -750,9 +750,7 @@ class _BeliefTable:
         self.count = len(self.keys)
         if self.count > self.cap:
             raise Infeasible(f"{self.what} exceed cap {self.cap}", count=self.count)
-        if self._rows is None:
-            self._rows = np.empty((self.count, rows.shape[1]))
-        elif self.count > len(self._rows):
+        if self.count > len(self._rows):
             grown = np.empty((max(self.count, 2 * len(self._rows)), rows.shape[1]))
             grown[:known] = self._rows[:known]
             self._rows = grown
@@ -827,10 +825,9 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
                            child[base:base + mass.size].reshape(mass.shape)))
             base += mass.size
         lo = hi
-    per_kind = np.bincount(which, minlength=len(kinds)).tolist()
-    counts = tuple(sum(k * getattr(kind, name) for k, kind in zip(per_kind, kinds))
-                   for name in ("count", "branches", "signatures"))
-    return groups, counts
+    counts = np.bincount(which) @ np.array(
+        [(kind.count, kind.branches, kind.signatures) for kind in kinds], dtype=np.int64)
+    return groups, counts.tolist()
 
 
 def _backward(groups, values_next: np.ndarray, values: np.ndarray, best: np.ndarray):
@@ -852,6 +849,13 @@ def _backward(groups, values_next: np.ndarray, values: np.ndarray, best: np.ndar
         choice = q.argmin(axis=1)
         values[nodes] = q[np.arange(rows), choice]
         best[nodes] = choice
+
+
+def _chosen(structure: _ClassStructure, b: int, child: np.ndarray):
+    """Representative and ``{z: child}`` of class ``b``, from a node's children by signature."""
+    lo, hi = structure.bounds[b], structure.bounds[b + 1]
+    return structure.representative(b), dict(zip(structure.z[lo:hi].tolist(),
+                                                 child[structure.sig[lo:hi]].tolist()))
 
 
 def _locate(groups, n: int):
@@ -879,13 +883,15 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
     T = spec.horizon
     structures: dict = {}
 
-    stages = [_BeliefTable(cap_beliefs, f"beliefs at stage {t}") for t in range(1, T + 1)]
+    layouts = [stage_layout(spec, t) for t in range(1, T + 1)]
+    stages = [_BeliefTable(layout.nx * layout.n_mem, cap_beliefs,
+                           f"beliefs at stage {layout.t}") for layout in layouts]
     roots = initial_belief(spec)
     first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
 
     def lifted(t):  # the full weights of stage t's stored beliefs, by row
-        return stage_layout(spec, t).lift(stages[t - 1].weights)
+        return layouts[t - 1].lift(stages[t - 1].weights)
 
     expansions = []  # per stage t < T: its groups from _expand_stage
     expanded_classes, branches, signatures = [0] * T, [0] * T, [0] * T
@@ -911,8 +917,7 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
     # their representatives and children are decoded here, and nowhere else
     tree_stages = []
     reached = sorted({idx for _, idx in roots})
-    for t in range(1, T + 1):
-        layout = stage_layout(spec, t)
+    for t, layout in enumerate(layouts, start=1):
         groups = expansions[t - 1] if t < T else last
         group_of, row_of = _locate(groups, stages[t - 1].count)
         rows = stages[t - 1].weights[reached]
@@ -926,12 +931,7 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
         for idx, w in zip(reached, rows):
             group, row = groups[group_of[idx]], row_of[idx]
             if t < T:
-                structure, child = group[0], group[4][row]
-                b = int(best[t - 1][idx])
-                lo, hi = structure.bounds[b], structure.bounds[b + 1]
-                rep = structure.representative(b)
-                children = dict(zip(structure.z[lo:hi].tolist(),
-                                    child[structure.sig[lo:hi]].tolist()))
+                rep, children = _chosen(group[0], int(best[t - 1][idx]), group[4][row])
             else:
                 (place, divisors), _, lead, acts = group
                 a = int(lead[row])
@@ -1032,7 +1032,7 @@ class _StationaryTable(_BeliefTable):
     """
 
     def __init__(self, layout, cap: int):
-        super().__init__(cap, "reachable stationary beliefs")
+        super().__init__(layout.size, cap, "reachable stationary beliefs")
         self.layout = layout
 
     intern_full = _BeliefTable.intern
@@ -1184,13 +1184,12 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
     entries = []
     for i, ((structure, kids), best) in enumerate(zip(rows, choice.tolist())):
-        lo, hi = structure.bounds[best], structure.bounds[best + 1]
+        rep, children = _chosen(structure, best, kids)
         entries.append(PolicyEntry(
             belief=Belief(t=1, n=spec.n, dims=layout.dims,
                           weights=np.copy(table.weights[i])),
-            gamma_index=structure.representative(best), value=float(low[i]),
-            children={z: keys[c] for z, c in zip(structure.z[lo:hi].tolist(),
-                                                  kids[structure.sig[lo:hi]].tolist())}))
+            gamma_index=rep, value=float(low[i]),
+            children={z: keys[c] for z, c in children.items()}))
 
     policy = StationaryPolicy(
         epsilon=epsilon, iterations=iterations, residual=residual,

@@ -444,7 +444,7 @@ def test_interning_a_batch_matches_a_row_by_row_loop():
                       beliefs[1] + 1e-15, beliefs[4], negative, beliefs[3]])
     # repeats of earlier keys, interleaved with new beliefs
     second = np.stack([beliefs[2], beliefs[0], beliefs[4], beliefs[2], beliefs[1]])
-    batched = dp._BeliefTable(DEFAULT_FINITE_BELIEF_CAP, "beliefs")
+    batched = dp._BeliefTable(6, DEFAULT_FINITE_BELIEF_CAP, "beliefs")
     keys, weights = {}, []
     for rows in (first, second):
         assert batched.intern(rows).tolist() == \

@@ -378,6 +378,18 @@ def _per_branch_successors(spec, t, tables, w_sup):
     return mass.reshape(nodes, -1), succ.reshape(nodes, n_branches, -1)
 
 
+@pytest.mark.parametrize("bound", [50, 10 ** 12])  # a table over the range, np.unique
+def test_ids_are_numbered_in_order_of_first_occurrence(bound):
+    rng = np.random.default_rng(5)
+    keys = rng.choice(rng.integers(0, bound, 30), size=200)
+    ids, first = dp._first_ids(keys, bound)
+    expect = {}
+    for key in keys.tolist():
+        expect.setdefault(key, len(expect))
+    assert ids.tolist() == [expect[key] for key in keys.tolist()]
+    assert first.tolist() == [keys.tolist().index(key) for key in expect]
+
+
 def _repeating_instances():
     """Instances on which branches repeat, and two on which they do not."""
     yield instances.periodic_instance()
@@ -458,13 +470,15 @@ def test_interning_a_batch_matches_a_row_by_row_loop():
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
 def test_periodic_counters_are_pinned(problems_dir, solve):
     spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
-    report, _ = solve(spec)
+    report, tree = solve(spec)
     assert report.stage_nodes == [1, 16, 256, 4096]
     assert report.expanded_classes == [16, 4096, 4096, 1048576]
     # the shared message reveals what each prescription did, so the 4,096
     # branches of a stage-2 node make only 64 distinct computations
     assert report.stats == {"branches": [16, 65536, 4096, 0],
                             "signatures": [16, 1024, 4096, 0]}
+    # counters are not part of the solve document
+    assert "stats" not in json.dumps(solve_result_to_dict(spec, report, tree))
 
 
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
@@ -474,12 +488,6 @@ def test_delayed_sharing_counters_are_pinned(problems_dir, solve):
     # one-stage delay: each of the 16 classes emits 4 messages, and the 64
     # branches make 16 distinct computations
     assert report.stats == {"branches": [64, 0], "signatures": [16, 0]}
-
-
-def test_counters_stay_out_of_the_solve_document(problems_dir):
-    spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
-    report, tree = solve_finite(spec)
-    assert "stats" not in json.dumps(solve_result_to_dict(spec, report, tree))
 
 
 def test_a_finite_solve_stops_at_the_belief_cap(problems_dir):

@@ -392,7 +392,7 @@ def test_ids_are_numbered_in_order_of_first_occurrence(bound):
 
 def _repeating_instances():
     """Instances on which branches repeat, and two on which they do not."""
-    yield instances.periodic_instance()
+    yield instances.periodic_instance()  # the problem of periodic_4stage.json
     for seed in range(3):
         yield instances.random_delayed_instance(seed, delay=2, T=4)
         yield instances.random_delayed_instance(seed, n=3, T=3)

@@ -320,21 +320,12 @@ def _encode(place, actions) -> int:
     return sum(map(operator.mul, chain.from_iterable(place), chain.from_iterable(actions)))
 
 
-def _first_ids(keys: np.ndarray, bound: int):
-    """Ids of ``keys``, ints in ``[0, bound)``, numbered in order of first occurrence.
+def _first_ids(keys: np.ndarray):
+    """Ids of the items of ``keys``, numbered in order of first occurrence.
 
-    Returns ``(ids, first)``: equal keys get equal ids, and ``first[j]``
-    is the first position of id ``j``, increasing.  A small range is
-    numbered through a table over it, a large one by ``np.unique``.
+    Returns ``(ids, first)``: equal items get equal ids, and ``first[j]``
+    is the first position of id ``j``, increasing.
     """
-    n = len(keys)
-    if bound <= 4 * n + 1024:
-        at = np.full(bound, n)
-        np.minimum.at(at, keys, np.arange(n))
-        first = np.sort(at[at < n])
-        ids = np.empty(bound, dtype=np.int64)
-        ids[keys[first]] = np.arange(len(first))
-        return ids[keys], first
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
@@ -387,10 +378,10 @@ def _own_tables(spec: ProblemSpec, t: int, i: int, points: np.ndarray):
     key, radix = 0, 1
     for column in code.reshape(-1, len(points)).T:
         if radix * (card + 1) >= 1 << 62:
-            key, first = _first_ids(key, radix)
+            key, first = _first_ids(key)
             radix = len(first)
         key, radix = key * (card + 1) + column, radix * (card + 1)
-    key, first = _first_ids(key, radix)
+    key, first = _first_ids(key)
     return acts, msgs, mems, (key.reshape(len(acts), -1), len(first))
 
 
@@ -476,11 +467,11 @@ class _ClassStructure(_Classes):
         self.z = flat - self.cls * n_msgs
         self.bounds = np.searchsorted(self.cls, np.arange(self.count + 1)).tolist()
 
-        joint, bound = 0, 1
+        joint = 0
         for (part, distinct), own, msg in zip(
                 parts, _split(self.cls, self.counts), _split(self.z, layout.msg_cards)):
-            joint, bound = joint * distinct + part[own, msg], bound * distinct
-        self.sig, first = _first_ids(joint, bound)
+            joint = joint * distinct + part[own, msg]
+        self.sig, first = _first_ids(joint)
         self.branches, self.signatures = len(flat), len(first)
 
         # the entries of each signature's first branch, by signature, then entry
@@ -593,12 +584,8 @@ def _supports(weights: np.ndarray):
     """
     mask = weights > ZERO_MASS
     packed = np.packbits(mask, axis=1)
-    items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    return [np.flatnonzero(mask[row]) for row in first[order]], rank[inverse.reshape(-1)]
+    which, first = _first_ids(packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1))
+    return [np.flatnonzero(mask[row]) for row in first], which
 
 
 def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):

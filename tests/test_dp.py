@@ -207,6 +207,9 @@ def test_discounted_chain_matches_independent_value_iteration():
     # five stationary beliefs, four prescription classes each
     assert report.stage_nodes == [5]
     assert report.expanded_classes == [20]
+    # each class emits two messages, and a belief's 8 branches make 4
+    # distinct computations
+    assert report.stats == {"branches": [40], "signatures": [20]}
 
 
 def test_an_open_belief_graph_is_infeasible():
@@ -378,11 +381,10 @@ def _per_branch_successors(spec, t, tables, w_sup):
     return mass.reshape(nodes, -1), succ.reshape(nodes, n_branches, -1)
 
 
-@pytest.mark.parametrize("bound", [50, 10 ** 12])  # a table over the range, np.unique
-def test_ids_are_numbered_in_order_of_first_occurrence(bound):
+def test_ids_are_numbered_in_order_of_first_occurrence():
     rng = np.random.default_rng(5)
-    keys = rng.choice(rng.integers(0, bound, 30), size=200)
-    ids, first = dp._first_ids(keys, bound)
+    keys = rng.choice(rng.integers(0, 10 ** 12, 30), size=200)
+    ids, first = dp._first_ids(keys)
     expect = {}
     for key in keys.tolist():
         expect.setdefault(key, len(expect))

@@ -579,12 +579,13 @@ def _supports(weights: np.ndarray):
 
     Returns ``(supports, which)``: the supports as arrays of positions,
     in order of their first row, and the index in ``supports`` of each
-    row's.  One ``np.unique`` over the packed masks, each viewed as one
+    row's.  :func:`_first_ids` over the packed masks, each viewed as one
     opaque item, finds them.
     """
     mask = weights > ZERO_MASS
     packed = np.packbits(mask, axis=1)
-    which, first = _first_ids(packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1))
+    items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    which, first = _first_ids(items)
     return [np.flatnonzero(mask[row]) for row in first], which
 
 

@@ -19,7 +19,17 @@ same bits.  Last, for every fixture, it prints a digest of the document
 ``cis validate`` writes; for every valid finite fixture, one of the
 report ``cis simulate`` writes for 200 episodes of the full tree at seed
 1; and for the fixtures in ``ENUMERATED``, one of the document ``cis
-enumerate`` writes.  Finally, for filter member k = 0 at seeds 0-9, it
+enumerate`` writes.  Then, for every valid finite fixture and for the
+delayed sharing instances with delay 2 at T = 4 and with three
+controllers at T = 3 (seeds 0-2), it prints the digests of rollouts that
+cross a block boundary (``ROLLOUT_EPISODES`` episodes): the reports of
+the extracted strategy and of the reduced tree, the report and the
+trajectory file (as ``cis simulate --dump-trajectories`` writes it) of a
+recorded rollout of the full tree, and the paired reports of the full
+tree against its strategy, against a copy in which controller 0 shifts
+every action at stage ``min(2, T)`` (as in the test suite's
+``test_paired_rollout_flags_a_corrupted_stage``) and against a copy with
+fewer, scattered faults (see :func:`_corrupted`), each at its own seed.  Finally, for filter member k = 0 at seeds 0-9, it
 prints the coordinator oracle's count, the ``repr`` of its minimum and a
 digest of its strategy (roots, then per node: id, stage, tables and
 children in message order).  Run from the repository root:
@@ -41,12 +51,17 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from cisolver import serialize  # noqa: E402
-from cisolver.dp import solve_discounted, solve_finite, solve_finite_reduced  # noqa: E402
+from cisolver.dp import (  # noqa: E402
+    extract_control_strategy,
+    solve_discounted,
+    solve_finite,
+    solve_finite_reduced,
+)
 from cisolver.oracle import (  # noqa: E402
     enumerate_basic_strategies,
     enumerate_coordinator_strategies,
 )
-from cisolver.sim import rollout  # noqa: E402
+from cisolver.sim import paired_rollout, rollout  # noqa: E402
 
 import instances  # noqa: E402
 
@@ -57,6 +72,9 @@ EPSILON = 1e-4
 ENUMERATED = ("delayed_sharing_2x2", "static_team")  # small enough for both oracles
 ORACLE_MEMBER = 0  # delayed sharing, as on the benchmark's certify workload
 REPEAT_SEEDS = range(3)
+ROLLOUT_EPISODES = 40_000  # more than one block of episodes
+RECORD_EPISODES = 2_000
+ROLLOUT_SEED = 7
 
 
 def _filter_family_doc():
@@ -151,6 +169,74 @@ def command_documents():
                 enumerate_coordinator_strategies(spec))
 
 
+def rollout_problems():
+    """``(name, spec)`` of every problem whose rollouts are digested."""
+    yield from _fixtures("finite")
+    for seed in REPEAT_SEEDS:
+        yield (f"delayed2_T4_seed{seed}",
+               instances.random_delayed_instance(seed, delay=2, T=4))
+        yield f"n3_T3_seed{seed}", instances.random_delayed_instance(seed, n=3, T=3)
+
+
+def _flipped(spec, tree):
+    """The tree's strategy with controller 0 shifting every action at one stage."""
+    strategy = extract_control_strategy(spec, tree)
+    for node in strategy.stages[min(2, spec.horizon) - 1]:
+        node.tables = ((node.tables[0] + 1) % spec.action_cards[0],) + node.tables[1:]
+    return strategy
+
+
+def _corrupted(spec, tree):
+    """The tree's strategy with some actions shifted and some children dropped.
+
+    The last controller shifts its action on observation 1 at stage
+    ``min(3, T)``, and the first node of stage 2 (when T > 2) loses every
+    other child, so that only some episodes diverge, at different stages
+    and in different fields.
+    """
+    strategy = extract_control_strategy(spec, tree)
+    last = spec.n - 1
+    for node in strategy.stages[min(3, spec.horizon) - 1]:
+        shifted = node.tables[last].copy()
+        shifted[min(1, len(shifted) - 1)] += 1
+        shifted %= spec.action_cards[last]
+        node.tables = node.tables[:last] + (shifted,)
+    if spec.horizon > 2:
+        children = strategy.stages[1][0].children
+        for z in sorted(children)[::2]:
+            del children[z]
+    return strategy
+
+
+def _paired_digest(report) -> str:
+    text = repr((report.episodes, report.seed, report.identical, report.divergences))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def rollout_lines(spec):
+    """``(label, digest)`` of the rollouts of one problem's policies."""
+    _, tree = solve_finite(spec)
+    _, reduced = solve_finite_reduced(spec)
+    strategy = extract_control_strategy(spec, tree)
+    for seed, (label, policy) in enumerate((("strategy", strategy),
+                                            ("reduced", reduced)), start=ROLLOUT_SEED):
+        yield f"simulate_{label}", _text_digest(serialize.sim_report_to_dict(
+            rollout(spec, policy, seed=seed, episodes=ROLLOUT_EPISODES)))
+    report = rollout(spec, tree, seed=ROLLOUT_SEED + 2, episodes=RECORD_EPISODES,
+                     record=True)
+    h = hashlib.sha256(serialize.dumps(serialize.sim_report_to_dict(report)).encode())
+    for tr in report.trajectories:
+        h.update(json.dumps(serialize.trajectory_to_dict(tr), sort_keys=True,
+                            allow_nan=False).encode() + b"\n")
+    yield "simulate_record", h.hexdigest()
+    run = dict(seed=ROLLOUT_SEED + 3, episodes=ROLLOUT_EPISODES)
+    yield "paired", _paired_digest(paired_rollout(spec, tree, strategy, **run))
+    yield "paired_flipped", _paired_digest(
+        paired_rollout(spec, tree, _flipped(spec, tree), **run))
+    yield "paired_corrupted", _paired_digest(
+        paired_rollout(spec, tree, _corrupted(spec, tree), **run))
+
+
 def coordinator_oracle_line(spec) -> str:
     got = enumerate_coordinator_strategies(spec)
     h = hashlib.sha256(repr(got.strategy.roots).encode())
@@ -178,6 +264,9 @@ def main():
         assert spec is not None and report.ok, report
         print(f"filter_k{ORACLE_MEMBER}_seed{seed} coordinator_oracle "
               f"{coordinator_oracle_line(spec)}", flush=True)
+    for name, spec in rollout_problems():
+        for label, line in rollout_lines(spec):
+            print(f"{name} {label} {line}", flush=True)
 
 
 if __name__ == "__main__":

@@ -11,32 +11,36 @@ which is what makes paired comparisons exact.
 Episodes stream sequentially in fixed blocks of ``_BLOCK``.  Each block
 reads the next uniforms of every stream, so the results do not depend on
 the block size, and the working memory is O(block) plus the 8-byte cost
-of every episode, which ``mean`` and ``stderr`` are reduced from (O(episodes)
-when trajectories are recorded).  The draws do not depend on the policy,
-so every rollout call owns one helper thread that reads the streams
-(:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is being
-stepped, never more than one block ahead.  It is the only reader of the
-streams and reads each in the same order as a sequential loop would, so
-the results are the same as without it; it is joined before the call
-returns or raises.  It draws into two sets of per-stream buffers of
-``min(_BLOCK, episodes)`` allocated once per call, block ``b`` into set
-``b % 2``.  Two suffice: block ``b + 2`` is drawn only after block ``b + 1``
-has been handed over, by which time block ``b``'s draws are dropped, and
-nothing stepped from the draws aliases them.  The streams are
-counter-based, so which uniform an episode reads does not depend on where
-it is written.
+of every episode, which ``mean`` and ``stderr`` are reduced from
+(O(episodes) when trajectories are recorded).  The draws do not depend on
+the policy, so every rollout call owns one helper thread that reads the
+streams (:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is
+being stepped, never more than one block ahead.  Most of the stepping
+runs inside numpy loops, which run while the helper draws, so on a
+machine with a second core the draws cost little wall time.  The helper is the only reader of the streams and reads
+each in the same order as a sequential loop would, so the results are
+the same as without it; it is joined before the call returns or raises.
+It draws into two sets of per-stream buffers of ``min(_BLOCK, episodes)``
+allocated once per call, block ``b`` into set ``b % 2``.  Two suffice:
+block ``b + 2`` is drawn only after block ``b + 1`` has been handed over,
+by which time block ``b``'s draws are dropped, and nothing stepped from
+the draws aliases them.  The streams are counter-based, so which uniform
+an episode reads does not depend on where it is written.
 
 Sampling from a categorical row uses the inverse CDF over cumulative rows
 computed once per kernel, so equal rows and equal uniforms give equal
-samples bitwise.
+samples bitwise, and no uniform draws an outcome of zero mass.
 
-A policy is compiled once into per-controller stage tables
-(:class:`_ExecPlan`).  A controller's action, its share of the joint
-message and its next memory at a node depend only on its own observation
-and memory, so each stage computes one local index per controller and
-reads all three with one ``take`` each.  The tables are only a faster
-form of the policy and the protocol's maps: the draws, and so every
-report and trajectory, are the same as stepping through those maps.
+A policy is compiled once into tables over the coordinator's state
+(:class:`_ExecPlan`).  At each stage an episode is one integer, its
+coordinator-state index ``node * size + state``, where ``state`` ravels
+the chain state and every controller's ``(y_i, m_i)``.  The stage cost,
+the transition thresholds, the next node and memories, and the rare
+missing-child and audit flags are all functions of that index, so a
+stage is a few ``take`` calls on flat arrays plus the new draws.  The
+tables are only a faster form of the policy and the protocol's maps:
+the draws, and so every report and trajectory, are the same as stepping
+through those maps.
 """
 
 from __future__ import annotations
@@ -119,14 +123,22 @@ def _streams(spec: ProblemSpec, seed: int) -> dict:
 
 
 def _cum_columns(kernel: np.ndarray) -> list[np.ndarray]:
-    """Columns ``0 .. K-2`` of a ``(rows, K)`` kernel's cumulative rows.
+    """Columns ``0 .. K-2`` of a ``(rows, K)`` kernel's cumulative rows, as thresholds.
 
     Cumulative sums of non-negative entries do not decrease, so the number
     of these columns below ``u`` in row ``r`` is the inverse-CDF sample
-    ``min((cumsum(kernel[r]) < u).sum(), K - 1)``.
+    ``min((cumsum(kernel[r]) < u).sum(), K - 1)``.  A threshold is ``-inf``
+    where no positive entry precedes it and ``+inf`` from the row's last
+    positive entry on, so no uniform, not ``0.0`` nor one above a row
+    that sums to a little less than 1, draws an outcome of zero mass.
     """
-    cum = np.cumsum(kernel, axis=-1)
-    return [np.ascontiguousarray(cum[:, k]) for k in range(kernel.shape[-1] - 1)]
+    k = kernel.shape[-1] - 1
+    cum = np.cumsum(kernel, axis=-1)[:, :k]
+    positive = kernel > 0
+    cum[~np.logical_or.accumulate(positive, axis=-1)[:, :k]] = -np.inf
+    last = k - np.argmax(positive[:, ::-1], axis=-1)  # the last positive entry
+    cum[np.arange(k) >= last[:, None]] = np.inf
+    return [np.ascontiguousarray(cum[:, j]) for j in range(k)]
 
 
 def _sample(cols: list[np.ndarray], rows, u: np.ndarray) -> np.ndarray:
@@ -139,28 +151,42 @@ def _sample(cols: list[np.ndarray], rows, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _add_sample(out: np.ndarray, cols: list[np.ndarray], rows, u: np.ndarray,
+                stride: int):
+    """``out += stride * _sample(cols, rows, u)``, in place."""
+    for col in cols:
+        below = col.take(rows) < u
+        out += below if stride == 1 else below * stride
+
+
 class _ExecPlan:
-    """A policy compiled to flat per-stage, per-controller lookup tables.
+    """A policy compiled to flat tables over the coordinator state.
 
-    A controller's action, its share of the joint message and its next
-    memory at a tree node are functions of its own ``(y_i, m_i)`` alone, so
-    each is precomposed into a table over the policy's grid
-    ``(node, y_i, m_i)``, raveled and indexed by the controller's local
-    index ``(node * ny_i + y_i) * nm_i + m_i``:
+    At stage ``t`` an episode is one integer, its **coordinator-state
+    index** ``s = node * size + state``: ``node`` is the position of its
+    tree node in the stage and ``state`` the stage layout's ravel of
+    ``(x, y_1..y_n, m_1..m_n)`` (:class:`~cisolver.coordinator.StageLayout`).
+    A node's prescription maps the private part ``(y_i, m_i)`` to actions,
+    so everything a step needs is a function of ``s`` and is precomposed
+    into one table over ``(node, state)`` per stage:
 
-    * ``actions[t][i]``: the action ``a_i``;
-    * ``act_shares[t][i]``: ``a_i * act_stride_i``, its share of the joint
-      action;
-    * ``msg_shares[t][i]`` (t < T): ``msg_map_i[m, y, a_i] * msg_stride_i``,
-      its share of the joint message;
-    * ``mem_next[t][i]`` (t < T): ``mem_update_i[m, y, a_i]``.
+    * ``cost[t]``: the stage cost ``c_t(x, u)``;
+    * ``thr[t]`` (t < T): the ``K - 1`` cumulative transition thresholds of
+      the row ``(x, u)`` (:func:`_cum_columns`);
+    * ``base[t]`` (t < T): the child node, or node 0 where the child is
+      missing, times the next stage's size, plus the next memories' strides;
+    * ``flag[t]`` (t < T): int8, bit 0 for a missing child and, for trees,
+      bit 1 for a message the node's own belief gives no mass (the audit);
+    * ``u[t]`` and ``z[t]`` (t < T): the joint action and message, read
+      only to decode recorded or paired episodes.
 
-    Every table has the size of the policy's own action table, never the
-    product of the controllers' grids.  The plan also holds the children,
-    for trees a boolean table of messages the node's belief gives no mass
-    (the audit), the problem's kernels as cumulative columns
-    (:func:`_cum_columns`) and its raveled cost tables, so that every step
-    is a few ``take`` calls on flat arrays.
+    They are built from per-controller tables over the grid
+    ``(node, y_i, m_i)``, raveled and indexed by ``(node * ny_i + y_i) *
+    nm_i + m_i``: ``actions[t][i]`` (the action ``a_i``), ``act_shares[t][i]``
+    (``a_i * act_stride_i``), ``msg_shares[t][i]`` (``msg_map_i[m, y, a_i] *
+    msg_stride_i``) and ``mem_next[t][i]`` (``mem_update_i[m, y, a_i]``),
+    with the children and, for trees, the audit table ``no_mass``.  Every
+    ``(node, state)`` table has the shape of the stage's stacked beliefs.
     """
 
     def __init__(self, spec: ProblemSpec, policy):
@@ -240,16 +266,60 @@ class _ExecPlan:
         for ystar, (_, node_id) in zip(signals, roots):
             self.root_map[ystar] = local[0][node_id]
 
-        nx = spec.state_space.cardinality
-        self.n_joint = spec.joint_action_count
         self.init_cols = _cum_columns(spec.initial_dist[None])
         self.common_cols = (None if spec.initial_common_obs is None
                             else _cum_columns(spec.initial_common_obs.kernel))
         self.obs_cols = [[_cum_columns(spec.obs_kernel(i, t)) for i in range(spec.n)]
                          for t in range(1, T + 1)]
-        self.trans_cols = [_cum_columns(spec.transition(t).reshape(-1, nx))
-                           for t in range(1, T)]
-        self.costs = [spec.cost(t).ravel() for t in range(1, T + 1)]
+        # per stage: the strides of x, of each y_i and of each m_i in the state ravel
+        self.strides = [_ravel_strides(layout.dims) for layout in self.layouts]
+        self.cost, self.thr, self.base, self.flag, self.u, self.z = [], [], [], [], [], []
+        for t in range(1, T + 1):
+            self._compose(t, len(stages[t - 1]))
+
+    def _compose(self, t: int, n_nodes: int):
+        """Append stage ``t``'s tables over ``(node, state)``."""
+        spec = self.spec
+        layout = self.layouts[t - 1]
+        node = np.repeat(np.arange(n_nodes, dtype=np.int64), layout.size)
+        # each controller's grid index (node, y_i, m_i) at every (node, state)
+        local = [(node.reshape(n_nodes, -1) * (layout.ny[i] * layout.nm[i])
+                  + layout.point_of[i]).ravel() for i in range(spec.n)]
+        u = _sum_takes(self.act_shares[t - 1], local)
+        xu = np.tile(layout.x_of, n_nodes) * spec.joint_action_count + u
+        self.u.append(u)
+        self.cost.append(spec.cost(t).ravel().take(xu))
+        if t == spec.horizon:
+            return
+        nx = spec.state_space.cardinality
+        self.thr.append([col.take(xu) for col in
+                         _cum_columns(spec.transition(t).reshape(-1, nx))])
+        z = _sum_takes(self.msg_shares[t - 1], local)
+        at = node * self.n_msgs[t - 1] + z
+        child = self.children[t - 1].take(at)
+        missing = child < 0
+        base = np.where(missing, 0, child) * self.layouts[t].size
+        m_strides = self.strides[t][1 + spec.n:]
+        for table, k, stride in zip(self.mem_next[t - 1], local, m_strides):
+            base += table.take(k) * stride
+        flag = missing.astype(np.int8)
+        if self.audited:
+            flag |= self.no_mass[t - 1].take(at).astype(np.int8) << 1
+        self.z.append(z)
+        self.base.append(base)
+        self.flag.append(flag)
+
+    def enter(self, t: int, s: np.ndarray, x: np.ndarray, draws: dict) -> np.ndarray:
+        """Add state ``x`` and fresh stage-``t`` observations to ``s``, in place.
+
+        ``s`` holds each episode's node and memories at stage ``t`` as an
+        index over ``(node, state)``.
+        """
+        sx, *sy = self.strides[t - 1][:1 + self.spec.n]
+        s += x * sx
+        for i, (cols, stride) in enumerate(zip(self.obs_cols[t - 1], sy)):
+            _add_sample(s, cols, x, draws[("obs", t, i)], stride)
+        return s
 
     def _audit_table(self, tree: PolicyTree, t: int, nz: int) -> np.ndarray:
         """Raveled ``(nodes, NZ)``: whether a stage-``t`` node's belief gives ``z`` no mass.
@@ -283,78 +353,60 @@ def _sum_takes(tables: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _local_index(node, y, m, ny: int, nm: int) -> np.ndarray:
-    """``(node * ny + y) * nm + m``; memory is always 0 where ``nm`` is 1."""
-    k = node * ny
-    k += y
-    if nm > 1:
-        k *= nm
-        k += m
-    return k
+def _ravel_strides(dims) -> list[int]:
+    """The row-major stride of every axis of an array of shape ``dims``."""
+    return [int(np.prod(dims[k + 1:], dtype=np.int64)) for k in range(len(dims))]
 
 
 class _Cursor:
-    """One policy's episodes of one block: the variables of the current stage.
+    """One policy's episodes of one block, as coordinator-state indices.
 
-    Steps rebind these arrays rather than write into them, except ``cost``,
-    which accumulates, so a caller may keep references to them.  ``local``
-    holds each controller's index into the plan's stage tables, set by
-    :meth:`act`.  A realized message with no child parks its episode on
-    node 0; ``unreachable`` holds ``(episode in block, stage, message,
-    node)`` for the lowest such episode at the first stage it met one.
+    ``s`` holds each episode's index over the current stage's ``(node,
+    state)`` and ``prev`` the previous stage's.  Steps rebind them rather
+    than write into them, except ``cost``, which accumulates, so a caller
+    may keep references to them.  A realized message with no child parks
+    its episode on node 0 and sets it in ``missing`` (``None`` when no
+    episode of the step has one); ``unreachable`` holds ``(episode in
+    block, stage, message, node)`` for the lowest such episode at the first
+    stage it met one.
     """
 
     def __init__(self, plan: _ExecPlan, x: np.ndarray, draws: dict):
-        spec = plan.spec
         self.plan = plan
-        self.x = x
         if plan.common_cols is None:
-            self.node = np.full(len(x), plan.root_map[0])
+            node = np.full(len(x), plan.root_map[0])
         else:
-            self.node = plan.root_map.take(_sample(plan.common_cols, x, draws["common"]))
-        self.y = [_sample(plan.obs_cols[0][i], x, draws[("obs", 1, i)])
-                  for i in range(spec.n)]
-        self.m = [np.zeros(len(x), dtype=np.int64) for _ in range(spec.n)]
+            node = plan.root_map.take(_sample(plan.common_cols, x, draws["common"]))
+        self.s = plan.enter(1, node * plan.layouts[0].size, x, draws)
+        self.prev = self.missing = self.unreachable = None
         self.cost = np.zeros(len(x))
         self.violations = 0
-        self.unreachable = None
-        self.local = self.u = self.xu = self.z = self.missing = None
 
     def act(self, t: int):
-        """Choose the joint action at stage ``t`` and add its cost."""
-        plan = self.plan
-        layout = plan.layouts[t - 1]
-        self.local = [_local_index(self.node, self.y[i], self.m[i],
-                                   layout.ny[i], layout.nm[i])
-                      for i in range(plan.spec.n)]
-        self.u = _sum_takes(plan.act_shares[t - 1], self.local)
-        self.xu = self.x * plan.n_joint + self.u  # row of the cost and transition tables
-        self.cost += plan.costs[t - 1].take(self.xu)
-
-    def controller_actions(self, t: int) -> list[np.ndarray]:
-        """Each controller's action at stage ``t``, once :meth:`act` has run."""
-        return [table.take(k) for table, k in zip(self.plan.actions[t - 1], self.local)]
+        """Add stage ``t``'s cost."""
+        self.cost += self.plan.cost[t - 1].take(self.s)
 
     def advance(self, t: int, draws: dict):
         """Emit stage ``t``'s message, move to its child and draw stage ``t + 1``."""
-        plan = self.plan
-        z = _sum_takes(plan.msg_shares[t - 1], self.local)
-        at = self.node * plan.n_msgs[t - 1] + z
-        no_mass = plan.no_mass[t - 1]
-        if no_mass is not None:
-            self.violations += int(np.count_nonzero(no_mass.take(at)))
-        child = plan.children[t - 1].take(at)
-        missing = child < 0
-        if missing.any():
-            ep = int(missing.argmax())
-            if self.unreachable is None or ep < self.unreachable[0]:
-                self.unreachable = (ep, t, int(z[ep]), int(self.node[ep]))
-            child = np.where(missing, 0, child)
-        self.m = [table.take(k) for table, k in zip(plan.mem_next[t - 1], self.local)]
-        self.x = _sample(plan.trans_cols[t - 1], self.xu, draws[("trans", t)])
-        self.y = [_sample(plan.obs_cols[t][i], self.x, draws[("obs", t + 1, i)])
-                  for i in range(plan.spec.n)]
-        self.node, self.z, self.missing = child, z, missing
+        plan, s = self.plan, self.s
+        flags = plan.flag[t - 1].take(s)
+        self.missing = None
+        if flags.any():  # a missing child or an audit violation: rare
+            self._flagged(t, flags)
+        x = _sample(plan.thr[t - 1], s, draws[("trans", t)])
+        self.prev, self.s = s, plan.enter(t + 1, plan.base[t - 1].take(s), x, draws)
+
+    def _flagged(self, t: int, flags: np.ndarray):
+        self.violations += int(np.count_nonzero(flags & 2))
+        missing = (flags & 1).astype(bool)
+        if not missing.any():
+            return
+        ep = int(missing.argmax())
+        if self.unreachable is None or ep < self.unreachable[0]:
+            s = int(self.s[ep])
+            node = s // self.plan.layouts[t - 1].size
+            self.unreachable = (ep, t, int(self.plan.z[t - 1][s]), node)
+        self.missing = missing
 
 
 class _Prefetch:
@@ -425,11 +477,12 @@ def _steps(spec: ProblemSpec, plans, seed: int, episodes: int):
 
     Yields ``(lo, t, cursors)`` at every stage ``t`` of every block once the
     cursors have acted; ``lo`` is the block's first episode.  From stage 2
-    on, the cursors also hold the previous stage's message and missing-child
-    mask.  Each stream is read in order, block after block, so episode ``e``
-    consumes element ``e`` of it whatever the block size.  The draws come
-    from a :class:`_Prefetch`, whose helper is joined when this generator
-    finishes or is closed, so callers close it (``contextlib.closing``).
+    on, the cursors also hold the previous stage's index and missing-child
+    mask.  Each stream is read in order, block after block, so episode
+    ``e`` consumes element ``e`` of it whatever the block size.  The draws
+    come from a :class:`_Prefetch`, whose helper is joined when this
+    generator finishes or is closed, so callers close it
+    (``contextlib.closing``).
     """
     with closing(_Prefetch(spec, seed, episodes)) as blocks:
         for lo, draws in blocks:
@@ -445,19 +498,31 @@ def _steps(spec: ProblemSpec, plans, seed: int, episodes: int):
             del draws  # before the helper is asked for the block after next
 
 
-def _trajectories(lo: int, rec: list, cost: np.ndarray,
-                  node_ids: list[list[int]]) -> list[Trajectory]:
-    """The recorded episodes of one block; ``rec`` holds one entry per stage.
+def _trajectories(lo: int, plan: _ExecPlan, rec: list, cost: np.ndarray) -> list[Trajectory]:
+    """The recorded episodes of one block; ``rec`` holds each stage's indices.
 
-    Nodes are recorded by position in their stage and written as the ids
-    ``node_ids[t - 1]`` that the policy document gives them.
+    Each field is decoded from the coordinator-state indices through the
+    stage layouts and the plan's ``u`` and ``z`` tables.  Nodes are
+    recorded by position in their stage and written as the ids that the
+    policy document gives them.
     """
-    xs, ys, us, ms, nodes, zs = zip(*rec)
-    xs, zs = ([a.tolist() for a in field] for field in (xs, zs[1:]))
-    nodes = [[ids[k] for k in a.tolist()] for ids, a in zip(node_ids, nodes)]
-    # per stage, one tuple of controller values per episode
-    ys, us, ms = ([list(zip(*(a.tolist() for a in stage))) for stage in field]
-                  for field in (ys, us, ms))
+    spec = plan.spec
+    cards = spec.action_cards
+    xs, ys, us, ms, nodes, zs = [], [], [], [], [], []
+    for t, s in enumerate(rec, start=1):
+        layout = plan.layouts[t - 1]
+        node, state = np.divmod(s, layout.size)
+        u = plan.u[t - 1].take(s)
+        xs.append(layout.x_of.take(state).tolist())
+        # per stage, one tuple of controller values per episode
+        ys.append(list(zip(*(y.take(state).tolist() for y in layout.y_of))))
+        ms.append(list(zip(*(m.take(state).tolist() for m in layout.m_of))))
+        us.append(list(zip(*((u // stride % card).tolist()
+                             for stride, card in zip(layout.act_strides, cards)))))
+        ids = plan.node_ids[t - 1]
+        nodes.append([ids[k] for k in node.tolist()])
+        if t < spec.horizon:
+            zs.append(plan.z[t - 1].take(s).tolist())
     return [Trajectory(episode=lo + e,
                        states=[x[e] for x in xs],
                        obs=[y[e] for y in ys],
@@ -479,7 +544,8 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     whenever it is not positive (an on-policy consistency audit; the
     report's ``violations`` must be zero for a correctly solved pair).
 
-    Episodes are stepped sequentially in blocks of ``_BLOCK`` while one
+    Episodes are stepped sequentially in blocks of ``_BLOCK``, each as one
+    coordinator-state index per stage (:class:`_ExecPlan`), while one
     helper thread draws the next block.  ``threads`` changes nothing; it
     is kept for the benchmark workloads, which still pass it.
 
@@ -507,8 +573,7 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
             if record:
                 if t == 1:
                     rec = []
-                rec.append((cur.x, cur.y, cur.controller_actions(t), cur.m, cur.node,
-                            cur.z))
+                rec.append(cur.s)
             if t < T:
                 continue
             if cur.unreachable is not None:
@@ -519,7 +584,7 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
             costs[lo:lo + len(cur.cost)] = cur.cost
             violations += cur.violations
             if record:
-                trajectories.extend(_trajectories(lo, rec, cur.cost, plan.node_ids))
+                trajectories.extend(_trajectories(lo, plan, rec, cur.cost))
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return SimReport(episodes=episodes, seed=seed, mean=mean, stderr=stderr,
@@ -534,7 +599,9 @@ def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrateg
     draws; if they encode the same behavior, every recorded quantity
     (actions, messages, memories, chain states, observations) agrees on
     every episode.  Divergences are reported at the earliest affected
-    stage of each episode.
+    stage of each episode.  Messages and actions are compared through the
+    plans' ``z`` and ``u`` tables; the other fields are decoded only where
+    the two cursors' coordinator-state indices differ.
     """
     _check_run(seed, episodes)
     plans = (_ExecPlan(spec, tree), _ExecPlan(spec, strategy))
@@ -542,16 +609,17 @@ def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrateg
     with closing(_steps(spec, plans, seed, episodes)) as steps:
         for lo, t, (a, b) in steps:
             if t == 1:
-                diverged = np.zeros(len(a.x), dtype=bool)
+                diverged = np.zeros(len(a.s), dtype=bool)
                 checks = []
             else:  # the step from stage t - 1, in the order its fields arise
                 s = t - 1
-                checks = [(a.z != b.z, s, "message"),
-                          (a.missing | b.missing, s, "node"),
-                          (_any_differ(a.m, b.m), s, "memory"),
-                          (a.x != b.x, s, "state"),
-                          (_any_differ(a.y, b.y), s, "obs")]
-            checks.append((a.u != b.u, t, "action"))
+                za, zb = (cur.plan.z[s - 1].take(cur.prev) for cur in (a, b))
+                checks = [(za != zb, s, "message")]
+                if a.missing is not None or b.missing is not None:
+                    checks.append((_either(a.missing, b.missing), s, "node"))
+                checks += _state_checks(plans[0].layouts[t - 1], a.s, b.s, s)
+            ua, ub = (cur.plan.u[t - 1].take(cur.s) for cur in (a, b))
+            checks.append((ua != ub, t, "action"))
             for mask, stage, field in checks:
                 if not mask.any():  # equal policies: the common case
                     continue
@@ -563,8 +631,25 @@ def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrateg
                         identical=not divergences, divergences=divergences)
 
 
-def _any_differ(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(len(a[0]), dtype=bool)
-    for ai, bi in zip(a, b):
-        out |= ai != bi
-    return out
+def _either(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
+    return b if a is None else a if b is None else a | b
+
+
+def _state_checks(layout, sa: np.ndarray, sb: np.ndarray, stage: int) -> list:
+    """The ``memory``, ``state`` and ``obs`` checks of two cursors' indices.
+
+    Where two coordinator-state indices are equal, so are their ``(x, y,
+    m)``, so the fields are decoded only where the indices differ.
+    """
+    where = np.flatnonzero(sa != sb)
+    if not len(where):
+        return []
+    at = [cur.take(where) % layout.size for cur in (sa, sb)]
+    checks = []
+    for field, tables in (("memory", layout.m_of), ("state", [layout.x_of]),
+                          ("obs", layout.y_of)):
+        mask = np.zeros(len(sa), dtype=bool)
+        for table in tables:
+            mask[where] |= table.take(at[0]) != table.take(at[1])
+        checks.append((mask, stage, field))
+    return checks

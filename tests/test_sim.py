@@ -11,7 +11,8 @@ import instances
 from cisolver import sim
 from cisolver.coordinator import (PrescriptionSpace, message_distribution, stage_layout,
                                   zeta)
-from cisolver.dp import extract_control_strategy, solve_finite, solve_finite_reduced
+from cisolver.dp import (PolicyTree, extract_control_strategy, solve_finite,
+                         solve_finite_reduced)
 from cisolver.errors import InvalidParameter, UnreachableInformation
 from cisolver.serialize import load_problem
 from cisolver.sim import paired_rollout, rollout
@@ -279,10 +280,33 @@ def test_cumulative_columns_sample_as_the_inverse_cdf():
         # uniforms that hit the cumulative sums exactly, too
         u = np.concatenate([rng.random(3000), np.cumsum(kernel, axis=1).ravel()])
         rows = rng.integers(0, 5, size=len(u))
-        # the per-row reference: cumulative sums of the gathered rows
+        # the per-row reference: cumulative sums of the gathered rows, whose
+        # outcomes of zero mass before the first positive entry (u == 0.0)
+        # and after the last are never drawn
         cum = np.cumsum(kernel[rows], axis=-1)
         expect = np.minimum((cum < u[:, None]).sum(axis=-1), k - 1)
+        positive = kernel[rows] > 0
+        first = positive.argmax(axis=-1)
+        last = k - 1 - positive[:, ::-1].argmax(axis=-1)
+        expect = np.clip(expect, first, last)
         assert np.array_equal(sim._sample(sim._cum_columns(kernel), rows, u), expect)
+
+
+def test_a_zero_uniform_never_draws_a_leading_zero_outcome():
+    """``Generator.random`` can return 0.0, which no threshold lies below."""
+    cols = sim._cum_columns(np.array([[0.0, 1.0]]))
+    assert sim._sample(cols, [0], np.array([0.0])).tolist() == [1]
+    cols = sim._cum_columns(np.array([[0.0, 0.0, 1.0]]))
+    assert sim._sample(cols, [0, 0], np.array([0.0, 0.5])).tolist() == [2, 2]
+
+
+def test_a_row_short_of_one_never_draws_a_trailing_zero_outcome():
+    """Validation accepts rows that sum to within ``model._ROW_TOL`` of 1."""
+    kernel = np.array([[0.5, 0.5 - 1e-9, 0.0], [0.0, 1.0 - 1e-9, 0.0]])
+    cols = sim._cum_columns(kernel)
+    u = np.array([1.0 - 5e-10, 0.25, 0.75])
+    assert sim._sample(cols, [0, 0, 0], u).tolist() == [1, 0, 1]
+    assert sim._sample(cols, [1, 1, 1], u).tolist() == [1, 1, 1]
 
 
 FINITE_FIXTURES = ["acceptance_seed1", "delayed_sharing_2x2", "periodic_4stage",
@@ -305,6 +329,80 @@ def test_audit_table_matches_the_per_node_reference(problems_dir, name, solve):
             probs = message_distribution(spec, belief, space.decode(nd.gamma_index))
             expect.append(probs <= 1e-15)
         assert np.array_equal(no_mass, np.concatenate(expect))
+
+
+def _joint_table_cases(problems_dir):
+    """``(spec, policy)``: every finite fixture and the n = 3 instance, each
+    solved in both variants, and the strategy extracted from each tree."""
+    specs = [load_problem(str(problems_dir / f"{name}.json"))[0]
+             for name in FINITE_FIXTURES]
+    specs.append(instances.random_delayed_instance(0, n=3, T=3))
+    for spec in specs:
+        for solve in (solve_finite, solve_finite_reduced):
+            _, tree = solve(spec)
+            yield spec, tree
+            yield spec, extract_control_strategy(spec, tree)
+
+
+def test_joint_tables_match_the_loop_references(problems_dir):
+    """Every entry of a plan's ``(node, state)`` tables, against the references.
+
+    At node ``k`` and layout state ``(x, y, m)`` the action is the node's
+    prescription at each ``(y_i, m_i)``, the message and next memory are
+    the protocol's maps, the child is the node's child for that message,
+    and a tree's audit flag is the message's mass under the node's belief.
+    """
+    cases = 0
+    for spec, policy in _joint_table_cases(problems_dir):
+        plan = sim._ExecPlan(spec, policy)
+        audited = isinstance(policy, PolicyTree)
+        T = spec.horizon
+        assert [len(plan.thr), len(plan.base), len(plan.flag), len(plan.z)] == [T - 1] * 4
+        for t in range(1, T + 1):
+            layout = stage_layout(spec, t)
+            space = PrescriptionSpace(spec, t)
+            nodes = policy.stages[t - 1]
+            if t < T:
+                nxt = stage_layout(spec, t + 1)
+                position = {nd.node_id: k for k, nd in enumerate(policy.stages[t])}
+            for k, nd in enumerate(nodes):
+                if audited:
+                    gamma = space.decode(nd.gamma_index)
+                    tables = gamma.tables
+                    belief = zeta(spec, nd.belief) if policy.variant == "reduced" \
+                        else nd.belief
+                    probs = message_distribution(spec, belief, gamma) if t < T else None
+                else:
+                    tables = nd.tables
+                for st in range(layout.size):
+                    s = k * layout.size + st
+                    x = int(layout.x_of[st])
+                    ys = [int(y[st]) for y in layout.y_of]
+                    ms = [int(m[st]) for m in layout.m_of]
+                    acts = [int(tables[i][ys[i], ms[i]]) for i in range(spec.n)]
+                    u = sum(a * int(layout.act_strides[i]) for i, a in enumerate(acts))
+                    assert plan.u[t - 1][s] == u
+                    assert plan.cost[t - 1][s] == spec.cost(t)[x, u]
+                    if t == T:
+                        continue
+                    row = sim._cum_columns(spec.transition(t)[x, u][None])
+                    assert [col[s] for col in plan.thr[t - 1]] == [col[0] for col in row]
+                    z = sum(int(spec.msg_map(i, t)[ms[i], ys[i], acts[i]])
+                            * int(layout.msg_strides[i]) for i in range(spec.n))
+                    assert plan.z[t - 1][s] == z
+                    child = nd.children.get(z)
+                    memories = [int(spec.mem_update(i, t)[ms[i], ys[i], acts[i]])
+                                for i in range(spec.n)]
+                    state = np.ravel_multi_index((0,) * (1 + spec.n) + tuple(memories),
+                                                 nxt.dims)
+                    node = 0 if child is None else position[child]
+                    assert plan.base[t - 1][s] == node * nxt.size + state
+                    flag = int(child is None)
+                    if audited:
+                        flag |= int(probs[z] <= 1e-15) << 1
+                    assert plan.flag[t - 1][s] == flag
+        cases += 1
+    assert cases == 4 * (len(FINITE_FIXTURES) + 1)
 
 
 def test_trajectories_name_nodes_by_their_ids(problems_dir):

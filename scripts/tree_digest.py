@@ -19,20 +19,22 @@ same bits.  Last, for every fixture, it prints a digest of the document
 ``cis validate`` writes; for every valid finite fixture, one of the
 report ``cis simulate`` writes for 200 episodes of the full tree at seed
 1; and for the fixtures in ``ENUMERATED``, one of the document ``cis
-enumerate`` writes.  Then, for every valid finite fixture and for the
-delayed sharing instances with delay 2 at T = 4 and with three
-controllers at T = 3 (seeds 0-2), it prints the digests of rollouts that
-cross a block boundary (``ROLLOUT_EPISODES`` episodes): the reports of
-the extracted strategy and of the reduced tree, the report and the
-trajectory file (as ``cis simulate --dump-trajectories`` writes it) of a
-recorded rollout of the full tree, and the paired reports of the full
+enumerate`` writes.  Then, for filter member k = 0 at seeds 0-9, it
+prints the coordinator oracle's count, the ``repr`` of its minimum and a
+digest of its strategy (roots, then per node: id, stage, tables and
+children in message order).  Finally, for every valid finite fixture and
+for the delayed sharing instances with delay 2 at T = 4 and with three
+controllers at T = 3 (seeds 0-2), it prints the digests of rollouts,
+each at its own seed: the reports of the extracted strategy and of the
+reduced tree over ``ROLLOUT_EPISODES`` episodes (more than one block);
+the report and the trajectory file (as ``cis simulate
+--dump-trajectories`` writes it) of a recorded rollout of the full tree;
+and the paired reports, over ``ROLLOUT_EPISODES`` episodes, of the full
 tree against its strategy, against a copy in which controller 0 shifts
 every action at stage ``min(2, T)`` (as in the test suite's
 ``test_paired_rollout_flags_a_corrupted_stage``) and against a copy with
-fewer, scattered faults (see :func:`_corrupted`), each at its own seed.  Finally, for filter member k = 0 at seeds 0-9, it
-prints the coordinator oracle's count, the ``repr`` of its minimum and a
-digest of its strategy (roots, then per node: id, stage, tables and
-children in message order).  Run from the repository root:
+fewer, scattered faults (:func:`_corrupted`).  Run from the repository
+root:
 
     python3 scripts/tree_digest.py > digests.txt
 """

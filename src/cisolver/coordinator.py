@@ -101,6 +101,7 @@ class StageLayout:
         ny = tuple(sp.cardinality for sp in spec.obs_spaces)
         nm = spec.mem_cards(t)
         self.dims = (nx,) + ny + nm
+        self.strides = _strides(self.dims)  # of x, each y_i and each m_i in the ravel
         self.nx, self.ny, self.nm = nx, ny, nm
         self.n_obs = int(np.prod(ny, dtype=np.int64))
         self.n_mem = int(np.prod(nm, dtype=np.int64))

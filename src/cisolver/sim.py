@@ -11,21 +11,22 @@ which is what makes paired comparisons exact.
 Episodes stream sequentially in fixed blocks of ``_BLOCK``.  Each block
 reads the next uniforms of every stream, so the results do not depend on
 the block size, and the working memory is O(block) plus the 8-byte cost
-of every episode, which ``mean`` and ``stderr`` are reduced from
-(O(episodes) when trajectories are recorded).  The draws do not depend on
-the policy, so every rollout call owns one helper thread that reads the
-streams (:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is
-being stepped, never more than one block ahead.  Most of the stepping
-runs inside numpy loops, which run while the helper draws, so on a
-machine with a second core the draws cost little wall time.  The helper is the only reader of the streams and reads
-each in the same order as a sequential loop would, so the results are
-the same as without it; it is joined before the call returns or raises.
-It draws into two sets of per-stream buffers of ``min(_BLOCK, episodes)``
-allocated once per call, block ``b`` into set ``b % 2``.  Two suffice:
-block ``b + 2`` is drawn only after block ``b + 1`` has been handed over,
-by which time block ``b``'s draws are dropped, and nothing stepped from
-the draws aliases them.  The streams are counter-based, so which uniform
-an episode reads does not depend on where it is written.
+of every episode, which ``mean`` and ``stderr`` are reduced from (O(episodes)
+when trajectories are recorded).  The draws do not depend on the policy,
+so every rollout call owns one helper thread that reads the streams
+(:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is being
+stepped, never more than one block ahead.  It is the only reader of the
+streams and reads each in the same order as a sequential loop would, so
+the results are the same as without it; it is joined before the call
+returns or raises.  It draws into two sets of per-stream buffers of
+``min(_BLOCK, episodes)`` allocated once per call, block ``b`` into set
+``b % 2``.  Two suffice: block ``b + 2`` is drawn only after block ``b + 1``
+has been handed over, by which time block ``b``'s draws are dropped, and
+nothing stepped from the draws aliases them.  The streams are
+counter-based, so which uniform an episode reads does not depend on where
+it is written.  Most of the stepping runs inside numpy loops, which run
+while the helper draws, so on a machine with a second core the draws
+cost little wall time.
 
 Sampling from a categorical row uses the inverse CDF over cumulative rows
 computed once per kernel, so equal rows and equal uniforms give equal
@@ -271,8 +272,6 @@ class _ExecPlan:
                             else _cum_columns(spec.initial_common_obs.kernel))
         self.obs_cols = [[_cum_columns(spec.obs_kernel(i, t)) for i in range(spec.n)]
                          for t in range(1, T + 1)]
-        # per stage: the strides of x, of each y_i and of each m_i in the state ravel
-        self.strides = [_ravel_strides(layout.dims) for layout in self.layouts]
         self.cost, self.thr, self.base, self.flag, self.u, self.z = [], [], [], [], [], []
         for t in range(1, T + 1):
             self._compose(t, len(stages[t - 1]))
@@ -299,7 +298,7 @@ class _ExecPlan:
         child = self.children[t - 1].take(at)
         missing = child < 0
         base = np.where(missing, 0, child) * self.layouts[t].size
-        m_strides = self.strides[t][1 + spec.n:]
+        m_strides = self.layouts[t].strides[1 + spec.n:]
         for table, k, stride in zip(self.mem_next[t - 1], local, m_strides):
             base += table.take(k) * stride
         flag = missing.astype(np.int8)
@@ -315,7 +314,7 @@ class _ExecPlan:
         ``s`` holds each episode's node and memories at stage ``t`` as an
         index over ``(node, state)``.
         """
-        sx, *sy = self.strides[t - 1][:1 + self.spec.n]
+        sx, *sy = self.layouts[t - 1].strides[:1 + self.spec.n]
         s += x * sx
         for i, (cols, stride) in enumerate(zip(self.obs_cols[t - 1], sy)):
             _add_sample(s, cols, x, draws[("obs", t, i)], stride)
@@ -351,11 +350,6 @@ def _sum_takes(tables: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
     for table, k in zip(tables[1:], idx[1:]):
         out += table.take(k)
     return out
-
-
-def _ravel_strides(dims) -> list[int]:
-    """The row-major stride of every axis of an array of shape ``dims``."""
-    return [int(np.prod(dims[k + 1:], dtype=np.int64)) for k in range(len(dims))]
 
 
 class _Cursor:
@@ -498,7 +492,8 @@ def _steps(spec: ProblemSpec, plans, seed: int, episodes: int):
             del draws  # before the helper is asked for the block after next
 
 
-def _trajectories(lo: int, plan: _ExecPlan, rec: list, cost: np.ndarray) -> list[Trajectory]:
+def _trajectories(lo: int, plan: _ExecPlan, rec: list,
+                  cost: np.ndarray) -> list[Trajectory]:
     """The recorded episodes of one block; ``rec`` holds each stage's indices.
 
     Each field is decoded from the coordinator-state indices through the

@@ -175,7 +175,8 @@ class _ExecPlan:
     * ``thr[t]`` (t < T): the ``K - 1`` cumulative transition thresholds of
       the row ``(x, u)`` (:func:`_cum_columns`);
     * ``base[t]`` (t < T): the child node, or node 0 where the child is
-      missing, times the next stage's size, plus the next memories' strides;
+      missing, times the next stage's size, plus each next memory times
+      its stride;
     * ``flag[t]`` (t < T): int8, bit 0 for a missing child and, for trees,
       bit 1 for a message the node's own belief gives no mass (the audit);
     * ``u[t]`` and ``z[t]`` (t < T): the joint action and message, read

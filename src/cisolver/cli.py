@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -72,7 +71,6 @@ class RunConfig:
     command: str
     problem: str
     output: str | None
-    epsilon: float
     episodes: int
     seed: int
     variant: str
@@ -80,9 +78,6 @@ class RunConfig:
     cap_prescriptions: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise InvalidParameter(
-                f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.episodes < 1:
             raise InvalidParameter(f"episodes must be >= 1, got {self.episodes}")
         if not 0 <= self.seed < 1 << 64:
@@ -97,7 +92,6 @@ def _config(args) -> RunConfig:
         command=args.command,
         problem=args.problem,
         output=getattr(args, "output", None),
-        epsilon=getattr(args, "epsilon", 1e-4),
         episodes=getattr(args, "episodes", 1),
         seed=getattr(args, "seed", 0),
         variant=getattr(args, "variant", "full"),
@@ -138,8 +132,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if spec is None:
         return EXIT_INVALID
     if spec.mode == "discounted":
-        report, policy = solve_discounted(spec, epsilon=cfg.epsilon,
-                                          cap_prescriptions=cfg.cap_prescriptions)
+        report, policy = solve_discounted(spec, cap_prescriptions=cfg.cap_prescriptions)
     elif cfg.variant == "reduced":
         report, policy = solve_finite_reduced(
             spec, cap_prescriptions=cfg.cap_prescriptions)
@@ -222,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--variant", choices=("full", "reduced"),
                          default=_env("VARIANT", str, "full"),
                          help="belief state: full (x, y, m) or reduced (x, m)")
-    p_solve.add_argument("--epsilon", type=float,
-                         default=_env("EPSILON", float, 1e-4),
-                         help="accuracy asked of a discounted solve; the "
-                              "exact solve meets it")
     p_solve.add_argument("--cap-prescriptions", type=int,
                          default=_env("CAP_PRESCRIPTIONS", int,
                                       DEFAULT_PRESCRIPTION_CAP),

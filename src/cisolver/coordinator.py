@@ -12,7 +12,10 @@ problem whose state is the triple
 and whose observation after acting is the joint emitted message.  This
 module implements the state space, beliefs over it, prescription
 spaces, and the belief update (condition on the emitted message, then
-push through the dynamics).
+push through the dynamics).  :func:`prescribe` alone works out what
+prescriptions do at each coordinator state: the joint action, message
+and next memory, from which the stage cost, the message law and the
+belief update follow.
 
 Beliefs are dense vectors over the stage's state space, flattened
 lexicographically as ``(x, y_1, ..., y_n, m_1, ..., m_n)`` with ``x``
@@ -22,6 +25,7 @@ indices the same way.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -121,16 +125,6 @@ class StageLayout:
             k = spec.obs_kernel(i, t)
             prod = (prod[:, :, None] * k[:, None, :]).reshape(nx, -1)
         self.obs_prod = prod
-
-    def joint_actions(self, tables) -> np.ndarray:
-        """Flat joint action taken in every state under the given tables."""
-        u = np.zeros(self.size, dtype=np.int64)
-        for i, table in enumerate(tables):
-            u += table[self.y_of[i], self.m_of[i]] * self.act_strides[i]
-        return u
-
-    def controller_actions(self, tables) -> list[np.ndarray]:
-        return [table[self.y_of[i], self.m_of[i]] for i, table in enumerate(tables)]
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Full weights of beliefs over ``(x, m)``, one per row of ``rows``.
@@ -293,11 +287,53 @@ def initial_belief(spec: ProblemSpec) -> tuple[tuple[float, Belief], ...]:
     return tuple(roots)
 
 
+def prescribe(spec: ProblemSpec, t: int, tables) -> tuple[np.ndarray, ...]:
+    """What prescriptions do at every coordinator state of stage ``t``.
+
+    ``tables[i]`` stacks controller ``i``'s action tables over a batch of
+    nodes, shape ``(nodes, |Y_i|, |M_i|)``.  Returns three int64 arrays
+    over ``(node, state)``, node-major with each node's states in the
+    stage layout's ravel: the joint action ``u``, the joint message ``z``
+    and the joint next memory ``m'``.  Memory is least significant in the
+    ravel, so ``m'`` is also the next memories' offset in the next stage's
+    state index.  ``z`` and ``m'`` are ``None`` at a stage with no
+    message stage (the last stage of a finite problem).
+    """
+    layout = stage_layout(spec, t)
+    n_nodes = len(tables[0])
+    node = np.arange(n_nodes, dtype=np.int64)[:, None]
+    u = np.zeros(n_nodes * layout.size, dtype=np.int64)
+    if layout.msg_strides is None:
+        z = m_next = None
+    else:
+        z = np.zeros_like(u)
+        m_next = np.zeros_like(u)
+        mem_strides = stage_layout(spec, t + 1).strides[1 + spec.n:]
+    for i, table in enumerate(tables):
+        ny, nm = layout.ny[i], layout.nm[i]
+        a = np.asarray(table, dtype=np.int64)
+        # controller i's table point (node, y_i, m_i) at every (node, state)
+        at = (node * (ny * nm) + layout.point_of[i]).ravel()
+        u += a.ravel().take(at) * layout.act_strides[i]
+        if z is None:
+            continue
+        # (m_i, y_i, a_i) of every table point, as the protocol's maps index them
+        point = (np.arange(nm), np.arange(ny)[:, None], a)
+        z += spec.msg_map(i, t)[point].ravel().take(at) * layout.msg_strides[i]
+        m_next += spec.mem_update(i, t)[point].ravel().take(at) * mem_strides[i]
+    return u, z, m_next
+
+
+def _prescribe_one(spec: ProblemSpec, t: int, gamma: JointPrescription):
+    """:func:`prescribe` for the single node of one prescription."""
+    return prescribe(spec, t, [table[None] for table in gamma.tables])
+
+
 def expected_cost(spec: ProblemSpec, belief: Belief, gamma: JointPrescription) -> float:
     """Expected one-stage cost of applying ``gamma`` under ``belief``."""
     layout = stage_layout(spec, belief.t)
-    u_flat = layout.joint_actions(gamma.tables)
-    return float(belief.weights @ spec.cost(belief.t)[layout.x_of, u_flat])
+    u, _, _ = _prescribe_one(spec, belief.t, gamma)
+    return float(belief.weights @ spec.cost(belief.t)[layout.x_of, u])
 
 
 def message_distribution(spec: ProblemSpec, belief: Belief,
@@ -306,13 +342,8 @@ def message_distribution(spec: ProblemSpec, belief: Belief,
     layout = stage_layout(spec, belief.t)
     if layout.msg_strides is None:
         raise InvalidParameter(f"stage {belief.t} has no message stage")
-    acts = layout.controller_actions(gamma.tables)
-    z = np.zeros(layout.size, dtype=np.int64)
-    for i in range(spec.n):
-        zi = spec.msg_map(i, belief.t)[layout.m_of[i], layout.y_of[i], acts[i]]
-        z += zi * layout.msg_strides[i]
-    n_msgs = int(np.prod(layout.msg_cards, dtype=np.int64))
-    return np.bincount(z, weights=belief.weights, minlength=n_msgs)
+    _, z, _ = _prescribe_one(spec, belief.t, gamma)
+    return np.bincount(z, weights=belief.weights, minlength=math.prod(layout.msg_cards))
 
 
 def eta_update(spec: ProblemSpec, belief: Belief, gamma: JointPrescription,
@@ -331,18 +362,7 @@ def eta_update(spec: ProblemSpec, belief: Belief, gamma: JointPrescription,
     next_t = t + 1 if spec.mode == "finite" else 1
     layout_next = stage_layout(spec, next_t)
 
-    acts = layout.controller_actions(gamma.tables)
-    z_all = np.zeros(layout.size, dtype=np.int64)
-    u_flat = np.zeros(layout.size, dtype=np.int64)
-    m_next = np.zeros(layout.size, dtype=np.int64)
-    mem_strides = _strides(layout_next.nm)
-    for i in range(spec.n):
-        zi = spec.msg_map(i, t)[layout.m_of[i], layout.y_of[i], acts[i]]
-        z_all += zi * layout.msg_strides[i]
-        u_flat += acts[i] * layout.act_strides[i]
-        m_next += spec.mem_update(i, t)[layout.m_of[i], layout.y_of[i], acts[i]] \
-            * mem_strides[i]
-
+    u_flat, z_all, m_next = _prescribe_one(spec, t, gamma)
     mask = (z_all == z) & (belief.weights > 0)
     mass = float(belief.weights[mask].sum())
     if mass <= ZERO_MASS:

@@ -138,12 +138,6 @@ class SharingProtocol:
     msg_maps: tuple[tuple[np.ndarray, ...], ...]
     mem_updates: tuple[tuple[np.ndarray, ...], ...]
 
-    def mem_space(self, i: int, t: int) -> FiniteSpace:
-        return self.mem_spaces[i][t - 1]
-
-    def msg_space(self, i: int, t: int) -> FiniteSpace:
-        return self.msg_spaces[i][t - 1]
-
 
 def slot_cardinality(slot: Slot, i: int, obs_spaces, action_spaces) -> int:
     if slot.kind == KIND_OBS:
@@ -355,28 +349,21 @@ class ProblemSpec:
     def cost(self, t: int) -> np.ndarray:
         return self.costs[self._stage_index(t, len(self.costs))]
 
-    def _protocol_index(self, t: int, length: int) -> int:
-        if self.mode == "discounted":
-            return 0
-        if not 1 <= t <= length:
-            raise InvalidParameter(f"stage {t} outside protocol range 1..{length}")
-        return t - 1
-
     def mem_space(self, i: int, t: int) -> FiniteSpace:
         return self.protocol.mem_spaces[i][
-            self._protocol_index(t, len(self.protocol.mem_spaces[i]))]
+            self._stage_index(t, len(self.protocol.mem_spaces[i]))]
 
     def msg_space(self, i: int, t: int) -> FiniteSpace:
         return self.protocol.msg_spaces[i][
-            self._protocol_index(t, len(self.protocol.msg_spaces[i]))]
+            self._stage_index(t, len(self.protocol.msg_spaces[i]))]
 
     def msg_map(self, i: int, t: int) -> np.ndarray:
         return self.protocol.msg_maps[i][
-            self._protocol_index(t, len(self.protocol.msg_maps[i]))]
+            self._stage_index(t, len(self.protocol.msg_maps[i]))]
 
     def mem_update(self, i: int, t: int) -> np.ndarray:
         return self.protocol.mem_updates[i][
-            self._protocol_index(t, len(self.protocol.mem_updates[i]))]
+            self._stage_index(t, len(self.protocol.mem_updates[i]))]
 
     def mem_cards(self, t: int) -> tuple[int, ...]:
         return tuple(self.mem_space(i, t).cardinality for i in range(self.n))

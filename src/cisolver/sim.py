@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinator import stage_layout, PrescriptionSpace
+from .coordinator import PrescriptionSpace, prescribe, stage_layout
 from .dp import PolicyTree
 from .errors import InvalidParameter, SizeOverflow, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
@@ -182,13 +182,10 @@ class _ExecPlan:
     * ``u[t]`` and ``z[t]`` (t < T): the joint action and message, read
       only to decode recorded or paired episodes.
 
-    They are built from per-controller tables over the grid
-    ``(node, y_i, m_i)``, raveled and indexed by ``(node * ny_i + y_i) *
-    nm_i + m_i``: ``actions[t][i]`` (the action ``a_i``), ``act_shares[t][i]``
-    (``a_i * act_stride_i``), ``msg_shares[t][i]`` (``msg_map_i[m, y, a_i] *
-    msg_stride_i``) and ``mem_next[t][i]`` (``mem_update_i[m, y, a_i]``),
-    with the children and, for trees, the audit table ``no_mass``.  Every
-    ``(node, state)`` table has the shape of the stage's stacked beliefs.
+    The joint action, message and next memories come from
+    :func:`~cisolver.coordinator.prescribe`, called once per stage with
+    every node's tables.  Every ``(node, state)`` table has the shape of
+    the stage's stacked beliefs.
     """
 
     def __init__(self, spec: ProblemSpec, policy):
@@ -217,41 +214,6 @@ class _ExecPlan:
         # per stage: each node's document id, by position
         self.node_ids = [[nd.node_id for nd in nodes] for nodes in stages]
         local = [{node_id: k for k, node_id in enumerate(ids)} for ids in self.node_ids]
-        self.actions, self.act_shares, self.msg_shares, self.mem_next = [], [], [], []
-        for t, layout in enumerate(self.layouts, start=1):
-            nodes = stages[t - 1]
-            tables = [get_tables(nd, t) for nd in nodes]
-            acts = [np.array([tb[i] for tb in tables], dtype=np.int64)
-                    for i in range(spec.n)]  # per controller: (nodes, ny, nm)
-            self.actions.append([a.ravel() for a in acts])
-            self.act_shares.append([a.ravel() * layout.act_strides[i]
-                                    for i, a in enumerate(acts)])
-            if t == T:
-                continue
-            msgs, mems = [], []
-            for i, a in enumerate(acts):
-                # (m, y, a_i) of every grid point, as the protocol's maps index them
-                point = (np.arange(layout.nm[i])[None, None, :],
-                         np.arange(layout.ny[i])[None, :, None], a)
-                msgs.append(spec.msg_map(i, t)[point].ravel()
-                            * layout.msg_strides[i])
-                mems.append(spec.mem_update(i, t)[point].ravel())
-            self.msg_shares.append(msgs)
-            self.mem_next.append(mems)
-        self.children = []  # per stage t < T: raveled (nodes, NZ) local ids at t+1, -1 missing
-        self.no_mass = []  # per stage t < T: raveled (nodes, NZ) audit table, or None
-        self.n_msgs = []  # per stage t < T: NZ
-        for t in range(1, T):
-            nodes = stages[t - 1]
-            nz = int(np.prod(spec.msg_cards(t), dtype=np.int64))
-            table = np.full((len(nodes), nz), -1, dtype=np.int64)
-            for k, nd in enumerate(nodes):
-                for z, child in nd.children.items():
-                    table[k, z] = local[t][child]
-            self.children.append(table.ravel())
-            self.n_msgs.append(nz)
-            self.no_mass.append(self._audit_table(policy, t, nz) if self.audited else None)
-
         # one root per initial common signal of positive mass, in signal order
         if spec.initial_common_obs is None:
             self.root_map = np.full(1, -1, dtype=np.int64)
@@ -275,18 +237,24 @@ class _ExecPlan:
                          for t in range(1, T + 1)]
         self.cost, self.thr, self.base, self.flag, self.u, self.z = [], [], [], [], [], []
         for t in range(1, T + 1):
-            self._compose(t, len(stages[t - 1]))
+            nodes = stages[t - 1]
+            per_node = [get_tables(nd, t) for nd in nodes]
+            tables = [np.array([tb[i] for tb in per_node], dtype=np.int64)
+                      for i in range(spec.n)]  # per controller: (nodes, ny, nm)
+            self._compose(t, policy, tables, local[t] if t < T else None)
 
-    def _compose(self, t: int, n_nodes: int):
-        """Append stage ``t``'s tables over ``(node, state)``."""
+    def _compose(self, t: int, policy, tables: list[np.ndarray], next_local: dict | None):
+        """Append stage ``t``'s tables over ``(node, state)``.
+
+        ``tables`` stacks each controller's action tables over the stage's
+        nodes, and ``next_local`` maps each stage-``t + 1`` node id to its
+        position.
+        """
         spec = self.spec
         layout = self.layouts[t - 1]
-        node = np.repeat(np.arange(n_nodes, dtype=np.int64), layout.size)
-        # each controller's grid index (node, y_i, m_i) at every (node, state)
-        local = [(node.reshape(n_nodes, -1) * (layout.ny[i] * layout.nm[i])
-                  + layout.point_of[i]).ravel() for i in range(spec.n)]
-        u = _sum_takes(self.act_shares[t - 1], local)
-        xu = np.tile(layout.x_of, n_nodes) * spec.joint_action_count + u
+        nodes = policy.stages[t - 1]
+        u, z, m_next = prescribe(spec, t, tables)
+        xu = np.tile(layout.x_of, len(nodes)) * spec.joint_action_count + u
         self.u.append(u)
         self.cost.append(spec.cost(t).ravel().take(xu))
         if t == spec.horizon:
@@ -294,17 +262,18 @@ class _ExecPlan:
         nx = spec.state_space.cardinality
         self.thr.append([col.take(xu) for col in
                          _cum_columns(spec.transition(t).reshape(-1, nx))])
-        z = _sum_takes(self.msg_shares[t - 1], local)
-        at = node * self.n_msgs[t - 1] + z
-        child = self.children[t - 1].take(at)
+        nz = math.prod(layout.msg_cards)
+        children = np.full((len(nodes), nz), -1, dtype=np.int64)  # positions at t + 1
+        for k, nd in enumerate(nodes):
+            for msg, child in nd.children.items():
+                children[k, msg] = next_local[child]
+        at = np.repeat(np.arange(len(nodes), dtype=np.int64) * nz, layout.size) + z
+        child = children.ravel().take(at)
         missing = child < 0
-        base = np.where(missing, 0, child) * self.layouts[t].size
-        m_strides = self.layouts[t].strides[1 + spec.n:]
-        for table, k, stride in zip(self.mem_next[t - 1], local, m_strides):
-            base += table.take(k) * stride
+        base = np.where(missing, 0, child) * self.layouts[t].size + m_next
         flag = missing.astype(np.int8)
         if self.audited:
-            flag |= self.no_mass[t - 1].take(at).astype(np.int8) << 1
+            flag |= self._audit_table(policy, t, at, nz).take(at).astype(np.int8) << 1
         self.z.append(z)
         self.base.append(base)
         self.flag.append(flag)
@@ -321,36 +290,21 @@ class _ExecPlan:
             _add_sample(s, cols, x, draws[("obs", t, i)], stride)
         return s
 
-    def _audit_table(self, tree: PolicyTree, t: int, nz: int) -> np.ndarray:
+    def _audit_table(self, tree: PolicyTree, t: int, at: np.ndarray, nz: int) -> np.ndarray:
         """Raveled ``(nodes, NZ)``: whether a stage-``t`` node's belief gives ``z`` no mass.
 
-        In coordinator state ``s`` a node emits the sum of the controllers'
-        message shares at their points ``(y_i(s), m_i(s))``, so the law of
-        every node's message is one ``bincount`` over ``node * NZ + z``
-        weighted by the stage's stacked beliefs (lifted to ``(x, y, m)`` in
-        the reduced variant).  It adds each node's weights in state order,
-        as :func:`~cisolver.coordinator.message_distribution` does node by
+        ``at`` holds ``node * NZ + z`` at every ``(node, state)``, so the law
+        of every node's message is one ``bincount`` of it weighted by the
+        stage's stacked beliefs (lifted to ``(x, y, m)`` in the reduced
+        variant).  It adds each node's weights in state order, as
+        :func:`~cisolver.coordinator.message_distribution` does node by
         node, so the sums are bitwise the same.
         """
-        layout = self.layouts[t - 1]
-        nodes = tree.stages[t - 1]
-        weights = np.array([nd.belief.weights for nd in nodes])
+        weights = np.array([nd.belief.weights for nd in tree.stages[t - 1]])
         if tree.variant == "reduced":
-            weights = layout.lift(weights)
-        bins = np.arange(len(nodes))[:, None] * nz  # (nodes, 1), then (nodes, states)
-        for i, shares in enumerate(self.msg_shares[t - 1]):
-            bins = bins + shares.reshape(len(nodes), -1)[:, layout.point_of[i]]
-        mass = np.bincount(bins.ravel(), weights=weights.ravel(),
-                           minlength=len(nodes) * nz)
+            weights = self.layouts[t - 1].lift(weights)
+        mass = np.bincount(at, weights=weights.ravel(), minlength=len(weights) * nz)
         return mass <= _AUDIT_TOL
-
-
-def _sum_takes(tables: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
-    """``sum_i tables[i][idx[i]]`` in a fresh array."""
-    out = tables[0].take(idx[0])
-    for table, k in zip(tables[1:], idx[1:]):
-        out += table.take(k)
-    return out
 
 
 class _Cursor:

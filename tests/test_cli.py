@@ -544,15 +544,15 @@ def test_solve_rejects_a_nan_in_a_stochastic_table(capsys, tmp_path, problems_di
     assert "[dist-not-finite] initial_dist[0]" in err
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0"])
-def test_solve_rejects_an_epsilon_that_is_not_finite_and_positive(
-        capsys, problems_dir, monkeypatch, epsilon):
+def test_epsilon_is_a_usage_error(capsys, problems_dir, monkeypatch):
     problem = str(problems_dir / "discounted_chain.json")
-    code, out, err = run(capsys, "solve", problem, f"--epsilon={epsilon}")
-    assert (code, out) == (1, "")
-    assert "epsilon must be finite and > 0" in err
-    monkeypatch.setenv("CIS_EPSILON", epsilon)
-    assert run(capsys, "solve", problem)[0] == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", problem, "--epsilon", "1e-4"])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+    monkeypatch.setenv("CIS_EPSILON", "nan")  # no longer read
+    code, out, _ = run(capsys, "solve", problem)
+    assert code == 0 and json.loads(out)["policy"]["epsilon"] == 1e-4
 
 
 def test_prescription_cap_exit(capsys, problems_dir):

@@ -15,13 +15,15 @@ from cisolver.coordinator import (
     expected_cost,
     initial_belief,
     message_distribution,
+    prescribe,
     stage_layout,
     zeta,
 )
 from cisolver.dp import solve_finite
 from cisolver.errors import SizeOverflow, ZeroProbabilityObservation
-from cisolver.model import FiniteSpace, ProblemSpec
+from cisolver.model import FiniteSpace, ProblemSpec, encode_mixed_radix, flatten_action
 from cisolver.protocols import delayed_sharing_protocol
+from cisolver.serialize import load_problem
 
 
 def tiny_chain():
@@ -169,6 +171,48 @@ def test_message_distribution_sums_to_one(gamma_idx, seed):
     dist = message_distribution(spec, belief, gamma)
     assert abs(dist.sum() - 1.0) < 1e-9
     assert dist.min() >= 0.0
+
+
+def test_prescribe_matches_a_per_state_loop(problems_dir):
+    """Joint action, message and next memory at every ``(node, state)``.
+
+    Random tables for a batch of nodes, against the protocol's maps read
+    one state at a time.  ``periodic_4stage`` has memories of 4 values at
+    stages 2 and 4; in the discounted chain the next memories are those of
+    stage 1.
+    """
+    rng = np.random.default_rng(0)
+    periodic, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
+    for spec in (instances.random_delayed_instance(0, n=3, T=3), periodic,
+                 instances.discounted_chain(0.9)):
+        finite = spec.mode == "finite"
+        for t in range(1, spec.horizon + 1) if finite else (1,):
+            layout = stage_layout(spec, t)
+            nodes = 3
+            tables = [rng.integers(0, card, size=(nodes, ny, nm)) for card, ny, nm
+                      in zip(spec.action_cards, layout.ny, layout.nm)]
+            u, z, m_next = prescribe(spec, t, tables)
+            assert len(u) == nodes * layout.size
+            emits = not finite or t < spec.horizon
+            if not emits:
+                assert z is None and m_next is None
+            else:
+                next_mem = spec.mem_cards(t + 1 if finite else 1)
+            for k in range(nodes):
+                for state in range(layout.size):
+                    s = k * layout.size + state
+                    _, *rest = np.unravel_index(state, layout.dims)
+                    ys, ms = rest[:spec.n], rest[spec.n:]
+                    acts = [int(tables[i][k, ys[i], ms[i]]) for i in range(spec.n)]
+                    assert u[s] == flatten_action(acts, spec.action_cards)
+                    if not emits:
+                        continue
+                    point = [(ms[i], ys[i], acts[i]) for i in range(spec.n)]
+                    assert z[s] == encode_mixed_radix(
+                        [spec.msg_map(i, t)[p] for i, p in enumerate(point)],
+                        spec.msg_cards(t))
+                    assert m_next[s] == encode_mixed_radix(
+                        [spec.mem_update(i, t)[p] for i, p in enumerate(point)], next_mem)
 
 
 def test_reduction_and_lift_are_inverse_on_reachable_beliefs(solved_seed1):

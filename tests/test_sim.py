@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import hashlib
+import pathlib
 import sys
 import threading
 import tracemalloc
@@ -210,49 +213,6 @@ def test_long_paired_reports_are_pinned(problems_dir):
         "9f7eef7d7a262ae3db015e5580978216369403510c501868b129bb74bc6c5af4"
 
 
-@pytest.mark.parametrize("name", ["delayed_sharing_2x2", "acceptance_seed1",
-                                  "periodic_4stage"])
-def test_stage_tables_match_the_loop_references(problems_dir, name):
-    """Every entry of a plan's per-controller tables, against the references.
-
-    The action is the node's decoded prescription at ``(y_i, m_i)``; the
-    message share and next memory are the protocol's maps at
-    ``(m_i, y_i, a_i)``.  Each table has the size of the action table.
-    """
-    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
-    _, tree = solve_finite(spec)
-    strategy = extract_control_strategy(spec, tree)
-    T = spec.horizon
-    for policy in (tree, strategy):
-        plan = sim._ExecPlan(spec, policy)
-        for t in range(1, T + 1):
-            space = PrescriptionSpace(spec, t)
-            layout = stage_layout(spec, t)
-            nodes = policy.stages[t - 1]
-            for i in range(spec.n):
-                ny, nm = layout.ny[i], layout.nm[i]
-                tables = [plan.actions, plan.act_shares]
-                if t < T:
-                    tables += [plan.msg_shares, plan.mem_next]
-                    msg_map, mem_update = spec.msg_map(i, t), spec.mem_update(i, t)
-                assert all(len(table[t - 1][i]) == len(nodes) * ny * nm
-                           for table in tables)
-                for k, nd in enumerate(nodes):
-                    gamma = space.decode(tree.node(nd.node_id).gamma_index)
-                    for y in range(ny):
-                        for m in range(nm):
-                            local = (k * ny + y) * nm + m
-                            a = int(gamma.tables[i][y, m])
-                            assert plan.actions[t - 1][i][local] == a
-                            assert plan.act_shares[t - 1][i][local] == \
-                                a * layout.act_strides[i]
-                            if t < T:
-                                assert plan.msg_shares[t - 1][i][local] == \
-                                    msg_map[m, y, a] * layout.msg_strides[i]
-                                assert plan.mem_next[t - 1][i][local] == \
-                                    mem_update[m, y, a]
-
-
 def test_rollout_memory_does_not_grow_with_the_draws(problems_dir):
     spec, _ = load_problem(str(problems_dir / "delayed_sharing_2x2.json"))
     _, tree = solve_finite(spec)
@@ -316,19 +276,28 @@ FINITE_FIXTURES = ["acceptance_seed1", "delayed_sharing_2x2", "periodic_4stage",
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 @pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
 def test_audit_table_matches_the_per_node_reference(problems_dir, name, solve):
-    """The batched audit table, against ``message_distribution`` node by node."""
+    """The audit bit of ``plan.flag`` reads each node's own stored belief.
+
+    On a solved tree that is the belief its path gives, so here every node
+    before the last stage stores a point mass on its last state instead.
+    """
     spec, _ = load_problem(str(problems_dir / f"{name}.json"))
     _, tree = solve(spec)
+    for nodes in tree.stages[:-1]:
+        for nd in nodes:
+            weights = np.zeros_like(nd.belief.weights)
+            weights[-1] = 1.0
+            nd.belief = dataclasses.replace(nd.belief, weights=weights)
     plan = sim._ExecPlan(spec, tree)
-    assert len(plan.no_mass) == spec.horizon - 1
-    for t, no_mass in enumerate(plan.no_mass, start=1):
+    for t in range(1, spec.horizon):
         space = PrescriptionSpace(spec, t)
+        z = plan.z[t - 1].reshape(len(tree.stages[t - 1]), -1)
         expect = []
-        for nd in tree.stages[t - 1]:
+        for nd, zs in zip(tree.stages[t - 1], z):
             belief = zeta(spec, nd.belief) if tree.variant == "reduced" else nd.belief
             probs = message_distribution(spec, belief, space.decode(nd.gamma_index))
-            expect.append(probs <= 1e-15)
-        assert np.array_equal(no_mass, np.concatenate(expect))
+            expect.append(probs.take(zs) <= 1e-15)
+        assert np.array_equal(plan.flag[t - 1] >> 1, np.concatenate(expect))
 
 
 def _joint_table_cases(problems_dir):
@@ -525,3 +494,20 @@ def test_concurrent_rollouts_under_frequent_thread_switches(solved_seed1, monkey
     assert not any(caller.is_alive() for caller in callers)
     assert results == expect
     assert threading.active_count() == baseline
+
+
+def test_only_prescribe_reads_the_protocol_maps():
+    """``coordinator.prescribe`` alone works out what a prescription emits and remembers.
+
+    Neither module reads ``msg_map`` or ``mem_update`` anywhere else, so
+    the simulator cannot grow its own copy of the protocol's maps.
+    """
+    from cisolver import coordinator
+
+    def readers(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        return {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr in ("msg_map", "mem_update")}
+
+    assert readers(sim) == set()
+    assert readers(coordinator) == {"prescribe"}

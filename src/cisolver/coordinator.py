@@ -340,9 +340,9 @@ def message_distribution(spec: ProblemSpec, belief: Belief,
                          gamma: JointPrescription) -> np.ndarray:
     """Law of the flat joint message emitted this stage; sums to one."""
     layout = stage_layout(spec, belief.t)
-    if layout.msg_strides is None:
-        raise InvalidParameter(f"stage {belief.t} has no message stage")
     _, z, _ = _prescribe_one(spec, belief.t, gamma)
+    if z is None:
+        raise InvalidParameter(f"stage {belief.t} has no message stage")
     return np.bincount(z, weights=belief.weights, minlength=math.prod(layout.msg_cards))
 
 

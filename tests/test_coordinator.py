@@ -20,7 +20,7 @@ from cisolver.coordinator import (
     zeta,
 )
 from cisolver.dp import solve_finite
-from cisolver.errors import SizeOverflow, ZeroProbabilityObservation
+from cisolver.errors import InvalidParameter, SizeOverflow, ZeroProbabilityObservation
 from cisolver.model import FiniteSpace, ProblemSpec, encode_mixed_radix, flatten_action
 from cisolver.protocols import delayed_sharing_protocol
 from cisolver.serialize import load_problem
@@ -146,6 +146,15 @@ def test_eta_update_rejects_zero_probability_message():
     # z = 2 encodes (y = 0, u = 1), impossible under this prescription
     with pytest.raises(ZeroProbabilityObservation):
         eta_update(spec, belief, gamma, 2)
+
+
+def test_the_last_stage_emits_no_message():
+    spec = tiny_chain()
+    layout = stage_layout(spec, 2)
+    belief = Belief(t=2, n=1, dims=layout.dims, weights=np.full(layout.size, 1 / layout.size))
+    gamma = PrescriptionSpace(spec, 2).decode(0)
+    with pytest.raises(InvalidParameter, match="stage 2 has no message stage"):
+        message_distribution(spec, belief, gamma)
 
 
 def test_expected_cost_matches_direct_sum():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import instances
-from cisolver import sim
+from cisolver import coordinator, sim
 from cisolver.coordinator import (PrescriptionSpace, message_distribution, stage_layout,
                                   zeta)
 from cisolver.dp import (PolicyTree, extract_control_strategy, solve_finite,
@@ -502,8 +502,6 @@ def test_only_prescribe_reads_the_protocol_maps():
     Neither module reads ``msg_map`` or ``mem_update`` anywhere else, so
     the simulator cannot grow its own copy of the protocol's maps.
     """
-    from cisolver import coordinator
-
     def readers(module):
         tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
         return {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)

@@ -287,41 +287,34 @@ def initial_belief(spec: ProblemSpec) -> tuple[tuple[float, Belief], ...]:
     return tuple(roots)
 
 
-def prescribe(spec: ProblemSpec, t: int, tables) -> tuple[np.ndarray, ...]:
+def prescribe(spec: ProblemSpec, t: int, tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """What prescriptions do at every coordinator state of stage ``t``.
 
-    ``tables[i]`` stacks controller ``i``'s action tables over a batch of
-    nodes, shape ``(nodes, |Y_i|, |M_i|)``.  Returns three int64 arrays
-    over ``(node, state)``, node-major with each node's states in the
-    stage layout's ravel: the joint action ``u``, the joint message ``z``
-    and the joint next memory ``m'``.  Memory is least significant in the
-    ravel, so ``m'`` is also the next memories' offset in the next stage's
-    state index.  ``z`` and ``m'`` are ``None`` at a stage with no
-    message stage (the last stage of a finite problem).
+    ``tables[i]`` is an integer array that stacks controller ``i``'s action
+    tables over a batch of nodes, shape ``(nodes, |Y_i|, |M_i|)``.  Returns
+    three int64 arrays over ``(node, state)``, node-major with each node's
+    states in the stage layout's ravel: the joint action ``u``, the joint
+    message ``z`` and the joint next memory ``m'``.  Memory is least
+    significant in the ravel, so ``m'`` is also the next memories' offset
+    in the next stage's state index.  ``z`` and ``m'`` are ``None`` at a
+    stage with no message stage (the last stage of a finite problem).
     """
     layout = stage_layout(spec, t)
-    n_nodes = len(tables[0])
-    node = np.arange(n_nodes, dtype=np.int64)[:, None]
-    u = np.zeros(n_nodes * layout.size, dtype=np.int64)
-    if layout.msg_strides is None:
-        z = m_next = None
-    else:
-        z = np.zeros_like(u)
-        m_next = np.zeros_like(u)
+    emits = layout.msg_strides is not None
+    if emits:
         mem_strides = stage_layout(spec, t + 1).strides[1 + spec.n:]
+    u = z = m_next = 0
     for i, table in enumerate(tables):
-        ny, nm = layout.ny[i], layout.nm[i]
-        a = np.asarray(table, dtype=np.int64)
-        # controller i's table point (node, y_i, m_i) at every (node, state)
-        at = (node * (ny * nm) + layout.point_of[i]).ravel()
-        u += a.ravel().take(at) * layout.act_strides[i]
-        if z is None:
-            continue
-        # (m_i, y_i, a_i) of every table point, as the protocol's maps index them
-        point = (np.arange(nm), np.arange(ny)[:, None], a)
-        z += spec.msg_map(i, t)[point].ravel().take(at) * layout.msg_strides[i]
-        m_next += spec.mem_update(i, t)[point].ravel().take(at) * mem_strides[i]
-    return u, z, m_next
+        # controller i's action at every (node, state), shape (nodes, size)
+        a = table.reshape(len(table), -1).take(layout.point_of[i], axis=1)
+        u = u + a * layout.act_strides[i]
+        if emits:
+            point = (layout.m_of[i], layout.y_of[i], a)  # as the protocol's maps index them
+            z = z + spec.msg_map(i, t)[point] * layout.msg_strides[i]
+            m_next = m_next + spec.mem_update(i, t)[point] * mem_strides[i]
+    if not emits:
+        return u.ravel(), None, None
+    return u.ravel(), z.ravel(), m_next.ravel()
 
 
 def _prescribe_one(spec: ProblemSpec, t: int, gamma: JointPrescription):

@@ -555,6 +555,22 @@ def test_epsilon_is_a_usage_error(capsys, problems_dir, monkeypatch):
     assert code == 0 and json.loads(out)["policy"]["epsilon"] == 1e-4
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0"])
+def test_solve_rejects_an_epsilon_that_is_not_finite_and_positive(
+        capsys, problems_dir, monkeypatch, epsilon):
+    # a bad epsilon never reaches the solver: the flag is a usage error
+    # and the environment variable is not read
+    problem = str(problems_dir / "discounted_chain.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", problem, f"--epsilon={epsilon}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--epsilon" in captured.err
+    monkeypatch.setenv("CIS_EPSILON", epsilon)
+    code, out, _ = run(capsys, "solve", problem)
+    assert code == 0 and json.loads(out)["policy"]["epsilon"] == 1e-4
+
+
 def test_prescription_cap_exit(capsys, problems_dir):
     code, _, err = run(capsys, "solve",
                        str(problems_dir / "acceptance_seed1.json"),

@@ -27,7 +27,11 @@ value or argmin:
   conditionally independent of the local memories given the state, so
   a finite solve stores, hashes and interns beliefs over ``(x, m)``
   only and reattaches the stage's observation law
-  (:meth:`StageLayout.lift`) when it expands a stage.  Both variants
+  (:meth:`StageLayout.lift`) when it expands a stage.  The last stage,
+  the largest, is never lifted whole: its support masks are built from
+  a few stored rows at a time, and each batch of a support group lifts
+  only its own rows.  The lift is elementwise, so every weight has the
+  bits a whole-stage lift would give.  Both variants
   share this one solve and so have the same nodes, choices and values;
   the reduced tree carries the stored beliefs, the full tree their
   lifts.  Discounted solves still store full beliefs, because
@@ -574,28 +578,38 @@ class _LastStage(_Classes):
         return v[r, best], best, g[r, :, :, best].argmin(axis=2)
 
 
-def _supports(weights: np.ndarray):
-    """The distinct supports of the rows of ``weights`` and the support of each row.
+def _supports(rows: np.ndarray, lift):
+    """The distinct supports of the full beliefs of ``rows``, and each row's.
 
-    Returns ``(supports, which)``: the supports as arrays of positions,
-    in order of their first row, and the index in ``supports`` of each
-    row's.  :func:`_first_ids` over the packed masks, each viewed as one
-    opaque item, finds them.
+    ``lift`` maps a block of ``rows`` to their full weights.  The masks
+    are built in chunks of rows whose lifts hold at most a 32nd of
+    ``_BATCH_ENTRIES`` entries, so only a chunk is ever lifted at once,
+    and kept packed, one bit per entry.  Returns ``(supports, which)``:
+    the supports as arrays of positions, in order of their first row,
+    and the index in ``supports`` of each row's.  :func:`_first_ids`
+    over the packed masks, each viewed as one opaque item, finds them.
     """
-    mask = weights > ZERO_MASS
-    packed = np.packbits(mask, axis=1)
+    width = lift(rows[:1]).shape[1]
+    step = max(1, _BATCH_ENTRIES // 32 // width)
+    packed = np.empty((len(rows), -(-width // 8)), dtype=np.uint8)
+    for lo in range(0, len(rows), step):
+        packed[lo:lo + step] = np.packbits(lift(rows[lo:lo + step]) > ZERO_MASS, axis=1)
     items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     which, first = _first_ids(items)
-    return [np.flatnonzero(mask[row]) for row in first], which
+    masks = np.unpackbits(packed[first], axis=1, count=width)
+    return [np.flatnonzero(mask) for mask in masks], which
 
 
-def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
+def _solve_last_stage(spec: ProblemSpec, t: int, stored: np.ndarray, cap: int):
     """Value and best class of every last-stage node, and the class count.
 
-    ``weights`` holds one full belief per row.  Nodes are grouped by
-    support, and each group is solved in batches of rows, small enough
-    that a batch's ``g`` and ``low`` hold at most ``_BATCH_ENTRIES``
-    entries together, or else of one node.
+    ``stored`` holds one node's stored belief over ``(x, m)`` per row.
+    Nodes are grouped by support, and each group is solved in batches
+    of rows, small enough that a batch's ``g`` and ``low`` hold at most
+    ``_BATCH_ENTRIES`` entries together, or else of one node.  Each
+    batch lifts only its own rows (:meth:`StageLayout.lift`), which is
+    elementwise, so the stage is never lifted whole and every weight is
+    the one a whole-stage lift would give.
 
     Returns ``(values, groups, classes)``.  Per support, in order of its
     first node, ``groups`` holds ``((place, divisors), nodes, lead,
@@ -605,10 +619,11 @@ def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
     controller's actions ``acts[k]`` at its points.  The tables of
     ``C`` are dropped with each support's :class:`_LastStage`.
     """
-    supports, which = _supports(weights)
+    lift = stage_layout(spec, t).lift
+    supports, which = _supports(stored, lift)
     nodes_of = np.split(np.argsort(which, kind="stable"),
                         np.cumsum(np.bincount(which))[:-1])
-    values = np.empty(len(weights))
+    values = np.empty(len(stored))
     groups = []
     classes = 0
     # supports in order of their first node, so a cap overflow reports the
@@ -626,7 +641,7 @@ def _solve_last_stage(spec: ProblemSpec, t: int, weights: np.ndarray, cap: int):
             # and a row of zeros, so that a batch of one node is still
             # contracted as a matrix, with the same sums as in any batch
             w = np.zeros((len(part) + 1, len(columns)))
-            w[:-1] = weights[np.ix_(part, columns)]
+            w[:-1] = lift(stored[part])[:, columns]
             value, best_part, acts_part = stage.best(w)
             values[part] = value[:-1]
             best[lo:lo + rows], acts[lo:lo + rows] = best_part[:-1], acts_part[:-1]
@@ -713,6 +728,10 @@ class _BeliefTable:
     def weights(self) -> np.ndarray:
         return self._rows[:self.count]
 
+    def release_keys(self):
+        """Free the key index of a complete stage; it admits no more rows."""
+        self.keys = None
+
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
 
@@ -775,7 +794,7 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
     signature; and the numbers of classes, branches and signatures
     expanded.
     """
-    supports, which = _supports(weights)
+    supports, which = _supports(weights, lambda rows: rows)  # full already
     kinds = [_structure(spec, t, support, cap, structures) for support in supports]
     node_structures = [kinds[k] for k in which.tolist()]
     bound = _BATCH_ENTRIES // 32
@@ -876,21 +895,21 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
                            f"beliefs at stage {layout.t}") for layout in layouts]
     roots = initial_belief(spec)
     first = stages[0].intern(np.stack([chi(bel).weights for _, bel in roots]))
+    stages[0].release_keys()
     roots = [(float(prob), int(idx)) for (prob, _), idx in zip(roots, first)]
-
-    def lifted(t):  # the full weights of stage t's stored beliefs, by row
-        return layouts[t - 1].lift(stages[t - 1].weights)
 
     expansions = []  # per stage t < T: its groups from _expand_stage
     expanded_classes, branches, signatures = [0] * T, [0] * T, [0] * T
     for t in range(1, T):
         groups, (expanded_classes[t - 1], branches[t - 1], signatures[t - 1]) = \
-            _expand_stage(spec, t, lifted(t), stages[t], cap, structures)
+            _expand_stage(spec, t, layouts[t - 1].lift(stages[t - 1].weights),
+                          stages[t], cap, structures)
+        stages[t].release_keys()  # stage t + 1 is complete
         expansions.append(groups)
 
     values = [np.zeros(table.count) for table in stages]
     values[T - 1], last, expanded_classes[T - 1] = \
-        _solve_last_stage(spec, T, lifted(T), cap)
+        _solve_last_stage(spec, T, stages[T - 1].weights, cap)
     best = [np.empty(table.count, dtype=np.int64) for table in stages[:-1]]
     for t in range(T - 1, 0, -1):
         _backward(expansions[t - 1], values[t], values[t - 1], best[t - 1])

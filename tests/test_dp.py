@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -662,6 +663,22 @@ def test_class_structures_are_freed_after_a_solve():
                    for obj in gc.get_objects())
 
 
+def test_finite_solve_memory_stays_below_two_lifted_last_stages(problems_dir):
+    path = str(problems_dir / "periodic_4stage.json")
+    spec, _ = load_problem(path)
+    report, _ = solve_finite(spec)
+    # the last stage's beliefs lifted to full weights, all at once
+    lifted = report.stage_nodes[-1] * stage_layout(spec, spec.horizon).size * 8
+    spec, _ = load_problem(path)
+    tracemalloc.start()
+    try:
+        solve_finite(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * lifted
+
+
 def test_last_stage_batches_stay_within_the_bound(filter_family_doc, monkeypatch):
     spec, _ = problem_from_document(filter_family_doc(21, 4))
     calls = []  # (stage, entries of its g and low)
@@ -684,8 +701,9 @@ def _solve_bits(spec):
     The tree holds only the policy's nodes, so the whole DP's beliefs,
     branch masses, children, values and choices are recorded as the
     solve hands them between its stages: per expanded stage its groups'
-    costs, masses and children and each node's best class, and per
-    last-stage support its nodes' lead classes and last actions.
+    costs, masses and children and each node's best class, and the last
+    stage's stored rows over ``(x, m)``, its values and, per support, its
+    nodes' lead classes and last actions.
     """
     seen = []
     expand, backward, last = dp._expand_stage, dp._backward, dp._solve_last_stage
@@ -704,9 +722,9 @@ def _solve_bits(spec):
         backward(groups, values_next, values, best)
         seen.append((values.tobytes(), best.tobytes()))
 
-    def last_spy(spec, t, weights, cap):
-        values, groups, classes = last(spec, t, weights, cap)
-        seen.append((weights.tobytes(), values.tobytes(), classes, [
+    def last_spy(spec, t, stored, cap):
+        values, groups, classes = last(spec, t, stored, cap)
+        seen.append((stored.tobytes(), values.tobytes(), classes, [
             (nodes.tobytes(), lead.tobytes(), acts.tobytes())
             for _, nodes, lead, acts in groups]))
         return values, groups, classes

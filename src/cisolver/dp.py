@@ -29,8 +29,8 @@ value or argmin:
   only and reattaches the stage's observation law
   (:meth:`StageLayout.lift`) when it expands a stage.  The last stage,
   the largest, is never lifted whole: its support masks are built from
-  a few stored rows at a time, and each batch of a support group lifts
-  only its own rows.  The lift is elementwise, so every weight has the
+  a few stored rows at a time, and each batch of its nodes lifts only
+  its own rows.  The lift is elementwise, so every weight has the
   bits a whole-stage lift would give.  Both variants
   share this one solve and so have the same nodes, choices and values;
   the reduced tree carries the stored beliefs, the full tree their
@@ -45,21 +45,28 @@ value or argmin:
   for collaborative Bayesian games).  Work per node falls from
   ``|lead classes| * |last classes| * |support|`` to
   ``|lead classes| * |support| * |U_n|``.  The table of ``c(x, u)`` per
-  support entry, last action and lead class is shared by every node on
-  the support.  It is laid out as ``(s, u * |lead classes| + a)`` with
-  the entries grouped by ``q``, so a batch of nodes is contracted with
-  each point's rows by one contiguous matrix product, and the minimum
-  over ``u`` is an elementwise minimum of ``|U_n|`` contiguous slices
-  rather than a reduction over a short strided axis.  Each ``G`` entry
-  is the same dot product in any column order, minima are exact, and
-  ``V`` sums over ``q`` along a contiguous axis, so values and ties do
-  not depend on the layout.  Tie-break: the joint class index is
-  ``a * |last classes| + b``, and ``b`` puts the last controller's first
-  point most significant, so the smallest minimizing class is the first
-  ``argmin`` of ``V`` over ``a`` followed by the first ``argmin`` over
-  ``u`` at each ``q``.  Representatives are sums of per-point place
-  values, exact ints computed for the nodes the policy reaches.  The
-  last stage still reports, and checks against the cap, the number
+  support entry, last action and lead class depends on the support only
+  through its *pattern*: each entry's state and the rank of its point
+  among each controller's on-support points, not which ``(y, m)``
+  points they are.  Supports with one pattern share one table (16 of
+  them on ``periodic_4stage``, 225 sharing 16 tables on the
+  control-sharing filter member), and each node gathers its own
+  support's columns.  The table is laid out as ``(s, u * |lead classes|
+  + a)`` with the entries grouped by ``q``, so a batch of nodes is
+  contracted with each point's rows by one contiguous matrix product,
+  and the minimum over ``u`` is an elementwise minimum of ``|U_n|``
+  contiguous slices rather than a reduction over a short strided axis.
+  Each ``G`` entry is the same dot product in any column order, minima
+  are exact, and ``V`` adds the per-point minima as contiguous slices
+  in the order numpy sums a contiguous axis (:func:`_pairwise_sum`), so
+  values and ties do not depend on the layout or on which nodes share a
+  batch.  Tie-break: the joint class index is ``a * |last classes| +
+  b``, and ``b`` puts the last controller's first point most
+  significant, so the smallest minimizing class is the first ``argmin``
+  of ``V`` over ``a`` followed by the first ``argmin`` over ``u`` at
+  each ``q``.  Representatives are sums of per-point place values,
+  exact ints computed for the supports of the nodes the policy reaches.
+  The last stage still reports, and checks against the cap, the number
   of classes it would enumerate.
 
 Branches.  A stage before ``T`` is expanded in batches of nodes.  The
@@ -102,8 +109,8 @@ continuation in message order, then ``argmin`` per node, whose first
 minimum is the smallest representative because classes are ordered by
 representative.  Only the nodes the forward walk reaches have their
 chosen class decoded into a representative and children: at the last
-stage the solve keeps each node's lead class and the last controller's
-actions, and per support only what encodes them.
+stage the solve keeps each node's support, lead class and the last
+controller's actions, and per pattern only what encodes them.
 
 Discounted problems use the same expansion on the stationary tables,
 breadth first from the roots until no new belief appears; a graph that
@@ -123,6 +130,7 @@ Bellman residual of the final values and ``tail_bound = residual / (1
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -225,7 +233,10 @@ class ValueReport:
     tail_bound: float | None = None
     #: Deterministic counters kept out of the solve document: per stage,
     #: ``branches`` and distinct branch ``signatures`` expanded (0 at the
-    #: last stage of a finite solve).
+    #: last stage of a finite solve); a finite solve adds distinct
+    #: ``supports`` and the weight-independent ``tables`` built for them,
+    #: one class structure per support before the last stage and one per
+    #: support pattern at it.
     stats: dict[str, list[int]] = field(default_factory=dict)
 
 
@@ -263,7 +274,8 @@ class _Classes:
     A class's representative plays action 0 off the support, so it is
     the sum of its actions times their place values: ``place[i][k]``,
     an exact int in an object array, is the weight of controller ``i``'s
-    action at point ``uniq[i][k]`` in a full prescription index.
+    action at point ``uniq[i][k]`` in a full prescription index.  It is
+    computed when first read.
 
     Raises:
         SizeOverflow: there are more than ``cap`` classes.
@@ -274,26 +286,31 @@ class _Classes:
         self.support = support
         self.x_sup = layout.x_of[support]
         self.cards = spec.action_cards
-        n_points = [ny * nm for ny, nm in zip(layout.ny, layout.nm)]
-        self.uniq, self.inv, self.place = [], [], []
+        self.n_points = [ny * nm for ny, nm in zip(layout.ny, layout.nm)]
+        self.uniq, self.inv = [], []
         for i in range(spec.n):
             points = layout.point_of[i][support]
-            seen = np.zeros(n_points[i], dtype=bool)
+            seen = np.zeros(self.n_points[i], dtype=bool)
             seen[points] = True
             uniq = np.flatnonzero(seen)
             self.uniq.append(uniq)
             self.inv.append(np.searchsorted(uniq, points))
-            # prescriptions of the controllers after i
-            later = math.prod(nu ** k for nu, k in
-                              zip(self.cards[i + 1:], n_points[i + 1:]))
-            self.place.append(np.array([self.cards[i] ** (n_points[i] - 1 - p) * later
-                                        for p in uniq.tolist()], dtype=object))
         self.counts = [nu ** len(uniq) for nu, uniq in zip(self.cards, self.uniq)]
         self.count = math.prod(self.counts)
         if self.count > cap:
             raise SizeOverflow(
                 f"{self.count} support-restricted prescription classes "
                 f"at stage {t}, cap is {cap}", size=self.count)
+
+    @functools.cached_property
+    def place(self) -> list[np.ndarray]:
+        place, cards, n_points = [], self.cards, self.n_points
+        for i, uniq in enumerate(self.uniq):
+            # prescriptions of the controllers after i
+            later = math.prod(nu ** k for nu, k in zip(cards[i + 1:], n_points[i + 1:]))
+            place.append(np.array([cards[i] ** (n_points[i] - 1 - p) * later
+                                   for p in uniq.tolist()], dtype=object))
+        return place
 
     def _check_table(self, entries: int, t: int):
         if entries > _MAX_TABLE_ENTRIES:
@@ -498,8 +515,36 @@ class _ClassStructure(_Classes):
         return rep
 
 
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of equal-shape arrays, grouped as ``np.add.reduce`` groups a contiguous axis.
+
+    Term ``k`` plays the axis's element ``k``.  Below 8 terms the sum is
+    sequential; up to 128 it runs 8 accumulators over the terms, combined
+    as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and adds the
+    rest in order; above 128 it splits at ``n // 2 - (n // 2) % 8``.  So
+    every element has the bits of the reduction's, ties included.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:
+        total, rest = terms[0].copy(), terms[1:]
+    else:
+        acc = [term.copy() for term in terms[:8]]
+        stop = n - n % 8
+        for k in range(8, stop):
+            acc[k % 8] += terms[k]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        rest = terms[stop:]
+    for term in rest:
+        total += term
+    return total
+
+
 class _LastStage(_Classes):
-    """Exact separable best response at one support of the last stage.
+    """Exact separable best response at one support pattern of the last stage.
 
     With no continuation, fixing the lead class ``a`` (controllers
     ``0..n-2``) splits the last controller's choice into one
@@ -507,14 +552,18 @@ class _LastStage(_Classes):
     ``V(a) = sum_q min_u G[q, u, a]`` with
     ``G[q, u, a] = sum_{s at q} w_s * C[s, u, a]`` and
     ``C[s, u, a] = c(x_s, u_lead(a, s), u)``.  ``C`` does not depend on
-    the weights, so every node on the support shares it.
+    the weights, nor on which ``(y, m)`` points the support holds: only
+    on each entry's state and on the rank of its point among each
+    controller's on-support points, the support's *pattern*
+    (:func:`_patterns`).  So the nodes of every support of one pattern
+    share it, each row with its own support's columns.
 
     ``C`` is stored in an ``(s, u * lead + a)`` layout, one block per
     point: ``order`` sorts the support entries stably by point, point
     ``q`` owns positions ``cuts[q] = (lo, hi)`` of that order, and row
     ``j`` of ``blocks[q]`` is ``C`` at entry ``order[lo + j]``.  Lead
-    class ``a`` plays ``a // divisors[i][k] % |U_i|`` at point
-    ``uniq[i][k]`` of lead controller ``i``.
+    class ``a`` plays ``a // divisors[i][k] % |U_i|`` at the ``k``-th
+    on-support point of lead controller ``i``.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
@@ -548,11 +597,11 @@ class _LastStage(_Classes):
         One matrix product per point ``q`` fills ``g[:, q, u * lead + a]``
         with ``G[q, u, a]``.  Each entry is a dot product of the node's
         weights at ``q`` with one column of costs, so no entry depends on
-        where its column sits.  The minimum over ``u`` is an elementwise
-        minimum of the ``|U_n|`` contiguous slices
-        ``g[:, q, u * lead:(u + 1) * lead]``, written to
-        ``low[row, a, q]``; minima are exact.  ``V`` sums the C-ordered
-        ``low`` along its last axis.  So every value, and every tie, has
+        where its column sits.  The minimum over ``u`` reduces ``g`` into
+        ``low[row, q, a]``, an elementwise minimum of contiguous slices;
+        minima are exact.  ``V`` adds the contiguous slices ``low[:, q]``
+        by :func:`_pairwise_sum`, in the order numpy sums a contiguous
+        axis of ``|points|`` elements.  So every value, and every tie, has
         the same bits in any column order of ``C``.  Nor do a row's
         results depend on the other rows, as long as there are at least
         two: a one-row product would be a matrix-vector product, whose
@@ -570,9 +619,8 @@ class _LastStage(_Classes):
         for (lo, hi), block, out in zip(self.cuts, self.blocks, g.transpose(1, 0, 2)):
             np.matmul(w[:, lo:hi], block, out=out)
         g = g.reshape(rows, points, n_u, lead)
-        low = np.empty((rows, lead, points))
-        np.minimum.reduce(g.transpose(2, 0, 3, 1), axis=0, out=low)
-        v = low.sum(axis=2)
+        low = np.minimum.reduce(g, axis=2)
+        v = _pairwise_sum([low[:, q] for q in range(points)])
         best = v.argmin(axis=1)
         r = np.arange(rows)
         return v[r, best], best, g[r, :, :, best].argmin(axis=2)
@@ -600,53 +648,122 @@ def _supports(rows: np.ndarray, lift):
     return [np.flatnonzero(mask) for mask in masks], which
 
 
+def _patterns(layout, supports: list[np.ndarray]):
+    """Pattern id of each support, numbered in order of first support, and the count.
+
+    A support's pattern is, at each of its entries in order, the entry's
+    state and, per controller, the rank of the entry's point among the
+    support's points (:attr:`_Classes.inv`); a :class:`_LastStage`
+    depends on its support through the pattern only.  The ranks come
+    from one ``seen`` mask per controller over every support at once, by
+    its running count, and each entry's state and ranks make one
+    mixed-radix code below ``layout.size``.
+    """
+    sizes = [len(support) for support in supports]
+    entries = np.concatenate(supports)
+    owner = np.repeat(np.arange(len(supports)), sizes)
+    code = layout.x_of[entries]
+    for of, ny, nm in zip(layout.point_of, layout.ny, layout.nm):
+        points = of[entries]
+        seen = np.zeros((len(supports), ny * nm), dtype=bool)
+        seen[owner, points] = True
+        code = code * (ny * nm) + (np.cumsum(seen, axis=1) - 1)[owner, points]
+    ids: dict[bytes, int] = {}
+    pattern = [ids.setdefault(code[hi - size:hi].tobytes(), len(ids))
+               for hi, size in zip(np.cumsum(sizes).tolist(), sizes)]
+    return np.array(pattern, dtype=np.int64), len(ids)
+
+
+class _LastChoices:
+    """Every last-stage node's best class, as the solve keeps it.
+
+    ``which[node]`` is the node's support in ``supports`` and
+    ``pattern[s]`` support ``s``'s pattern.  Per pattern, in order of
+    first node, ``groups`` holds ``(divisors, nodes, lead, acts)``: the
+    pattern's :attr:`_LastStage.divisors`, its nodes in increasing
+    order and, for node ``nodes[k]``, its best lead class ``lead[k]`` and
+    the last controller's actions ``acts[k]`` at its points.  Place
+    values, which depend on the support's points, are computed only for
+    the supports of the nodes asked for.
+    """
+
+    def __init__(self, spec: ProblemSpec, t: int, cap: int, supports, which, pattern):
+        self.spec, self.t, self.cap = spec, t, cap
+        self.supports, self.which, self.pattern = supports, which, pattern
+        self.groups = []
+        self._place: dict[int, list] = {}
+
+    def representative(self, node: int) -> int:
+        """Full prescription index of ``node``'s best class."""
+        s = int(self.which[node])
+        divisors, nodes, lead, acts = self.groups[self.pattern[s]]
+        row = int(np.searchsorted(nodes, node))
+        place = self._place.get(s)
+        if place is None:
+            place = self._place[s] = _Classes(self.spec, self.t, self.supports[s],
+                                              self.cap).place
+        a = int(lead[row])
+        return _encode(place, [[a // d % nu for d in div]
+                               for div, nu in zip(divisors, self.spec.action_cards)]
+                       + [acts[row].tolist()])
+
+
 def _solve_last_stage(spec: ProblemSpec, t: int, stored: np.ndarray, cap: int):
-    """Value and best class of every last-stage node, and the class count.
+    """Value and best class of every last-stage node, and what it took.
 
     ``stored`` holds one node's stored belief over ``(x, m)`` per row.
-    Nodes are grouped by support, and each group is solved in batches
-    of rows, small enough that a batch's ``g`` and ``low`` hold at most
+    Nodes are grouped by the pattern of their support
+    (:func:`_patterns`), one :class:`_LastStage` per pattern, and each
+    group is solved in batches of rows in increasing node order, small
+    enough that a batch's ``g`` and ``low`` hold at most
     ``_BATCH_ENTRIES`` entries together, or else of one node.  Each
     batch lifts only its own rows (:meth:`StageLayout.lift`), which is
     elementwise, so the stage is never lifted whole and every weight is
-    the one a whole-stage lift would give.
+    the one a whole-stage lift would give; each row then gathers its own
+    support's entries in the table's ``order``, through one ``(supports,
+    entries)`` column table per pattern.
 
-    Returns ``(values, groups, classes)``.  Per support, in order of its
-    first node, ``groups`` holds ``((place, divisors), nodes, lead,
-    acts)``: the support's :attr:`_Classes.place` and
-    :attr:`_LastStage.divisors`, which encode a class, and for node
-    ``nodes[k]`` its best lead class ``lead[k]`` and the last
-    controller's actions ``acts[k]`` at its points.  The tables of
-    ``C`` are dropped with each support's :class:`_LastStage`.
+    Returns ``(values, choices, counts)``: ``choices`` is a
+    :class:`_LastChoices`, and ``counts`` holds the number of classes
+    the stage would enumerate, of its distinct supports and of its
+    patterns.  The tables of ``C`` are dropped with each pattern's
+    :class:`_LastStage`.
     """
-    lift = stage_layout(spec, t).lift
-    supports, which = _supports(stored, lift)
-    nodes_of = np.split(np.argsort(which, kind="stable"),
-                        np.cumsum(np.bincount(which))[:-1])
+    layout = stage_layout(spec, t)
+    supports, which = _supports(stored, layout.lift)
+    pattern, count = _patterns(layout, supports)
+    # each pattern's nodes in increasing order; a narrow sort key keeps
+    # the stage's per-node int64 arrays to ``which`` and the order itself
+    key = pattern.astype(np.min_scalar_type(count - 1))
+    sizes = np.bincount(pattern, weights=np.bincount(which)).astype(np.int64)
+    nodes_of = np.split(np.argsort(key[which], kind="stable"), np.cumsum(sizes)[:-1])
+    choices = _LastChoices(spec, t, cap, supports, which, pattern)
     values = np.empty(len(stored))
-    groups = []
     classes = 0
-    # supports in order of their first node, so a cap overflow reports the
+    # patterns in order of their first node, so a cap overflow reports the
     # count of the first node over the cap, as a node-by-node pass would
-    for support, nodes in zip(supports, nodes_of):
-        stage = _LastStage(spec, t, support, cap)
+    for p, nodes in enumerate(nodes_of):
+        members = np.flatnonzero(pattern == p)  # its supports, increasing
+        stage = _LastStage(spec, t, supports[members[0]], cap)
         classes += stage.count * len(nodes)
         points, n_u, lead = stage.shape
         rows = max(1, _BATCH_ENTRIES // (lead * points * (n_u + 1)) - 1)
-        columns = support[stage.order]
+        columns = np.stack([supports[s] for s in members])[:, stage.order]
         best = np.empty(len(nodes), dtype=np.int64)
         acts = np.empty((len(nodes), points), dtype=np.int64)
         for lo in range(0, len(nodes), rows):
             part = nodes[lo:lo + rows]
             # and a row of zeros, so that a batch of one node is still
             # contracted as a matrix, with the same sums as in any batch
-            w = np.zeros((len(part) + 1, len(columns)))
-            w[:-1] = lift(stored[part])[:, columns]
+            w = np.zeros((len(part) + 1, columns.shape[1]))
+            w[:-1] = np.take_along_axis(
+                layout.lift(stored[part]),
+                columns[np.searchsorted(members, which[part])], axis=1)
             value, best_part, acts_part = stage.best(w)
             values[part] = value[:-1]
             best[lo:lo + rows], acts[lo:lo + rows] = best_part[:-1], acts_part[:-1]
-        groups.append(((stage.place, stage.divisors), nodes, best, acts))
-    return values, groups, classes
+        choices.groups.append((stage.divisors, nodes, best, acts))
+    return values, choices, (classes, len(supports), count)
 
 
 def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
@@ -792,7 +909,7 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
     mass, child)``, with row ``k`` of ``costs``, ``mass`` and ``child``
     belonging to node ``nodes[k]`` and ``mass`` and ``child`` per
     signature; and the numbers of classes, branches and signatures
-    expanded.
+    expanded and of distinct supports, one class structure each.
     """
     supports, which = _supports(weights, lambda rows: rows)  # full already
     kinds = [_structure(spec, t, support, cap, structures) for support in supports]
@@ -834,7 +951,7 @@ def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
         lo = hi
     counts = np.bincount(which) @ np.array(
         [(kind.count, kind.branches, kind.signatures) for kind in kinds], dtype=np.int64)
-    return groups, counts.tolist()
+    return groups, counts.tolist() + [len(kinds)]
 
 
 def _backward(groups, values_next: np.ndarray, values: np.ndarray, best: np.ndarray):
@@ -900,15 +1017,18 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
 
     expansions = []  # per stage t < T: its groups from _expand_stage
     expanded_classes, branches, signatures = [0] * T, [0] * T, [0] * T
+    supports, tables = [0] * T, [0] * T
     for t in range(1, T):
-        groups, (expanded_classes[t - 1], branches[t - 1], signatures[t - 1]) = \
+        groups, (expanded_classes[t - 1], branches[t - 1], signatures[t - 1],
+                 supports[t - 1]) = \
             _expand_stage(spec, t, layouts[t - 1].lift(stages[t - 1].weights),
                           stages[t], cap, structures)
+        tables[t - 1] = supports[t - 1]
         stages[t].release_keys()  # stage t + 1 is complete
         expansions.append(groups)
 
     values = [np.zeros(table.count) for table in stages]
-    values[T - 1], last, expanded_classes[T - 1] = \
+    values[T - 1], last, (expanded_classes[T - 1], supports[T - 1], tables[T - 1]) = \
         _solve_last_stage(spec, T, stages[T - 1].weights, cap)
     best = [np.empty(table.count, dtype=np.int64) for table in stages[:-1]]
     for t in range(T - 1, 0, -1):
@@ -925,8 +1045,9 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
     tree_stages = []
     reached = sorted({idx for _, idx in roots})
     for t, layout in enumerate(layouts, start=1):
-        groups = expansions[t - 1] if t < T else last
-        group_of, row_of = _locate(groups, stages[t - 1].count)
+        if t < T:
+            groups = expansions[t - 1]
+            group_of, row_of = _locate(groups, stages[t - 1].count)
         rows = stages[t - 1].weights[reached]
         if variant == "full":
             # lift is elementwise, so these are the bits the solve used
@@ -936,16 +1057,11 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
             cls, dims = ReducedBelief, (layout.nx,) + layout.nm
         nodes, kids = [], set()
         for idx, w in zip(reached, rows):
-            group, row = groups[group_of[idx]], row_of[idx]
             if t < T:
+                group, row = groups[group_of[idx]], row_of[idx]
                 rep, children = _chosen(group[0], int(best[t - 1][idx]), group[4][row])
             else:
-                (place, divisors), _, lead, acts = group
-                a = int(lead[row])
-                rep = _encode(place, [[a // d % nu for d in div]
-                                      for div, nu in zip(divisors, spec.action_cards)]
-                              + [acts[row].tolist()])
-                children = {}
+                rep, children = last.representative(idx), {}
             kids.update(children.values())
             # each belief owns its weights: a view would keep a whole stage alive
             nodes.append(TreeNode(
@@ -972,7 +1088,8 @@ def _solve_finite(spec: ProblemSpec, variant: str, cap: int, cap_beliefs: int):
                                   for t in range(1, T + 1)],
         expanded_classes=expanded_classes,
         runtime_s=time.perf_counter() - started,
-        stats={"branches": branches, "signatures": signatures},
+        stats={"branches": branches, "signatures": signatures,
+               "supports": supports, "tables": tables},
     )
     return report, tree
 
@@ -1135,7 +1252,7 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
                                     structures)
         groups += [(structure, n + np.asarray(nodes), costs, mass, child)
                    for structure, nodes, costs, mass, child in got]
-        expanded = [a + b for a, b in zip(expanded, counts)]
+        expanded = [a + b for a, b in zip(expanded, counts[:3])]
         n += len(frontier)
         if beta * max_c == 0.0:
             break  # no continuation: the roots' values are their stage costs

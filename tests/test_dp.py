@@ -478,8 +478,10 @@ def test_periodic_counters_are_pinned(problems_dir, solve):
     assert report.expanded_classes == [16, 4096, 4096, 1048576]
     # the shared message reveals what each prescription did, so the 4,096
     # branches of a stage-2 node make only 64 distinct computations
+    # and the last stage's 16 supports define one table
     assert report.stats == {"branches": [16, 65536, 4096, 0],
-                            "signatures": [16, 1024, 4096, 0]}
+                            "signatures": [16, 1024, 4096, 0],
+                            "supports": [1, 16, 1, 16], "tables": [1, 16, 1, 1]}
     # counters are not part of the solve document
     assert "stats" not in json.dumps(solve_result_to_dict(spec, report, tree))
 
@@ -490,7 +492,18 @@ def test_delayed_sharing_counters_are_pinned(problems_dir, solve):
     report, _ = solve(spec)
     # one-stage delay: each of the 16 classes emits 4 messages, and the 64
     # branches make 16 distinct computations
-    assert report.stats == {"branches": [64, 0], "signatures": [16, 0]}
+    assert report.stats == {"branches": [64, 0], "signatures": [16, 0],
+                            "supports": [1, 1], "tables": [1, 1]}
+
+
+@pytest.mark.parametrize("solve", [solve_finite, solve_finite_reduced])
+def test_control_sharing_counters_are_pinned(filter_family_doc, solve):
+    spec, _ = problem_from_document(filter_family_doc(1, 3))
+    report, _ = solve(spec)
+    assert report.stage_nodes == [1, 36, 3600]
+    # no branch repeats, and the last stage's 225 supports share 16 tables
+    assert report.stats == {"branches": [36, 7056, 0], "signatures": [36, 7056, 0],
+                            "supports": [1, 9, 225], "tables": [1, 9, 16]}
 
 
 def test_a_finite_solve_stops_at_the_belief_cap(problems_dir):
@@ -695,6 +708,32 @@ def test_last_stage_batches_stay_within_the_bound(filter_family_doc, monkeypatch
     assert len(calls) > len({id(stage) for stage, _ in calls})  # groups were split
 
 
+def test_last_stage_builds_one_table_per_pattern(filter_family_doc, monkeypatch):
+    spec, _ = problem_from_document(filter_family_doc(1, 3))
+    built = []  # the support each table was built from
+    init = dp._LastStage.__init__
+
+    def spy(stage, spec, t, support, cap):
+        init(stage, spec, t, support, cap)
+        built.append(support)
+
+    monkeypatch.setattr(dp._LastStage, "__init__", spy)
+    report, _ = solve_finite(spec)
+    # 225 supports share the 16 tables, each built once
+    assert len(built) == report.stats["tables"][-1] == 16
+    assert report.stats["supports"][-1] == 225
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 130, 256, 257, 1000])
+def test_pairwise_sum_matches_a_contiguous_reduction(n):
+    # if numpy ever changes how it groups a contiguous sum, this fails by
+    # name rather than letting last-stage values drift
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((7, 5, n)) * 10.0 ** rng.choice([-8, 0, 8], size=(7, 5, n))
+    got = dp._pairwise_sum([a[:, :, q] for q in range(n)])
+    assert got.tobytes() == np.add.reduce(a, axis=2).tobytes()
+
+
 def _solve_bits(spec):
     """Everything a solve computes, with values and beliefs as their bytes.
 
@@ -702,8 +741,8 @@ def _solve_bits(spec):
     branch masses, children, values and choices are recorded as the
     solve hands them between its stages: per expanded stage its groups'
     costs, masses and children and each node's best class, and the last
-    stage's stored rows over ``(x, m)``, its values and, per support, its
-    nodes' lead classes and last actions.
+    stage's stored rows over ``(x, m)``, its values and, per support
+    pattern, its nodes' lead classes and last actions.
     """
     seen = []
     expand, backward, last = dp._expand_stage, dp._backward, dp._solve_last_stage
@@ -723,11 +762,11 @@ def _solve_bits(spec):
         seen.append((values.tobytes(), best.tobytes()))
 
     def last_spy(spec, t, stored, cap):
-        values, groups, classes = last(spec, t, stored, cap)
-        seen.append((stored.tobytes(), values.tobytes(), classes, [
+        values, choices, counts = last(spec, t, stored, cap)
+        seen.append((stored.tobytes(), values.tobytes(), counts, [
             (nodes.tobytes(), lead.tobytes(), acts.tobytes())
-            for _, nodes, lead, acts in groups]))
-        return values, groups, classes
+            for _, nodes, lead, acts in choices.groups]))
+        return values, choices, counts
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dp, "_expand_stage", expand_spy)
@@ -740,15 +779,19 @@ def _solve_bits(spec):
         for stage in tree.stages for nd in stage]
 
 
-@pytest.mark.parametrize("name", ["periodic_4stage", "filter_no_sharing"])
+@pytest.mark.parametrize("name", ["periodic_4stage", "filter_no_sharing",
+                                  "filter_control_sharing"])
 def test_last_stage_bits_do_not_depend_on_the_batch(problems_dir, filter_family_doc,
                                                      monkeypatch, name):
     # a batch of one node once took a matrix-vector product, whose sums
-    # are grouped differently from those of a matrix-matrix product
+    # are grouped differently from those of a matrix-matrix product; under
+    # control sharing a batch pools the nodes of many supports
     if name == "periodic_4stage":
         spec, _ = load_problem(str(problems_dir / "periodic_4stage.json"))
-    else:
+    elif name == "filter_no_sharing":
         spec, _ = problem_from_document(filter_family_doc(21, 4))
+    else:
+        spec, _ = problem_from_document(filter_family_doc(1, 3))
     batched = _solve_bits(spec)
     monkeypatch.setattr(dp, "_BATCH_ENTRIES", 1)  # one node per batch
     assert _solve_bits(spec) == batched

@@ -14,8 +14,9 @@ module implements the state space, beliefs over it, prescription
 spaces, and the belief update (condition on the emitted message, then
 push through the dynamics).  :func:`prescribe` alone works out what
 prescriptions do at each coordinator state: the joint action, message
-and next memory, from which the stage cost, the message law and the
-belief update follow.
+and next memory, from which the stage cost, the message law
+(:func:`message_law`) and the belief update (:func:`successors`)
+follow, the last two batched over nodes and defined here only.
 
 Beliefs are dense vectors over the stage's state space, flattened
 lexicographically as ``(x, y_1, ..., y_n, m_1, ..., m_n)`` with ``x``
@@ -329,14 +330,69 @@ def expected_cost(spec: ProblemSpec, belief: Belief, gamma: JointPrescription) -
     return float(belief.weights @ spec.cost(belief.t)[layout.x_of, u])
 
 
+def message_law(spec: ProblemSpec, t: int, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Law of the flat joint message of each node of a batch, one per row.
+
+    ``weights`` holds one node's full belief weights per row, and ``z``
+    the message at every ``(node, state)`` as :func:`prescribe` gives it.
+    One ``np.bincount`` over ``node * |Z| + z`` adds each node's weights
+    in state order, so a row has the same bits in any batch.
+    """
+    nodes = len(weights)
+    nz = math.prod(stage_layout(spec, t).msg_cards)
+    at = np.arange(nodes, dtype=np.int64)[:, None] * nz + z.reshape(nodes, -1)
+    return np.bincount(at.reshape(-1), weights=weights.reshape(-1),
+                       minlength=nodes * nz).reshape(nodes, nz)
+
+
 def message_distribution(spec: ProblemSpec, belief: Belief,
                          gamma: JointPrescription) -> np.ndarray:
     """Law of the flat joint message emitted this stage; sums to one."""
-    layout = stage_layout(spec, belief.t)
     _, z, _ = _prescribe_one(spec, belief.t, gamma)
     if z is None:
         raise InvalidParameter(f"stage {belief.t} has no message stage")
-    return np.bincount(z, weights=belief.weights, minlength=math.prod(layout.msg_cards))
+    return message_law(spec, belief.t, z, belief.weights[None])[0]
+
+
+def successors(spec: ProblemSpec, t: int, w: np.ndarray, slot: np.ndarray,
+               groups: int, xu: np.ndarray):
+    """Masses and successors over ``(x', m')`` of a batch of nodes at stage ``t``.
+
+    Every node's entries fall into ``groups`` message branches: entry
+    ``e`` has node ``k``'s weight ``w[k, e]``, branch ``slot[e] //
+    |M'|``, next joint memory ``slot[e] % |M'|`` and kernel row ``xu[e]
+    = x * |U| + u``.  ``mass[k, g]`` is node ``k``'s weight on branch
+    ``g``, and row ``k * groups + g`` of ``succ`` is that branch's
+    normalized successor, ``x'`` most significant; the next stage's
+    :meth:`StageLayout.lift` reattaches its observations.
+
+    The masses are one ``np.bincount`` over ``node * groups + group``,
+    the successors one per ``x'`` over ``node * groups * |M'| + slot``
+    of the conditioned weights.  ``np.bincount`` adds in index order and
+    the batch only offsets each index by its node's block, so every
+    output slot gets the addends of a one-node call in the same order;
+    row sums reduce a contiguous axis of fixed length.  So no bit depends
+    on the batch, and equal entries in equal order give equal bits.
+    """
+    layout_next = stage_layout(spec, t + 1)  # stage 1 again when discounted
+    nodes, n_mem = len(w), layout_next.n_mem
+    offset = np.arange(nodes, dtype=np.int64)[:, None] * groups
+    group = slot // n_mem if n_mem > 1 else slot
+    index = (offset + group).reshape(-1)
+    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * groups)
+    cond = w / mass[index].reshape(w.shape)
+    index = (offset * n_mem + slot).reshape(-1)
+    rows = nodes * groups
+    succ = np.empty((rows, layout_next.nx, n_mem))
+    kernel = spec.transition(t)
+    kernel = kernel.reshape(-1, kernel.shape[2])  # rows (x, u), columns x'
+    for xn in range(layout_next.nx):
+        succ[:, xn, :] = np.bincount(
+            index, weights=(cond * kernel[:, xn].take(xu)).reshape(-1),
+            minlength=rows * n_mem).reshape(rows, -1)
+    succ = succ.reshape(rows, -1)
+    succ /= succ.sum(axis=1, keepdims=True)
+    return mass.reshape(nodes, groups), succ
 
 
 def eta_update(spec: ProblemSpec, belief: Belief, gamma: JointPrescription,
@@ -345,31 +401,24 @@ def eta_update(spec: ProblemSpec, belief: Belief, gamma: JointPrescription,
 
     Conditions the current belief on the states that emit ``z``, then
     pushes the conditional through the chain transition, the next
-    stage's observation channels, and the deterministic memory updates.
+    stage's observation channels, and the deterministic memory updates:
+    one :func:`successors` call with those states as its one branch.
 
     Raises:
         ZeroProbabilityObservation: ``z`` has probability <= 1e-15.
     """
     t = belief.t
-    layout = stage_layout(spec, t)
-    next_t = t + 1 if spec.mode == "finite" else 1
-    layout_next = stage_layout(spec, next_t)
-
-    u_flat, z_all, m_next = _prescribe_one(spec, t, gamma)
-    mask = (z_all == z) & (belief.weights > 0)
-    mass = float(belief.weights[mask].sum())
-    if mass <= ZERO_MASS:
+    u, z_all, m_next = _prescribe_one(spec, t, gamma)
+    emits = np.flatnonzero((z_all == z) & (belief.weights > 0))
+    xu = stage_layout(spec, t).x_of[emits] * spec.joint_action_count + u[emits]
+    mass, succ = (successors(spec, t, belief.weights[None, emits], m_next[emits], 1, xu)
+                  if len(emits) else (np.zeros((1, 1)), None))  # no 0 / 0
+    if mass[0, 0] <= ZERO_MASS:
         raise ZeroProbabilityObservation(
-            f"message {z} at stage {t} has probability {mass!r}")
-
-    kernel = spec.transition(t)
-    out = np.zeros((layout_next.nx, layout_next.n_obs, layout_next.n_mem))
-    for s in np.nonzero(mask)[0]:
-        row = kernel[layout.x_of[s], u_flat[s]]
-        out[:, :, m_next[s]] += (belief.weights[s] / mass) \
-            * row[:, None] * layout_next.obs_prod
-    w = out.reshape(-1)
-    return Belief(t=next_t, n=spec.n, dims=layout_next.dims, weights=w / w.sum())
+            f"message {z} at stage {t} has probability {float(mass[0, 0])!r}")
+    layout_next = stage_layout(spec, t + 1)
+    return Belief(t=layout_next.t, n=spec.n, dims=layout_next.dims,
+                  weights=layout_next.lift(succ)[0])
 
 
 def chi(belief: Belief) -> ReducedBelief:

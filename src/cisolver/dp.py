@@ -83,21 +83,16 @@ prescription did, so many branches share one (64 per signature at stage
 signature once, from per-controller tables that do not depend on the
 weights, and keeps the entries of each signature's first branch only
 (Oliehoek, Whiteson and Spaan's lossless clustering of equivalent
-histories, decided per support).  :func:`_successors` takes a block of
-nodes on one support and returns flat arrays, node ``k``'s signatures at
-offset ``k * |signatures|``: the masses from one ``np.bincount`` over
-``node * |signatures| + signature``, and the successor beliefs over
-``(x', m')`` from one ``np.bincount`` per ``x'`` over ``(node *
-|signatures| + signature) * |M'| + m'``.  ``np.bincount`` adds in index
-order, so each mass and successor weight receives the same addends in
-the same order as in a one-node call and as every branch of its
-signature would, and the row sums that normalize the successors reduce
-a contiguous axis of fixed length: every bit is independent of the
-batch and equal to a branch-by-branch computation.  A stage's nodes are
-walked in chunks of consecutive nodes whose arrays stay within a 32nd
-of ``_BATCH_ENTRIES``; a chunk's nodes are grouped by support, and its
-successors are interned by one call in (node, signature) order, which
-deduplicates the batch first and creates beliefs in order of first
+histories, decided per support).  :func:`_successors` hands a block of
+nodes on one support to the one belief update,
+:func:`~cisolver.coordinator.successors`, with the signatures as its
+groups, and gets flat arrays back, node ``k``'s signatures at offset
+``k * |signatures|``; as that function shows, every bit is independent
+of the batch and equal to a branch-by-branch computation.  A stage's
+nodes are walked in chunks of consecutive nodes whose arrays stay
+within a 32nd of ``_BATCH_ENTRIES``; a chunk's nodes are grouped by
+support, and its successors are interned by one call in (node,
+signature) order, which deduplicates the batch first and creates beliefs in order of first
 occurrence.  Signatures are numbered in order of first branch, so node
 creation order and node ids are those of a node-by-node,
 one-class-at-a-time expansion.  A stage's beliefs live in one array that
@@ -148,6 +143,7 @@ from .coordinator import (
     chi,
     initial_belief,
     stage_layout,
+    successors,
 )
 from .errors import Infeasible, InvalidParameter, SizeOverflow
 from .model import ControlStrategy, ProblemSpec, StrategyNode
@@ -331,14 +327,16 @@ class _Classes:
             out.append(_digits(own, self.cards[i], len(self.uniq[i])))
         return out[::-1]
 
+    def _encode(self, ids, controllers: int, rest=()) -> int:
+        """Full prescription index of a class, action 0 off the support.
 
-def _encode(place, actions) -> int:
-    """Full prescription index of on-support actions, action 0 elsewhere.
-
-    ``place`` is :attr:`_Classes.place`; ``actions[i]`` lists controller
-    ``i``'s actions at its points, as ints.
-    """
-    return sum(map(operator.mul, chain.from_iterable(place), chain.from_iterable(actions)))
+        The first ``controllers`` play their joint class ``ids``
+        (:meth:`_point_actions`); ``rest`` lists the later controllers'
+        actions at their points, as ints.
+        """
+        actions = [acts.tolist() for acts in self._point_actions(ids, controllers)]
+        return sum(map(operator.mul, chain.from_iterable(self.place),
+                       chain.from_iterable(actions + list(rest))))
 
 
 def _first_ids(keys: np.ndarray):
@@ -509,9 +507,7 @@ class _ClassStructure(_Classes):
         """Smallest full prescription index in class ``c``, computed once."""
         rep = self._representatives.get(c)
         if rep is None:
-            rep = self._representatives[c] = _encode(
-                self.place,
-                [acts.tolist() for acts in self._point_actions(c, len(self.uniq))])
+            rep = self._representatives[c] = self._encode(c, len(self.uniq))
         return rep
 
 
@@ -562,8 +558,7 @@ class _LastStage(_Classes):
     point: ``order`` sorts the support entries stably by point, point
     ``q`` owns positions ``cuts[q] = (lo, hi)`` of that order, and row
     ``j`` of ``blocks[q]`` is ``C`` at entry ``order[lo + j]``.  Lead
-    class ``a`` plays ``a // divisors[i][k] % |U_i|`` at the ``k``-th
-    on-support point of lead controller ``i``.
+    classes are decoded by :meth:`_Classes._point_actions`.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
@@ -578,13 +573,9 @@ class _LastStage(_Classes):
         cost = spec.cost(t)
         # flat index into the cost table of C[s, u, a], first as (s, a)
         flat = (self.x_sup[self.order] * cost.shape[1])[:, None]
-        self.divisors, below = [], lead
-        for i in range(last):
-            below //= self.counts[i]
-            div = below * self.cards[i] ** np.arange(len(self.uniq[i]) - 1, -1, -1)
-            self.divisors.append(div.tolist())
-            digits = np.arange(lead) // div[:, None] % self.cards[i]  # (point, a)
-            flat = flat + digits[self.inv[i][self.order]] * layout.act_strides[i]
+        for i, acts in enumerate(self._point_actions(np.arange(lead), last)):
+            # acts[a, k]: lead controller i's action at its k-th point
+            flat = flat + acts.T[self.inv[i][self.order]] * layout.act_strides[i]
         flat = flat[:, None, :] + np.arange(n_u)[:, None] * layout.act_strides[last]
         table = cost.take(flat).reshape(len(support), -1)
         ends = np.cumsum(np.bincount(self.inv[last])).tolist()
@@ -679,33 +670,28 @@ class _LastChoices:
 
     ``which[node]`` is the node's support in ``supports`` and
     ``pattern[s]`` support ``s``'s pattern.  Per pattern, in order of
-    first node, ``groups`` holds ``(divisors, nodes, lead, acts)``: the
-    pattern's :attr:`_LastStage.divisors`, its nodes in increasing
-    order and, for node ``nodes[k]``, its best lead class ``lead[k]`` and
-    the last controller's actions ``acts[k]`` at its points.  Place
-    values, which depend on the support's points, are computed only for
-    the supports of the nodes asked for.
+    first node, ``groups`` holds ``(nodes, lead, acts)``: the pattern's
+    nodes in increasing order and, for node ``nodes[k]``, its best lead
+    class ``lead[k]`` and the last controller's actions ``acts[k]`` at
+    its points.  Place values, which depend on the support's points, are
+    computed only for the supports of the nodes asked for.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, cap: int, supports, which, pattern):
         self.spec, self.t, self.cap = spec, t, cap
         self.supports, self.which, self.pattern = supports, which, pattern
         self.groups = []
-        self._place: dict[int, list] = {}
+        self._classes: dict[int, _Classes] = {}
 
     def representative(self, node: int) -> int:
         """Full prescription index of ``node``'s best class."""
         s = int(self.which[node])
-        divisors, nodes, lead, acts = self.groups[self.pattern[s]]
+        nodes, lead, acts = self.groups[self.pattern[s]]
         row = int(np.searchsorted(nodes, node))
-        place = self._place.get(s)
-        if place is None:
-            place = self._place[s] = _Classes(self.spec, self.t, self.supports[s],
-                                              self.cap).place
-        a = int(lead[row])
-        return _encode(place, [[a // d % nu for d in div]
-                               for div, nu in zip(divisors, self.spec.action_cards)]
-                       + [acts[row].tolist()])
+        if s not in self._classes:
+            self._classes[s] = _Classes(self.spec, self.t, self.supports[s], self.cap)
+        return self._classes[s]._encode(int(lead[row]), self.spec.n - 1,
+                                        [acts[row].tolist()])
 
 
 def _solve_last_stage(spec: ProblemSpec, t: int, stored: np.ndarray, cap: int):
@@ -762,7 +748,7 @@ def _solve_last_stage(spec: ProblemSpec, t: int, stored: np.ndarray, cap: int):
             value, best_part, acts_part = stage.best(w)
             values[part] = value[:-1]
             best[lo:lo + rows], acts[lo:lo + rows] = best_part[:-1], acts_part[:-1]
-        choices.groups.append((stage.divisors, nodes, best, acts))
+        choices.groups.append((nodes, best, acts))
     return values, choices, (classes, len(supports), count)
 
 
@@ -785,45 +771,13 @@ def _structure(spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
 
 def _successors(spec: ProblemSpec, t: int, structure: _ClassStructure,
                 w_sup: np.ndarray):
-    """Every signature's branch of a batch of nodes on one support.
+    """:func:`~cisolver.coordinator.successors` of nodes on one support, by signature.
 
-    ``w_sup`` holds one node's full weights on the structure's support
-    per row.  Returns ``(mass, succ)``: ``mass[k, g]`` is the
-    probability that node ``k`` takes a branch of signature ``g``, and
-    row ``k * structure.signatures + g`` of ``succ`` is that branch's
-    normalized successor belief over ``(x', m')``, flattened with ``x'``
-    most significant.  Branch ``b``'s are those of signature
-    ``structure.sig[b]``.
-
-    Each output slot receives the same addends in the same order as in a
-    one-node batch, and as it did for every branch of its signature:
-    ``np.bincount`` adds its weights in index order, a signature's
-    entries are its first branch's in entry order, and the batch only
-    offsets every index by its node's block.  Row sums reduce a
-    contiguous axis of fixed length.  So no result depends on the batch.
+    ``w_sup`` holds one node's full weights on the support per row; branch
+    ``b``'s mass and successor are those of signature ``structure.sig[b]``.
     """
-    layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
-    nodes, n_mem = len(w_sup), layout_next.n_mem
-    n_sig = structure.signatures
-    offset = np.arange(nodes, dtype=np.int64)[:, None] * n_sig
-    w = w_sup.take(structure.sup, axis=1)
-    sig = structure.slot // n_mem if n_mem > 1 else structure.slot
-    index = (offset + sig).reshape(-1)
-    mass = np.bincount(index, weights=w.reshape(-1), minlength=nodes * n_sig)
-    cond = w / mass[index].reshape(w.shape)
-    index = (offset * n_mem + structure.slot).reshape(-1)
-    rows = nodes * n_sig
-    succ = np.empty((rows, layout_next.nx, n_mem))
-    kernel = spec.transition(t)
-    kernel = kernel.reshape(-1, kernel.shape[2])  # rows (x, u), columns x'
-    for xn in range(layout_next.nx):
-        p = kernel[:, xn].take(structure.xu)
-        succ[:, xn, :] = np.bincount(
-            index, weights=(cond * p).reshape(-1),
-            minlength=rows * n_mem).reshape(rows, -1)
-    succ = succ.reshape(rows, -1)
-    succ /= succ.sum(axis=1, keepdims=True)
-    return mass.reshape(nodes, n_sig), succ
+    return successors(spec, t, w_sup.take(structure.sup, axis=1), structure.slot,
+                      structure.signatures, structure.xu)
 
 
 class _BeliefTable:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinator import PrescriptionSpace, prescribe, stage_layout
+from .coordinator import PrescriptionSpace, message_law, prescribe, stage_layout
 from .dp import PolicyTree
 from .errors import InvalidParameter, SizeOverflow, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
@@ -273,7 +273,7 @@ class _ExecPlan:
         base = np.where(missing, 0, child) * self.layouts[t].size + m_next
         flag = missing.astype(np.int8)
         if self.audited:
-            flag |= self._audit_table(policy, t, at, nz).take(at).astype(np.int8) << 1
+            flag |= self._audit_table(policy, t, z).take(at).astype(np.int8) << 1
         self.z.append(z)
         self.base.append(base)
         self.flag.append(flag)
@@ -290,21 +290,17 @@ class _ExecPlan:
             _add_sample(s, cols, x, draws[("obs", t, i)], stride)
         return s
 
-    def _audit_table(self, tree: PolicyTree, t: int, at: np.ndarray, nz: int) -> np.ndarray:
+    def _audit_table(self, tree: PolicyTree, t: int, z: np.ndarray) -> np.ndarray:
         """Raveled ``(nodes, NZ)``: whether a stage-``t`` node's belief gives ``z`` no mass.
 
-        ``at`` holds ``node * NZ + z`` at every ``(node, state)``, so the law
-        of every node's message is one ``bincount`` of it weighted by the
-        stage's stacked beliefs (lifted to ``(x, y, m)`` in the reduced
-        variant).  It adds each node's weights in state order, as
-        :func:`~cisolver.coordinator.message_distribution` does node by
-        node, so the sums are bitwise the same.
+        ``z`` holds the message at every ``(node, state)``; the laws are
+        :func:`~cisolver.coordinator.message_law` of the stage's stacked
+        beliefs, lifted in the reduced variant.
         """
         weights = np.array([nd.belief.weights for nd in tree.stages[t - 1]])
         if tree.variant == "reduced":
             weights = self.layouts[t - 1].lift(weights)
-        mass = np.bincount(at, weights=weights.ravel(), minlength=len(weights) * nz)
-        return mass <= _AUDIT_TOL
+        return message_law(self.spec, t, z, weights).ravel() <= _AUDIT_TOL
 
 
 class _Cursor:

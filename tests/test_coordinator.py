@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from cisolver.coordinator import (
     stage_layout,
     zeta,
 )
-from cisolver.dp import solve_finite
+from cisolver.dp import solve_discounted, solve_finite, solve_finite_reduced
 from cisolver.errors import InvalidParameter, SizeOverflow, ZeroProbabilityObservation
 from cisolver.model import FiniteSpace, ProblemSpec, encode_mixed_radix, flatten_action
 from cisolver.protocols import delayed_sharing_protocol
@@ -143,9 +145,22 @@ def test_eta_update_rejects_zero_probability_message():
     spec = tiny_chain()
     _, belief = initial_belief(spec)[0]
     gamma = PrescriptionSpace(spec, 1).decode(0)  # u = 0 always
-    # z = 2 encodes (y = 0, u = 1), impossible under this prescription
-    with pytest.raises(ZeroProbabilityObservation):
-        eta_update(spec, belief, gamma, 2)
+    # states ravel as (x, y); the states with y = 0 emit z = 1
+    silent = Belief(t=1, n=1, dims=belief.dims, weights=np.array([0.0, 0.5, 0.0, 0.5]))
+    faint = Belief(t=1, n=1, dims=belief.dims,
+                   weights=np.array([0.6e-16, 0.5, 0.4e-16, 0.5]))
+    # it raises before it divides by the mass: no warning of any kind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # z = 2 encodes (y = 0, u = 1), impossible under this prescription
+        with pytest.raises(ZeroProbabilityObservation):
+            eta_update(spec, belief, gamma, 2)
+        # the states that emit z = 1 carry no weight
+        with pytest.raises(ZeroProbabilityObservation, match="probability 0.0"):
+            eta_update(spec, silent, gamma, 1)
+        # they carry a mass in (0, 1e-15]
+        with pytest.raises(ZeroProbabilityObservation):
+            eta_update(spec, faint, gamma, 1)
 
 
 def test_the_last_stage_emits_no_message():
@@ -246,6 +261,46 @@ def test_canonical_key_clears_negative_zero():
     assert canonical_keys(rows) == [key] * 3
     r = ReducedBelief(t=1, n=1, dims=(2, 2), weights=b.weights)
     assert r.canonical_key()[1] == key
+
+
+def _measure_of(belief):
+    """A full belief as an unnormalized trajectory measure of ``reference``."""
+    measure = {}
+    for flat in np.flatnonzero(belief.weights).tolist():
+        x, *rest = (int(v) for v in np.unravel_index(flat, belief.dims))
+        measure[(x, tuple(rest[:belief.n]), tuple(rest[belief.n:]))] = \
+            float(belief.weights[flat])
+    return measure
+
+
+@pytest.mark.parametrize("name", ["delayed_sharing_2x2", "periodic_4stage",
+                                  "acceptance_seed1", "discounted_chain"])
+def test_eta_update_matches_the_reference_extension(problems_dir, name):
+    # eta_update and the solver share one routine, so this is the check
+    # of its arithmetic: at every (node, message) of both variants' trees,
+    # or of the stationary entries, against a per-trajectory extension
+    spec, _ = load_problem(str(problems_dir / f"{name}.json"))
+    if spec.mode == "discounted":
+        cases = [(entry.belief, entry.gamma_index, entry.children)
+                 for entry in solve_discounted(spec)[1].entries]
+    else:
+        cases = [(zeta(spec, nd.belief) if tree.variant == "reduced" else nd.belief,
+                  nd.gamma_index, nd.children)
+                 for tree in (solve_finite(spec)[1], solve_finite_reduced(spec)[1])
+                 for stage in tree.stages for nd in stage]
+    checked = 0
+    for belief, index, children in cases:
+        gamma = PrescriptionSpace(spec, belief.t).decode(index)
+        for z in children:
+            got = eta_update(spec, belief, gamma, z)
+            posterior = reference.normalize_measure(reference.extend_measure(
+                spec, _measure_of(belief), gamma.tables, z, belief.t))
+            expect = np.zeros_like(got.weights)
+            for (x, ys, ms), p in posterior.items():
+                expect[np.ravel_multi_index((x,) + ys + ms, got.dims)] = p
+            assert np.abs(got.weights - expect).max() <= 1e-12
+            checked += 1
+    assert checked >= 4
 
 
 def walk_paths(spec, tree):

@@ -765,7 +765,7 @@ def _solve_bits(spec):
         values, choices, counts = last(spec, t, stored, cap)
         seen.append((stored.tobytes(), values.tobytes(), counts, [
             (nodes.tobytes(), lead.tobytes(), acts.tobytes())
-            for _, nodes, lead, acts in choices.groups]))
+            for nodes, lead, acts in choices.groups]))
         return values, choices, counts
 
     with pytest.MonkeyPatch.context() as mp:

@@ -147,7 +147,7 @@ def _strides(cards) -> np.ndarray:
 def _has_msg_stage(spec: ProblemSpec, t: int) -> bool:
     if spec.mode == "discounted":
         return True
-    return t <= len(spec.protocol.msg_spaces[0])
+    return t <= len(spec.protocol.msg_slots[0])
 
 
 _layout_cache: "weakref.WeakKeyDictionary[ProblemSpec, dict]" = weakref.WeakKeyDictionary()
@@ -263,13 +263,27 @@ class PrescriptionSpace:
 # -- beliefs ----------------------------------------------------------------
 
 
+def root_signals(spec: ProblemSpec) -> list[int]:
+    """The initial common signals that get a root node, in signal order.
+
+    A signal ``y*`` gets one when its own mass ``initial_dist @
+    kernel[:, y*]`` exceeds ``ZERO_MASS``; without an initial common
+    observation the one root stands for signal 0.
+    """
+    if spec.initial_common_obs is None:
+        return [0]
+    kernel = spec.initial_common_obs.kernel
+    return [ystar for ystar in range(kernel.shape[1])
+            if float(spec.initial_dist @ kernel[:, ystar]) > ZERO_MASS]
+
+
 def initial_belief(spec: ProblemSpec) -> tuple[tuple[float, Belief], ...]:
     """Root belief nodes with their probabilities.
 
     Without an initial common observation there is a single root of
     probability one: ``P(x, y) = Q(x) * prod_i P_i(y_i | x)`` with all
     memories empty.  With one, the root splits into one node per signal
-    value, each conditioned on that value.
+    value of :func:`root_signals`, each conditioned on that value.
     """
     layout = stage_layout(spec, 1)
     base = spec.initial_dist[:, None] * layout.obs_prod  # (|X|, n_obs)
@@ -279,11 +293,9 @@ def initial_belief(spec: ProblemSpec) -> tuple[tuple[float, Belief], ...]:
         return ((1.0, Belief(t=1, n=spec.n, dims=layout.dims, weights=w / total)),)
     kernel = spec.initial_common_obs.kernel
     roots = []
-    for ystar in range(spec.initial_common_obs.space.cardinality):
+    for ystar in root_signals(spec):
         w = (base * kernel[:, ystar][:, None]).reshape(-1)
         mass = float(w.sum())
-        if mass <= ZERO_MASS:
-            continue
         roots.append((mass, Belief(t=1, n=spec.n, dims=layout.dims, weights=w / mass)))
     return tuple(roots)
 

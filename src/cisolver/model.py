@@ -116,26 +116,33 @@ class SharingProtocol:
 
     For controller ``i`` (0-based) and stage ``t`` (1-based):
 
-    * ``mem_spaces[i][t-1]`` is the local memory space at the start of
-      stage ``t`` (stage 1 memory is always the empty singleton),
-    * ``msg_spaces[i][t-1]`` (``t <= n_stages - 1``) is the message
-      space; index 0 is the reserved null message, real messages encode
-      the witness slots by mixed radix plus one,
+    * ``mem_slots[i][t-1]`` is the structural witness of the local memory
+      at the start of stage ``t`` (empty at stage 1): the tuple of
+      :class:`Slot` coordinates a memory value encodes, mixed radix with
+      the first slot most significant,
+    * ``msg_slots[i][t-1]`` (``t <= n_stages - 1``) is the witness of the
+      message; index 0 is the reserved null message, real messages encode
+      the slots by mixed radix plus one,
     * ``msg_maps[i][t-1][m, y, u]`` gives the emitted message index,
-    * ``mem_updates[i][t-1][m, y, u]`` gives the next memory index,
-    * ``mem_slots`` / ``msg_slots`` are the structural witness: the
-      tuple of :class:`Slot` coordinates each memory/message value
-      encodes, mixed radix with the first slot most significant.
+    * ``mem_updates[i][t-1][m, y, u]`` gives the next memory index.
+
+    The slots define every size: the number of controllers and stages is
+    their shape, and :func:`slots_cardinality` turns them into memory and
+    message cardinalities (see :meth:`ProblemSpec.mem_cards`).
     """
 
-    n: int
-    n_stages: int
-    mem_spaces: tuple[tuple[FiniteSpace, ...], ...]
-    msg_spaces: tuple[tuple[FiniteSpace, ...], ...]
     mem_slots: tuple[tuple[tuple[Slot, ...], ...], ...]
     msg_slots: tuple[tuple[tuple[Slot, ...], ...], ...]
     msg_maps: tuple[tuple[np.ndarray, ...], ...]
     mem_updates: tuple[tuple[np.ndarray, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.mem_slots)
+
+    @property
+    def n_stages(self) -> int:
+        return len(self.mem_slots[0])
 
 
 def slot_cardinality(slot: Slot, i: int, obs_spaces, action_spaces) -> int:
@@ -232,31 +239,19 @@ def protocol_from_slots(
     ``msg_slots[i]`` must have ``horizon - 1`` entries (stages
     ``1..T-1``).
     """
-    n = len(obs_spaces)
-    mem_spaces, msg_spaces, msg_maps, mem_updates = [], [], [], []
-    for i in range(n):
-        mem_i, msg_i, maps_i, upd_i = [], [], [], []
-        for t in range(1, horizon + 1):
-            mem_i.append(FiniteSpace(slots_cardinality(
-                mem_slots[i][t - 1], i, obs_spaces, action_spaces)))
+    msg_maps, mem_updates = [], []
+    for i in range(len(obs_spaces)):
+        maps_i, upd_i = [], []
         for t in range(1, horizon):
-            msg_i.append(FiniteSpace(slots_cardinality(
-                msg_slots[i][t - 1], i, obs_spaces, action_spaces, message=True)))
             maps_i.append(slot_projection(
                 i, t, tuple(mem_slots[i][t - 1]), tuple(msg_slots[i][t - 1]),
                 obs_spaces, action_spaces, message=True))
             upd_i.append(slot_projection(
                 i, t, tuple(mem_slots[i][t - 1]), tuple(mem_slots[i][t]),
                 obs_spaces, action_spaces))
-        mem_spaces.append(tuple(mem_i))
-        msg_spaces.append(tuple(msg_i))
         msg_maps.append(tuple(maps_i))
         mem_updates.append(tuple(upd_i))
     return SharingProtocol(
-        n=n,
-        n_stages=horizon,
-        mem_spaces=tuple(mem_spaces),
-        msg_spaces=tuple(msg_spaces),
         mem_slots=tuple(tuple(tuple(s) for s in per_i) for per_i in mem_slots),
         msg_slots=tuple(tuple(tuple(s) for s in per_i) for per_i in msg_slots),
         msg_maps=tuple(msg_maps),
@@ -331,44 +326,41 @@ class ProblemSpec:
     def max_abs_cost(self) -> float:
         return max(float(np.max(np.abs(c))) for c in self.costs)
 
-    def _stage_index(self, t: int, length: int) -> int:
+    def _at(self, per_stage: Sequence, t: int):
+        """Stage ``t``'s entry of ``per_stage`` (its only one in discounted mode)."""
         if self.mode == "discounted":
-            return 0
-        if not 1 <= t <= length:
-            raise InvalidParameter(f"stage {t} outside 1..{length}")
-        return t - 1
+            return per_stage[0]
+        if not 1 <= t <= len(per_stage):
+            raise InvalidParameter(f"stage {t} outside 1..{len(per_stage)}")
+        return per_stage[t - 1]
 
     def transition(self, t: int) -> np.ndarray:
         """Kernel applied between stages ``t`` and ``t + 1``."""
-        return self.transitions[self._stage_index(t, len(self.transitions))]
+        return self._at(self.transitions, t)
 
     def obs_kernel(self, i: int, t: int) -> np.ndarray:
-        return self.obs_kernels[i][self._stage_index(t, len(self.obs_kernels[i]))]
+        return self._at(self.obs_kernels[i], t)
 
     def cost(self, t: int) -> np.ndarray:
-        return self.costs[self._stage_index(t, len(self.costs))]
-
-    def mem_space(self, i: int, t: int) -> FiniteSpace:
-        return self.protocol.mem_spaces[i][
-            self._stage_index(t, len(self.protocol.mem_spaces[i]))]
-
-    def msg_space(self, i: int, t: int) -> FiniteSpace:
-        return self.protocol.msg_spaces[i][
-            self._stage_index(t, len(self.protocol.msg_spaces[i]))]
+        return self._at(self.costs, t)
 
     def msg_map(self, i: int, t: int) -> np.ndarray:
-        return self.protocol.msg_maps[i][
-            self._stage_index(t, len(self.protocol.msg_maps[i]))]
+        return self._at(self.protocol.msg_maps[i], t)
 
     def mem_update(self, i: int, t: int) -> np.ndarray:
-        return self.protocol.mem_updates[i][
-            self._stage_index(t, len(self.protocol.mem_updates[i]))]
+        return self._at(self.protocol.mem_updates[i], t)
 
     def mem_cards(self, t: int) -> tuple[int, ...]:
-        return tuple(self.mem_space(i, t).cardinality for i in range(self.n))
+        """Each controller's number of local memories at stage ``t``."""
+        return tuple(slots_cardinality(self._at(self.protocol.mem_slots[i], t), i,
+                                       self.obs_spaces, self.action_spaces)
+                     for i in range(self.n))
 
     def msg_cards(self, t: int) -> tuple[int, ...]:
-        return tuple(self.msg_space(i, t).cardinality for i in range(self.n))
+        """Each controller's number of messages at stage ``t``, null included."""
+        return tuple(slots_cardinality(self._at(self.protocol.msg_slots[i], t), i,
+                                       self.obs_spaces, self.action_spaces, message=True)
+                     for i in range(self.n))
 
 
 def flatten_action(actions: Sequence[int], cards: Sequence[int]) -> int:
@@ -565,27 +557,10 @@ def _check_protocol_stage(spec, i, t, findings):
                 ok_structure = False
 
     check_slots(mem_here, t - 1, "memory")
-    mem_card = slots_cardinality(mem_here, i, spec.obs_spaces, spec.action_spaces)
-    if spec.mem_space(i, t).cardinality != mem_card:
-        findings.append(ValidationFinding(
-            "memory-cardinality", where,
-            f"memory space has {spec.mem_space(i, t).cardinality} elements, "
-            f"witness implies {mem_card}"))
-        ok_structure = False
-
     if t > len(proto.msg_slots[i]):
         return
     msg_here = proto.msg_slots[i][t - 1]
     check_slots(msg_here, t, "message")
-
-    msg_card = slots_cardinality(msg_here, i, spec.obs_spaces, spec.action_spaces,
-                                 message=True)
-    if spec.msg_space(i, t).cardinality != msg_card:
-        findings.append(ValidationFinding(
-            "message-cardinality", where,
-            f"message space has {spec.msg_space(i, t).cardinality} elements, "
-            f"witness implies {msg_card} (null included)"))
-        ok_structure = False
 
     avail = set(mem_here) | current
     for s in msg_here:
@@ -614,7 +589,8 @@ def _check_protocol_stage(spec, i, t, findings):
     mem_upd = proto.mem_updates[i][t - 1]
     ny = spec.obs_spaces[i].cardinality
     nu = spec.action_spaces[i].cardinality
-    expect_shape = (spec.mem_space(i, t).cardinality, ny, nu)
+    expect_shape = (slots_cardinality(mem_here, i, spec.obs_spaces, spec.action_spaces),
+                    ny, nu)
     for name, table in (("message map", msg_map), ("memory update", mem_upd)):
         if table.shape != expect_shape:
             findings.append(ValidationFinding(
@@ -624,9 +600,9 @@ def _check_protocol_stage(spec, i, t, findings):
     if not ok_structure:
         return
 
+    msg_card = slots_cardinality(msg_here, i, spec.obs_spaces, spec.action_spaces,
+                                 message=True)
     next_card = slots_cardinality(mem_next, i, spec.obs_spaces, spec.action_spaces)
-    if t < proto.n_stages and spec.mem_space(i, t + 1).cardinality != next_card:
-        return  # the t+1 stage check reports the cardinality mismatch
     if msg_map.min() < 0 or msg_map.max() >= msg_card:
         findings.append(ValidationFinding(
             "map-range", maps_where, "message map leaves the message space"))
@@ -737,8 +713,8 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
         for t in range(1, proto.n_stages + 1):
             _check_protocol_stage(spec, i, t, findings)
         if spec.mode == "discounted":
-            for t, sp in enumerate(proto.mem_spaces[i], start=1):
-                if sp.cardinality != 1:
+            for t, slots in enumerate(proto.mem_slots[i], start=1):
+                if slots_cardinality(slots, i, spec.obs_spaces, spec.action_spaces) != 1:
                     f(ValidationFinding(
                         "memory-not-stationary", f"protocol[i={i}][t={t}]",
                         "discounted mode requires a time-invariant (singleton) "

@@ -426,8 +426,7 @@ def _strategy_from_snapshot(spec: ProblemSpec, snapshot) -> ControlStrategy:
             tables = []
             for i in range(spec.n):
                 ny = spec.obs_spaces[i].cardinality
-                nm = spec.mem_space(i, level).cardinality
-                table = np.zeros((ny, nm), dtype=np.int64)
+                table = np.zeros((ny, spec.mem_cards(level)[i]), dtype=np.int64)
                 for (y, m), act in maps[i].items():
                     table[y, m] = act
                 tables.append(table)

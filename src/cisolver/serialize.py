@@ -54,7 +54,6 @@ from .model import (
     ValidationFinding,
     ValidationReport,
     build_kernel_from_functional,
-    slots_cardinality,
     validate_problem,
 )
 from .oracle import EnumerationReport
@@ -251,14 +250,12 @@ def _protocol_from_preset(reader: _Reader, name, params, horizon,
         return None
 
 
-def _protocol_from_explicit(reader: _Reader, doc, obs_spaces,
-                            action_spaces) -> SharingProtocol | None:
+def _protocol_from_explicit(reader: _Reader, doc, n: int) -> SharingProtocol | None:
     needed = ("memory_slots", "message_slots", "message_maps", "memory_updates")
     if not isinstance(doc, dict) or any(k not in doc for k in needed):
         reader.bad("bad-protocol", "protocol.explicit",
                    f"expected an object with {', '.join(needed)}")
         return None
-    n = len(obs_spaces)
 
     def slot_lists(field, expect_len):
         raw = doc[field]
@@ -328,21 +325,7 @@ def _protocol_from_explicit(reader: _Reader, doc, obs_spaces,
     if msg_maps is None or mem_updates is None:
         return None
 
-    mem_spaces, msg_spaces = [], []
-    for i in range(n):
-        mem_i, msg_i = [], []
-        for slots in mem_slots[i]:
-            mem_i.append(FiniteSpace(
-                slots_cardinality(slots, i, obs_spaces, action_spaces)))
-        for slots in msg_slots[i]:
-            msg_i.append(FiniteSpace(
-                slots_cardinality(slots, i, obs_spaces, action_spaces, message=True)))
-        mem_spaces.append(tuple(mem_i))
-        msg_spaces.append(tuple(msg_i))
-
     return SharingProtocol(
-        n=n, n_stages=n_stages,
-        mem_spaces=tuple(mem_spaces), msg_spaces=tuple(msg_spaces),
         mem_slots=mem_slots, msg_slots=msg_slots,
         msg_maps=msg_maps, mem_updates=mem_updates)
 
@@ -432,8 +415,7 @@ def problem_from_dict(doc) -> tuple[ProblemSpec | None, list[ValidationFinding]]
             reader, proto_doc["preset"], proto_doc.get("params"), proto_horizon,
             obs_spaces, action_spaces)
     else:
-        protocol = _protocol_from_explicit(
-            reader, proto_doc["explicit"], obs_spaces, action_spaces)
+        protocol = _protocol_from_explicit(reader, proto_doc["explicit"], n)
 
     common = None
     if doc.get("initial_common_obs") is not None:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinator import PrescriptionSpace, message_law, prescribe, stage_layout
+from .coordinator import PrescriptionSpace, message_law, prescribe, root_signals, stage_layout
 from .dp import PolicyTree
 from .errors import InvalidParameter, SizeOverflow, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
@@ -215,14 +215,10 @@ class _ExecPlan:
         self.node_ids = [[nd.node_id for nd in nodes] for nodes in stages]
         local = [{node_id: k for k, node_id in enumerate(ids)} for ids in self.node_ids]
         # one root per initial common signal of positive mass, in signal order
-        if spec.initial_common_obs is None:
-            self.root_map = np.full(1, -1, dtype=np.int64)
-            signals = [0]
-        else:
-            kernel = spec.initial_common_obs.kernel
-            self.root_map = np.full(kernel.shape[1], -1, dtype=np.int64)
-            signals = [ystar for ystar in range(kernel.shape[1])
-                       if float(spec.initial_dist @ kernel[:, ystar]) > _AUDIT_TOL]
+        common = spec.initial_common_obs
+        self.root_map = np.full(1 if common is None else common.kernel.shape[1], -1,
+                                dtype=np.int64)
+        signals = root_signals(spec)
         if len(roots) != len(signals):
             raise InvalidParameter(
                 f"policy has {len(roots)} roots; the problem has {len(signals)} "

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -218,6 +219,21 @@ def test_validate_flags_protocol_horizon_mismatch():
     assert "protocol-horizon" in validate_problem(bad).codes()
 
 
+@pytest.mark.parametrize("preset", ["delayed", "control"])
+@pytest.mark.parametrize("wider", ["obs", "actions"])
+def test_validate_flags_a_protocol_built_for_other_spaces(preset, wider):
+    """The memory and message sizes follow from the slots and the spec's
+    spaces, so a protocol built for other spaces shows in its tables' shape."""
+    base = instances.random_delayed_instance(1)
+    three = [FiniteSpace(3)] * base.n
+    obs = three if wider == "obs" else list(base.obs_spaces)
+    act = three if wider == "actions" else list(base.action_spaces)
+    proto = (delayed_sharing_protocol(1, base.horizon, obs, act) if preset == "delayed"
+             else control_sharing_protocol(base.horizon, obs, act))
+    report = validate_problem(dataclasses.replace(base, protocol=proto))
+    assert "map-shape" in report.codes()
+
+
 def test_validate_flags_nonempty_initial_memory():
     obs, act = [FiniteSpace(2)], [FiniteSpace(2)]
     proto = protocol_from_slots(
@@ -264,11 +280,10 @@ def test_discounted_accessors_ignore_stage_index():
     spec = instances.discounted_constant(0.5)
     assert spec.transition(1) is spec.transition(7)
     assert spec.cost(1) is spec.cost(3)
-    assert spec.mem_space(0, 5).cardinality == 1
+    assert spec.mem_cards(5) == (1, 1)
 
 
 def test_validate_accepts_no_sharing_window_zero():
     spec = instances.discounted_constant(0.9)
     assert validate_problem(spec).ok
-    assert all(sp.cardinality == 1
-               for per_i in spec.protocol.msg_spaces for sp in per_i)
+    assert spec.msg_cards(1) == (1, 1)

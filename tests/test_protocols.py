@@ -8,6 +8,7 @@ from cisolver.model import (
     FiniteSpace,
     ProblemSpec,
     Slot,
+    slots_cardinality,
     validate_problem,
 )
 from cisolver.protocols import (
@@ -21,11 +22,12 @@ BIN = [FiniteSpace(2), FiniteSpace(2)]
 
 
 def mem_cards(proto, i):
-    return [sp.cardinality for sp in proto.mem_spaces[i]]
+    return [slots_cardinality(slots, i, BIN, BIN) for slots in proto.mem_slots[i]]
 
 
 def msg_cards(proto, i):
-    return [sp.cardinality for sp in proto.msg_spaces[i]]
+    return [slots_cardinality(slots, i, BIN, BIN, message=True)
+            for slots in proto.msg_slots[i]]
 
 
 def test_delayed_one_stage_delay_has_empty_memory():

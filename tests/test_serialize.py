@@ -98,6 +98,15 @@ def test_functional_and_kernel_forms_share_a_digest():
     assert problem_digest(spec_a) == problem_digest(spec_b)
 
 
+def test_the_readme_problem_example_validates(problems_dir):
+    readme = (problems_dir.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Problem files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    spec, report = problem_from_document(json.loads(block))
+    assert report.ok, report
+    assert (spec.n, spec.horizon) == (2, 2)
+
+
 def test_digest_changes_with_the_data():
     doc = base_doc()
     spec_a, _ = problem_from_document(doc)

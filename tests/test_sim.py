@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import json
 import pathlib
 import sys
 import threading
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 import instances
-from cisolver import coordinator, sim
+from cisolver import coordinator, serialize, sim
 from cisolver.coordinator import (PrescriptionSpace, message_distribution, stage_layout,
                                   zeta)
 from cisolver.dp import (PolicyTree, extract_control_strategy, solve_finite,
                          solve_finite_reduced)
 from cisolver.errors import InvalidParameter, UnreachableInformation
+from cisolver.oracle import exact_cost_of_strategy
 from cisolver.serialize import load_problem
 from cisolver.sim import paired_rollout, rollout
 
@@ -509,3 +511,39 @@ def test_only_prescribe_reads_the_protocol_maps():
 
     assert readers(sim) == set()
     assert readers(coordinator) == {"prescribe"}
+
+
+def test_every_component_roots_the_same_initial_signals(problems_dir):
+    """Solver, loader, simulator and oracle agree on which signals get a root.
+
+    Signal 1 has mass just above ``ZERO_MASS``, and controller 0's first
+    observation row sums to ``1 - 1e-10``, inside the validation
+    tolerance.  The signal's mass times the observation law falls just
+    below ``ZERO_MASS``; the signal must still get its root everywhere.
+    """
+    doc = serialize.parse_file(str(problems_dir / "static_team.json"))
+    m = 1.00000000001e-15
+    doc["initial_dist"] = [1.0, 0.0]
+    doc["initial_common_obs"]["kernel"][0] = [1.0 - m, m]
+    doc["obs_kernels"][0][0][0] = [0.5, 0.5 - 1e-10]
+    # every joint action in state 0 costs something, so the value is not 0
+    doc["cost"][0][0] = [0.3, 1.0, 1.0, 0.5]
+    spec, report = serialize.problem_from_document(doc)
+    assert report.ok, report
+    assert coordinator.root_signals(spec) == [0, 1]
+
+    value, tree = solve_finite(spec)
+    assert len(tree.roots) == 2
+    solved = serialize.dumps(serialize.solve_result_to_dict(spec, value, tree))
+    loaded = serialize.policy_from_document(json.loads(solved), spec)
+    assert loaded.roots == tree.roots
+    a = rollout(spec, tree, seed=3, episodes=2000)
+    b = rollout(spec, loaded, seed=3, episodes=2000)
+    assert (a.mean, a.stderr, a.violations) == (b.mean, b.stderr, b.violations)
+    assert a.violations == 0
+    assert value.value > 0.29
+    assert abs(a.mean - value.value) <= 4 * a.stderr + 1e-9
+
+    strategy = extract_control_strategy(spec, tree)
+    assert abs(exact_cost_of_strategy(spec, strategy) - value.value) <= 1e-9
+    assert not paired_rollout(spec, tree, strategy, seed=3, episodes=500).divergences

@@ -33,12 +33,16 @@ and the paired reports, over ``ROLLOUT_EPISODES`` episodes, of the full
 tree against its strategy, against a copy in which controller 0 shifts
 every action at stage ``min(2, T)`` (as in the test suite's
 ``test_paired_rollout_flags_a_corrupted_stage``) and against a copy with
-fewer, scattered faults (:func:`_corrupted`).  Run from the repository
-root:
+fewer, scattered faults (:func:`_corrupted`).  Last, it prints the
+``problem_digest`` of every fixture, of ``preset_instance(name, T=4)``
+for every preset name, and of a three-stage problem with observation
+and action spaces of size 3 under control sharing.  Run from the
+repository root:
 
     python3 scripts/tree_digest.py > digests.txt
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -63,6 +67,7 @@ from cisolver.oracle import (  # noqa: E402
     enumerate_basic_strategies,
     enumerate_coordinator_strategies,
 )
+from cisolver.protocols import control_sharing_protocol  # noqa: E402
 from cisolver.sim import paired_rollout, rollout  # noqa: E402
 
 import instances  # noqa: E402
@@ -77,6 +82,7 @@ REPEAT_SEEDS = range(3)
 ROLLOUT_EPISODES = 40_000  # more than one block of episodes
 RECORD_EPISODES = 2_000
 ROLLOUT_SEED = 7
+PRESETS = ("delayed", "delayed_state", "periodic", "control", "no_sharing")
 
 
 def _filter_family_doc():
@@ -249,6 +255,20 @@ def coordinator_oracle_line(spec) -> str:
     return f"{got.count} {got.minimum!r} {h.hexdigest()}"
 
 
+def problem_digests():
+    """``(name, problem_digest)`` of every fixture and of the preset problems."""
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        spec, _ = serialize.load_problem(str(path))
+        yield path.stem, serialize.problem_digest(spec)
+    for name in PRESETS:
+        yield f"preset_{name}", serialize.problem_digest(
+            instances.preset_instance(name, T=4))
+    spec = instances.random_delayed_instance(1, ny=3, nu=3, T=3)
+    spec = dataclasses.replace(spec, protocol=control_sharing_protocol(
+        spec.horizon, spec.obs_spaces, spec.action_spaces))
+    yield "control_3x3_T3", serialize.problem_digest(spec)
+
+
 def main():
     for name, spec in problems():
         for variant, solve in (("full", solve_finite),
@@ -269,6 +289,8 @@ def main():
     for name, spec in rollout_problems():
         for label, line in rollout_lines(spec):
             print(f"{name} {label} {line}", flush=True)
+    for name, line in problem_digests():
+        print(f"{name} problem_digest {line}", flush=True)
 
 
 if __name__ == "__main__":

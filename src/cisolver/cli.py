@@ -45,6 +45,7 @@ EXIT_INTERNAL = 6
 
 ORACLE_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 10_000_000
+VARIANTS = ("full", "reduced")
 
 log = logging.getLogger("cis")
 
@@ -62,6 +63,12 @@ def _env(name: str, cast, fallback):
         return cast(raw)
     except (TypeError, ValueError):
         raise _BadEnvValue(name, raw) from None
+
+
+def _variant(raw: str) -> str:
+    if raw not in VARIANTS:
+        raise ValueError(raw)
+    return raw
 
 
 @dataclass
@@ -82,9 +89,6 @@ class RunConfig:
             raise InvalidParameter(f"episodes must be >= 1, got {self.episodes}")
         if not 0 <= self.seed < 1 << 64:
             raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.variant not in ("full", "reduced"):
-            raise InvalidParameter(f"variant must be full or reduced, got "
-                                   f"{self.variant!r}")
 
 
 def _config(args) -> RunConfig:
@@ -212,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact dynamic program")
     common(p_solve)
-    p_solve.add_argument("--variant", choices=("full", "reduced"),
-                         default=_env("VARIANT", str, "full"),
+    p_solve.add_argument("--variant", choices=VARIANTS,
+                         default=_env("VARIANT", _variant, "full"),
                          help="belief state: full (x, y, m) or reduced (x, m)")
     p_solve.add_argument("--cap-prescriptions", type=int,
                          default=_env("CAP_PRESCRIPTIONS", int,

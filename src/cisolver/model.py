@@ -7,12 +7,12 @@ part of its local data (a *message*) to a shared append-only memory that
 every controller can read.  All primitives live over finite index sets:
 
 * stochastic kernels are dense row-stochastic ``numpy`` arrays,
-* the sharing protocol is a pair of deterministic per-stage tables per
-  controller (message map ``sigma`` and memory update ``mu``) together
-  with a structural *witness* that ties every memory/message coordinate
-  to a concrete past variable (an observation or an action at some
-  stage), so that the subset/no-overlap rules of the information
-  structure can be checked mechanically.
+* the sharing protocol is a structural *witness* per controller and
+  stage that ties every memory/message coordinate to a concrete past
+  variable (an observation or an action at some stage), so that the
+  subset/no-overlap rules of the information structure can be checked
+  mechanically; the deterministic message map ``sigma`` and memory
+  update ``mu`` are the coordinate projections of those slots.
 
 Stages are 1-based throughout the public API; internal sequences are
 0-based (stage ``t`` lives at list index ``t - 1``).
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -122,19 +123,23 @@ class SharingProtocol:
       the first slot most significant,
     * ``msg_slots[i][t-1]`` (``t <= n_stages - 1``) is the witness of the
       message; index 0 is the reserved null message, real messages encode
-      the slots by mixed radix plus one,
-    * ``msg_maps[i][t-1][m, y, u]`` gives the emitted message index,
-    * ``mem_updates[i][t-1][m, y, u]`` gives the next memory index.
+      the slots by mixed radix plus one.
 
-    The slots define every size: the number of controllers and stages is
-    their shape, and :func:`slots_cardinality` turns them into memory and
-    message cardinalities (see :meth:`ProblemSpec.mem_cards`).
+    The slots are the whole protocol.  The number of controllers and
+    stages is their shape, :func:`slots_cardinality` turns them into
+    memory and message cardinalities (:meth:`ProblemSpec.mem_cards`), and
+    :func:`slot_projection` turns them into the message map and memory
+    update tables (:meth:`ProblemSpec.msg_map`, :meth:`ProblemSpec.mem_update`),
+    so every protocol is consistent with its slots.
     """
 
     mem_slots: tuple[tuple[tuple[Slot, ...], ...], ...]
     msg_slots: tuple[tuple[tuple[Slot, ...], ...], ...]
-    msg_maps: tuple[tuple[np.ndarray, ...], ...]
-    mem_updates: tuple[tuple[np.ndarray, ...], ...]
+
+    def __post_init__(self):
+        for name in ("mem_slots", "msg_slots"):
+            object.__setattr__(self, name, tuple(
+                tuple(tuple(slots) for slots in per_i) for per_i in getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -226,39 +231,6 @@ def slot_projection(
     return table
 
 
-def protocol_from_slots(
-    horizon: int,
-    obs_spaces: Sequence[FiniteSpace],
-    action_spaces: Sequence[FiniteSpace],
-    mem_slots: Sequence[Sequence[tuple[Slot, ...]]],
-    msg_slots: Sequence[Sequence[tuple[Slot, ...]]],
-) -> SharingProtocol:
-    """Assemble a protocol whose tables are exactly the slot projections.
-
-    ``mem_slots[i]`` must have ``horizon`` entries (stages ``1..T``) and
-    ``msg_slots[i]`` must have ``horizon - 1`` entries (stages
-    ``1..T-1``).
-    """
-    msg_maps, mem_updates = [], []
-    for i in range(len(obs_spaces)):
-        maps_i, upd_i = [], []
-        for t in range(1, horizon):
-            maps_i.append(slot_projection(
-                i, t, tuple(mem_slots[i][t - 1]), tuple(msg_slots[i][t - 1]),
-                obs_spaces, action_spaces, message=True))
-            upd_i.append(slot_projection(
-                i, t, tuple(mem_slots[i][t - 1]), tuple(mem_slots[i][t]),
-                obs_spaces, action_spaces))
-        msg_maps.append(tuple(maps_i))
-        mem_updates.append(tuple(upd_i))
-    return SharingProtocol(
-        mem_slots=tuple(tuple(tuple(s) for s in per_i) for per_i in mem_slots),
-        msg_slots=tuple(tuple(tuple(s) for s in per_i) for per_i in msg_slots),
-        msg_maps=tuple(msg_maps),
-        mem_updates=tuple(mem_updates),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A fully specified decentralized control problem.
@@ -344,11 +316,24 @@ class ProblemSpec:
     def cost(self, t: int) -> np.ndarray:
         return self._at(self.costs, t)
 
+    @cached_property
+    def _protocol_tables(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        """Each controller's message map and memory update at every stage
+        but the last, projected from the slots on first use."""
+        proto, spaces = self.protocol, (self.obs_spaces, self.action_spaces)
+        return tuple(
+            tuple((slot_projection(i, t, mem[t - 1], msg[t - 1], *spaces, message=True),
+                   slot_projection(i, t, mem[t - 1], mem[t], *spaces))
+                  for t in range(1, proto.n_stages))
+            for i, (mem, msg) in enumerate(zip(proto.mem_slots, proto.msg_slots)))
+
     def msg_map(self, i: int, t: int) -> np.ndarray:
-        return self._at(self.protocol.msg_maps[i], t)
+        """Controller ``i``'s message at stage ``t``, indexed ``[m, y, u]``."""
+        return self._at(self._protocol_tables[i], t)[0]
 
     def mem_update(self, i: int, t: int) -> np.ndarray:
-        return self._at(self.protocol.mem_updates[i], t)
+        """Controller ``i``'s next local memory after stage ``t``, as ``msg_map``."""
+        return self._at(self._protocol_tables[i], t)[1]
 
     def mem_cards(self, t: int) -> tuple[int, ...]:
         """Each controller's number of local memories at stage ``t``."""
@@ -535,26 +520,22 @@ def _check_rows(arr, shape, where, findings, kind="kernel"):
 
 
 def _check_protocol_stage(spec, i, t, findings):
-    """Witness and table checks for controller ``i`` at stage ``t``."""
+    """Witness checks for controller ``i`` at stage ``t``."""
     proto = spec.protocol
     mem_here = proto.mem_slots[i][t - 1]
     where = f"protocol[i={i}][t={t}]"
 
     current = {Slot(KIND_OBS, t), Slot(KIND_ACT, t)}
-    ok_structure = True
 
     def check_slots(slots, max_time, label):
-        nonlocal ok_structure
         if len(set(slots)) != len(slots):
             findings.append(ValidationFinding(
                 "slot-duplicate", where, f"{label} slots repeat a coordinate"))
-            ok_structure = False
         for s in slots:
             if s.kind not in (KIND_OBS, KIND_ACT) or not 1 <= s.time <= max_time:
                 findings.append(ValidationFinding(
                     "slot-time", where,
                     f"{label} slot {s} is not a past variable of stage {t}"))
-                ok_structure = False
 
     check_slots(mem_here, t - 1, "memory")
     if t > len(proto.msg_slots[i]):
@@ -568,7 +549,6 @@ def _check_protocol_stage(spec, i, t, findings):
             findings.append(ValidationFinding(
                 "message-source", where,
                 f"message slot {s} is not in local memory or current data"))
-            ok_structure = False
 
     mem_next = proto.mem_slots[i][t] if t < proto.n_stages else ()
     overlap = set(mem_next) & set(msg_here)
@@ -576,54 +556,11 @@ def _check_protocol_stage(spec, i, t, findings):
         findings.append(ValidationFinding(
             "memory-message-overlap", where,
             f"slot {s} is both shared at stage {t} and retained in memory"))
-        ok_structure = False
     for s in mem_next:
         if s not in avail and s not in overlap:
             findings.append(ValidationFinding(
                 "memory-source", where,
                 f"next-memory slot {s} is not in local memory or current data"))
-            ok_structure = False
-
-    maps_where = where
-    msg_map = proto.msg_maps[i][t - 1]
-    mem_upd = proto.mem_updates[i][t - 1]
-    ny = spec.obs_spaces[i].cardinality
-    nu = spec.action_spaces[i].cardinality
-    expect_shape = (slots_cardinality(mem_here, i, spec.obs_spaces, spec.action_spaces),
-                    ny, nu)
-    for name, table in (("message map", msg_map), ("memory update", mem_upd)):
-        if table.shape != expect_shape:
-            findings.append(ValidationFinding(
-                "map-shape", maps_where,
-                f"{name} has shape {table.shape}, expected {expect_shape}"))
-            ok_structure = False
-    if not ok_structure:
-        return
-
-    msg_card = slots_cardinality(msg_here, i, spec.obs_spaces, spec.action_spaces,
-                                 message=True)
-    next_card = slots_cardinality(mem_next, i, spec.obs_spaces, spec.action_spaces)
-    if msg_map.min() < 0 or msg_map.max() >= msg_card:
-        findings.append(ValidationFinding(
-            "map-range", maps_where, "message map leaves the message space"))
-        return
-    if mem_upd.min() < 0 or mem_upd.max() >= next_card:
-        findings.append(ValidationFinding(
-            "map-range", maps_where, "memory update leaves the next memory space"))
-        return
-
-    expected_msg = slot_projection(
-        i, t, mem_here, msg_here, spec.obs_spaces, spec.action_spaces, message=True)
-    if not np.array_equal(msg_map, expected_msg):
-        findings.append(ValidationFinding(
-            "message-map-mismatch", maps_where,
-            "message map disagrees with the witness slot projection"))
-    expected_upd = slot_projection(
-        i, t, mem_here, mem_next, spec.obs_spaces, spec.action_spaces)
-    if not np.array_equal(mem_upd, expected_upd):
-        findings.append(ValidationFinding(
-            "memory-update-mismatch", maps_where,
-            "memory update disagrees with the witness slot projection"))
 
 
 def validate_problem(spec: ProblemSpec) -> ValidationReport:
@@ -714,7 +651,9 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
             _check_protocol_stage(spec, i, t, findings)
         if spec.mode == "discounted":
             for t, slots in enumerate(proto.mem_slots[i], start=1):
-                if slots_cardinality(slots, i, spec.obs_spaces, spec.action_spaces) != 1:
+                # a slot of unknown kind is reported as slot-time above
+                known = [s for s in slots if s.kind in (KIND_OBS, KIND_ACT)]
+                if slots_cardinality(known, i, spec.obs_spaces, spec.action_spaces) != 1:
                     f(ValidationFinding(
                         "memory-not-stationary", f"protocol[i={i}][t={t}]",
                         "discounted mode requires a time-invariant (singleton) "

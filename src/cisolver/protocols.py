@@ -1,9 +1,10 @@
 """Preset sharing protocols.
 
 Each constructor only decides *which* past variables each controller
-keeps locally and which it shares at each stage; the actual message map
-and memory update tables are the mechanical mixed-radix projections of
-those slot choices, so presets are witness-consistent by construction.
+keeps locally and which it shares at each stage: a protocol is its
+witness slots.  The message map and memory update tables are derived
+from them (:meth:`~cisolver.model.ProblemSpec.msg_map`), so every
+protocol is consistent with its slots.
 
 Slots are ordered chronologically with the observation before the action
 of the same stage; the first slot is the most significant mixed-radix
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvalidParameter
-from .model import KIND_ACT, KIND_OBS, FiniteSpace, SharingProtocol, Slot, protocol_from_slots
+from .model import KIND_ACT, KIND_OBS, FiniteSpace, SharingProtocol, Slot
 
 
 def _window(lo: int, hi: int) -> tuple[Slot, ...]:
@@ -65,7 +66,7 @@ def delayed_sharing_protocol(
         mem_slots.append([_window(max(1, t - s + 1), t - 1) for t in range(1, horizon + 1)])
         msg_slots.append([_window(t - s + 1, t - s + 1) if t >= s else ()
                           for t in range(1, horizon)])
-    return protocol_from_slots(horizon, obs_spaces, action_spaces, mem_slots, msg_slots)
+    return SharingProtocol(mem_slots=mem_slots, msg_slots=msg_slots)
 
 
 def periodic_sharing_protocol(
@@ -93,9 +94,7 @@ def periodic_sharing_protocol(
         mem.append(_window(last_dump + 1, t - 1))
     for t in range(1, horizon):
         msg.append(_window(t - period + 1, t) if t % period == 0 else ())
-    return protocol_from_slots(horizon, obs_spaces, action_spaces,
-                               [list(mem) for _ in range(n)],
-                               [list(msg) for _ in range(n)])
+    return SharingProtocol(mem_slots=[mem] * n, msg_slots=[msg] * n)
 
 
 def control_sharing_protocol(
@@ -115,9 +114,7 @@ def control_sharing_protocol(
     n = len(obs_spaces)
     mem = [tuple(Slot(KIND_OBS, tau) for tau in range(1, t)) for t in range(1, horizon + 1)]
     msg = [(Slot(KIND_ACT, t),) for t in range(1, horizon)]
-    return protocol_from_slots(horizon, obs_spaces, action_spaces,
-                               [list(mem) for _ in range(n)],
-                               [list(msg) for _ in range(n)])
+    return SharingProtocol(mem_slots=[mem] * n, msg_slots=[msg] * n)
 
 
 def no_sharing_protocol(
@@ -140,6 +137,4 @@ def no_sharing_protocol(
     n = len(obs_spaces)
     mem = [_window(max(1, t - window), t - 1) for t in range(1, horizon + 1)]
     msg = [() for _ in range(1, horizon)]
-    return protocol_from_slots(horizon, obs_spaces, action_spaces,
-                               [list(mem) for _ in range(n)],
-                               [list(msg) for _ in range(n)])
+    return SharingProtocol(mem_slots=[mem] * n, msg_slots=[msg] * n)

@@ -298,36 +298,28 @@ def _protocol_from_explicit(reader: _Reader, doc, n: int) -> SharingProtocol | N
     if msg_slots is None:
         return None
 
-    def table_lists(field):
+    def tables_ok(field):
+        # the tables themselves are compared with the slots' projections
+        # once the slots validate (_declared_table_findings)
         raw = doc[field]
         if not isinstance(raw, list) or len(raw) != n:
             reader.bad("bad-protocol", f"protocol.explicit.{field}",
                        f"expected one list per controller ({n})")
-            return None
-        out = []
+            return False
         for i, per_i in enumerate(raw):
             if not isinstance(per_i, list) or len(per_i) != n_stages - 1:
                 reader.bad("bad-protocol", f"protocol.explicit.{field}[i={i}]",
                            f"expected {n_stages - 1} stage tables")
-                return None
-            stages = []
+                return False
             for t, per_t in enumerate(per_i, start=1):
-                arr = reader.array(per_t, f"protocol.explicit.{field}[i={i}][t={t}]",
-                                   dtype=np.int64)
-                if arr is None:
-                    return None
-                stages.append(arr)
-            out.append(tuple(stages))
-        return tuple(out)
+                if reader.array(per_t, f"protocol.explicit.{field}[i={i}][t={t}]",
+                                dtype=np.int64) is None:
+                    return False
+        return True
 
-    msg_maps = table_lists("message_maps")
-    mem_updates = table_lists("memory_updates")
-    if msg_maps is None or mem_updates is None:
+    if not (tables_ok("message_maps") and tables_ok("memory_updates")):
         return None
-
-    return SharingProtocol(
-        mem_slots=mem_slots, msg_slots=msg_slots,
-        msg_maps=msg_maps, mem_updates=mem_updates)
+    return SharingProtocol(mem_slots=mem_slots, msg_slots=msg_slots)
 
 
 def problem_from_dict(doc) -> tuple[ProblemSpec | None, list[ValidationFinding]]:
@@ -445,13 +437,43 @@ def problem_from_dict(doc) -> tuple[ProblemSpec | None, list[ValidationFinding]]
     return spec, reader.findings
 
 
+def _declared_table_findings(spec: ProblemSpec, explicit) -> list[ValidationFinding]:
+    """Compare an explicit protocol's declared tables with those its slots give."""
+    findings = []
+    for i in range(spec.n):
+        for t in range(1, spec.protocol.n_stages):
+            where = f"protocol[i={i}][t={t}]"
+            for field, code, name, want in (
+                    ("message_maps", "message-map-mismatch", "message map",
+                     spec.msg_map(i, t)),
+                    ("memory_updates", "memory-update-mismatch", "memory update",
+                     spec.mem_update(i, t))):
+                declared = np.asarray(explicit[field][i][t - 1], dtype=np.int64)
+                if not np.array_equal(declared, want):
+                    findings.append(ValidationFinding(code, where, (
+                        f"{name} of shape {declared.shape} disagrees with the "
+                        f"witness slot projection of shape {want.shape}")))
+    return findings
+
+
 def problem_from_document(doc) -> tuple[ProblemSpec | None, ValidationReport]:
-    """Parse and fully validate a problem document."""
+    """Parse and fully validate a problem document.
+
+    The tables of an explicit protocol are checked against its slots
+    once ``validate_problem`` has checked the slots and found them well
+    formed: a projection needs well-formed slots.
+    """
     spec, findings = problem_from_dict(doc)
     if spec is None:
         return None, ValidationReport(findings)
-    report = validate_problem(spec)
-    return spec, ValidationReport(findings + report.findings)
+    findings += validate_problem(spec).findings
+    # validate_problem stops before the protocol on a discount out of range
+    slots_checked = not any(f.where.startswith("protocol") or f.code == "discount-range"
+                            for f in findings)
+    explicit = doc["protocol"].get("explicit")
+    if explicit is not None and slots_checked:
+        findings += _declared_table_findings(spec, explicit)
+    return spec, ValidationReport(findings)
 
 
 def load_problem(path: str) -> tuple[ProblemSpec | None, ValidationReport]:
@@ -471,6 +493,7 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
     canonical document, so they share one digest.
     """
     proto = spec.protocol
+    stages = range(1, proto.n_stages)
     doc = {
         "n": spec.n,
         "T": spec.horizon,
@@ -486,10 +509,10 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "protocol": {"explicit": {
             "memory_slots": _slots_to_json(proto.mem_slots),
             "message_slots": _slots_to_json(proto.msg_slots),
-            "message_maps": [[m.tolist() for m in per_i]
-                             for per_i in proto.msg_maps],
-            "memory_updates": [[m.tolist() for m in per_i]
-                               for per_i in proto.mem_updates],
+            "message_maps": [[spec.msg_map(i, t).tolist() for t in stages]
+                             for i in range(spec.n)],
+            "memory_updates": [[spec.mem_update(i, t).tolist() for t in stages]
+                               for i in range(spec.n)],
         }},
     }
     if spec.initial_common_obs is not None:

@@ -532,6 +532,12 @@ def test_environment_seed_and_flag_precedence(capsys, tmp_path, problems_dir,
                        "--episodes", "10")
     assert code == 2 and "CIS_SEED" in err
 
+    # a value outside the flag's choices is a usage error too
+    monkeypatch.delenv("CIS_SEED")
+    monkeypatch.setenv("CIS_VARIANT", "banana")
+    code, out, err = run(capsys, "solve", problem)
+    assert code == 2 and "CIS_VARIANT" in err and out == ""
+
 
 def test_solve_rejects_a_nan_in_a_stochastic_table(capsys, tmp_path, problems_dir):
     doc = json.loads((problems_dir / "delayed_sharing_2x2.json").read_text())

@@ -18,12 +18,12 @@ from cisolver.model import (
     FiniteSpace,
     NoiseModel,
     ProblemSpec,
+    SharingProtocol,
     Slot,
     build_kernel_from_functional,
     decode_mixed_radix,
     encode_mixed_radix,
     flatten_action,
-    protocol_from_slots,
     unflatten_action,
     validate_problem,
 )
@@ -32,7 +32,7 @@ from cisolver.protocols import (
     delayed_sharing_protocol,
     no_sharing_protocol,
 )
-from cisolver.serialize import problem_from_document
+from cisolver.serialize import load_problem, problem_from_document
 
 
 def test_finite_space_rejects_bad_cardinality():
@@ -221,25 +221,31 @@ def test_validate_flags_protocol_horizon_mismatch():
 
 @pytest.mark.parametrize("preset", ["delayed", "control"])
 @pytest.mark.parametrize("wider", ["obs", "actions"])
-def test_validate_flags_a_protocol_built_for_other_spaces(preset, wider):
-    """The memory and message sizes follow from the slots and the spec's
-    spaces, so a protocol built for other spaces shows in its tables' shape."""
-    base = instances.random_delayed_instance(1)
+def test_a_protocol_built_for_other_spaces_gives_the_spec_tables(preset, wider):
+    """A protocol is its slots: the sizes and the tables follow from the
+    slots and the spec's own spaces, whatever spaces a preset was given."""
+    base = instances.random_delayed_instance(1, T=3)
     three = [FiniteSpace(3)] * base.n
     obs = three if wider == "obs" else list(base.obs_spaces)
     act = three if wider == "actions" else list(base.action_spaces)
-    proto = (delayed_sharing_protocol(1, base.horizon, obs, act) if preset == "delayed"
-             else control_sharing_protocol(base.horizon, obs, act))
-    report = validate_problem(dataclasses.replace(base, protocol=proto))
-    assert "map-shape" in report.codes()
+
+    def build(obs, act):
+        return (delayed_sharing_protocol(2, base.horizon, obs, act) if preset == "delayed"
+                else control_sharing_protocol(base.horizon, obs, act))
+
+    own = dataclasses.replace(base, protocol=build(base.obs_spaces, base.action_spaces))
+    other = dataclasses.replace(base, protocol=build(obs, act))
+    assert validate_problem(other).ok
+    for i in range(base.n):
+        for t in range(1, base.horizon):
+            assert np.array_equal(other.msg_map(i, t), own.msg_map(i, t))
+            assert np.array_equal(other.mem_update(i, t), own.mem_update(i, t))
 
 
 def test_validate_flags_nonempty_initial_memory():
     obs, act = [FiniteSpace(2)], [FiniteSpace(2)]
-    proto = protocol_from_slots(
-        2, obs, act,
-        mem_slots=[[(Slot("obs", 1),), (Slot("obs", 1),)]],
-        msg_slots=[[()]])
+    proto = SharingProtocol(mem_slots=[[(Slot("obs", 1),), (Slot("obs", 1),)]],
+                            msg_slots=[[()]])
     spec = instances.single_controller_instance(3, nx=2, T=2)
     bad = ProblemSpec(
         n=1, mode="finite", horizon=2, discount=None,
@@ -248,6 +254,22 @@ def test_validate_flags_nonempty_initial_memory():
         obs_kernels=[spec.obs_kernels[0][:2]], costs=spec.costs[:2],
         protocol=proto)
     assert "initial-memory-nonempty" in validate_problem(bad).codes()
+
+
+@pytest.mark.parametrize("mode", ["finite", "discounted"])
+def test_validate_reports_a_slot_of_unknown_kind(problems_dir, mode):
+    if mode == "finite":
+        spec = instances.random_delayed_instance(1, T=3)
+    else:
+        spec, report = load_problem(str(problems_dir / "discounted_chain.json"))
+        assert report.ok
+    mem = [list(per_i) for per_i in spec.protocol.mem_slots]
+    mem[0][1] = (Slot("foo", 1),)
+    bad = dataclasses.replace(spec, protocol=SharingProtocol(
+        mem_slots=mem, msg_slots=spec.protocol.msg_slots))
+    report = validate_problem(bad)
+    assert ("slot-time", "protocol[i=0][t=2]") in {(f.code, f.where)
+                                                   for f in report.findings}
 
 
 def test_validate_rejects_discounted_control_sharing():

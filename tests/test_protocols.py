@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,12 +69,9 @@ def test_periodic_accumulates_then_dumps():
 def test_periodic_period_one_equals_delayed_one():
     a = delayed_sharing_protocol(1, 3, BIN, BIN)
     b = periodic_sharing_protocol(1, 3, BIN, BIN)
+    # a protocol is its slots, so equal slots give equal tables
     assert a.mem_slots == b.mem_slots
     assert a.msg_slots == b.msg_slots
-    for i in range(2):
-        for t in range(2):
-            assert np.array_equal(a.msg_maps[i][t], b.msg_maps[i][t])
-            assert np.array_equal(a.mem_updates[i][t], b.mem_updates[i][t])
 
 
 def test_control_sharing_memory_is_observation_history():
@@ -110,19 +109,25 @@ def test_every_preset_passes_validation(name):
     assert report.ok, str(report)
 
 
+def delayed_two_spec():
+    """A binary problem of three stages under delayed sharing with delay 2."""
+    base = instances.random_delayed_instance(0, T=3)
+    return dataclasses.replace(base, protocol=delayed_sharing_protocol(2, 3, BIN, BIN))
+
+
 def test_message_table_matches_slot_encoding():
     # delayed delay 2 at stage 2 sends the stage-1 pair stored in memory:
     # message = 1 + mixed radix of (y_1, u_1), independent of the fresh data
-    proto = delayed_sharing_protocol(2, 3, BIN, BIN)
-    table = proto.msg_maps[0][1]  # stage 2, shape (|M|, |Y|, |U|)
+    spec = delayed_two_spec()
+    table = spec.msg_map(0, 2)  # shape (|M|, |Y|, |U|)
     for m in range(4):
         assert np.all(table[m] == 1 + m)
 
 
 def test_memory_update_shifts_window():
     # delayed delay 2: stage-2 memory (y_1, u_1) is replaced by (y_2, u_2)
-    proto = delayed_sharing_protocol(2, 3, BIN, BIN)
-    update = proto.mem_updates[0][1]
+    spec = delayed_two_spec()
+    update = spec.mem_update(0, 2)
     for m in range(4):
         for y in range(2):
             for u in range(2):

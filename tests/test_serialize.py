@@ -38,7 +38,7 @@ from cisolver.serialize import (
     validation_report_to_dict,
     value_report_to_dict,
 )
-from cisolver import serialize
+from cisolver import cli, serialize
 from cisolver.sim import rollout
 
 PROBLEMS = sorted(p.stem for p in
@@ -68,6 +68,42 @@ def test_problem_round_trip_is_idempotent(seeded_instances):
     assert findings == []
     assert problem_to_dict(again) == doc
     assert problem_digest(again) == problem_digest(spec)
+
+
+def _cut_to_first_row(table):
+    return table[:1]
+
+
+def _shift_a_message(table):
+    table[3][1][0] = table[3][1][0] % 16 + 1  # another real message
+    return table
+
+
+def _set_to_99(table):
+    table[2][0][1] = 99
+    return table
+
+
+@pytest.mark.parametrize("field, i, t, edit, code", [
+    ("message_maps", 0, 2, _shift_a_message, "message-map-mismatch"),
+    ("message_maps", 1, 2, _set_to_99, "message-map-mismatch"),
+    ("memory_updates", 1, 2, _cut_to_first_row, "memory-update-mismatch"),
+])
+def test_explicit_tables_must_be_the_slot_projections(capsys, tmp_path, problems_dir,
+                                                      field, i, t, edit, code):
+    """The tables of an explicit protocol are outside input: the reader
+    compares each with the projection of the slots."""
+    doc = json.loads((problems_dir / "periodic_4stage.json").read_text())
+    tables = doc["protocol"]["explicit"][field][i]
+    tables[t - 1] = edit(tables[t - 1])
+    _, report = problem_from_document(copy.deepcopy(doc))
+    assert [(f.code, f.where) for f in report.findings] == [
+        (code, f"protocol[i={i}][t={t}]")]
+    assert str(np.shape(tables[t - 1])) in report.findings[0].detail
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_preset_and_explicit_forms_share_a_digest():

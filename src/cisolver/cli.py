@@ -55,14 +55,34 @@ class _BadEnvValue(Exception):
         super().__init__(f"environment override CIS_{name}={raw!r} is not valid")
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get("CIS_" + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise _BadEnvValue(name, raw) from None
+@dataclass(frozen=True)
+class _EnvDefault:
+    """A flag's default from ``CIS_<name>``, read only once the flag is parsed.
+
+    argparse fills in only the chosen subcommand's defaults, so an
+    override is read, and can fail, only for a command that has its flag
+    and was not given it (:func:`_resolve_env`).
+    """
+
+    name: str
+    cast: object
+    fallback: object
+
+    def value(self):
+        raw = os.environ.get("CIS_" + self.name)
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except (TypeError, ValueError):
+            raise _BadEnvValue(self.name, raw) from None
+
+
+def _resolve_env(args: argparse.Namespace) -> argparse.Namespace:
+    for key, default in vars(args).items():
+        if isinstance(default, _EnvDefault):
+            setattr(args, key, default.value())
+    return args
 
 
 def _variant(raw: str) -> str:
@@ -208,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--output", default=_env("OUTPUT", str, None),
+        p.add_argument("--output", default=_EnvDefault("OUTPUT", str, None),
                        help="write the JSON result here instead of stdout")
 
     p_val = sub.add_parser("validate", help="check every problem invariant")
@@ -217,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="exact dynamic program")
     common(p_solve)
     p_solve.add_argument("--variant", choices=VARIANTS,
-                         default=_env("VARIANT", _variant, "full"),
+                         default=_EnvDefault("VARIANT", _variant, "full"),
                          help="belief state: full (x, y, m) or reduced (x, m)")
     p_solve.add_argument("--cap-prescriptions", type=int,
-                         default=_env("CAP_PRESCRIPTIONS", int,
-                                      DEFAULT_PRESCRIPTION_CAP),
+                         default=_EnvDefault("CAP_PRESCRIPTIONS", int,
+                                             DEFAULT_PRESCRIPTION_CAP),
                          help="abort if one belief needs more prescription "
                               "classes than this")
 
@@ -230,21 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
                                  "compare their minima")
     common(p_enum)
     p_enum.add_argument("--cap-branches", type=int,
-                        default=_env("CAP_BRANCHES", int, DEFAULT_BRANCH_CAP),
+                        default=_EnvDefault("CAP_BRANCHES", int,
+                                            DEFAULT_BRANCH_CAP),
                         help="abort past this many basic strategies")
     p_enum.add_argument("--cap-prescriptions", type=int,
-                        default=_env("CAP_PRESCRIPTIONS", int,
-                                     DEFAULT_BRANCH_CAP),
+                        default=_EnvDefault("CAP_PRESCRIPTIONS", int,
+                                            DEFAULT_BRANCH_CAP),
                         help="abort past this many prescription evaluations")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo rollout of a policy")
     common(p_sim)
     p_sim.add_argument("policy", help="policy JSON written by solve or enumerate")
     p_sim.add_argument("--episodes", type=int,
-                       default=_env("EPISODES", int, 1000))
-    p_sim.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+                       default=_EnvDefault("EPISODES", int, 1000))
+    p_sim.add_argument("--seed", type=int, default=_EnvDefault("SEED", int, 0))
     p_sim.add_argument("--dump-trajectories", metavar="PATH",
-                       default=_env("DUMP_TRAJECTORIES", str, None),
+                       default=_EnvDefault("DUMP_TRAJECTORIES", str, None),
                        help="also write one JSON trajectory per line here")
     return parser
 
@@ -254,7 +275,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s",
                         level=os.environ.get("CIS_LOG_LEVEL", "INFO"))
     try:
-        args = build_parser().parse_args(argv)
+        args = _resolve_env(build_parser().parse_args(argv))
     except _BadEnvValue as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

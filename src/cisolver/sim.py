@@ -8,11 +8,13 @@ stream keyed by ``(seed, draw kind, stage, controller)``, and episode
 out under the same seed therefore see the same primitive randomness,
 which is what makes paired comparisons exact.
 
-Episodes stream sequentially in fixed blocks of ``_BLOCK``.  Each block
-reads the next uniforms of every stream, so the results do not depend on
-the block size, and the working memory is O(block) plus the 8-byte cost
-of every episode, which ``mean`` and ``stderr`` are reduced from (O(episodes)
-when trajectories are recorded).  The draws do not depend on the policy,
+Episodes stream sequentially in fixed blocks of ``_BLOCK`` (16,384).
+Each block reads the next uniforms of every stream, so the results do
+not depend on the block size.  The working memory is 8 bytes per episode
+plus O(block), or O(episodes) when trajectories are recorded: the one
+array sized by the episode count holds each episode's cost, and ``mean``
+and ``stderr`` are computed from it in place (:func:`_mean_stderr`),
+with no second array of its size.  The draws do not depend on the policy,
 so every rollout call owns one helper thread that reads the streams
 (:class:`_Prefetch`): it draws block ``b + 1`` while block ``b`` is being
 stepped, never more than one block ahead.  It is the only reader of the
@@ -59,7 +61,7 @@ from .errors import InvalidParameter, SizeOverflow, UnreachableInformation
 from .model import ControlStrategy, ProblemSpec
 
 _AUDIT_TOL = 1e-15
-_BLOCK = 1 << 15  # episodes per block
+_BLOCK = 1 << 14  # episodes per block
 
 _KIND_INIT = 0
 _KIND_COMMON = 1
@@ -486,10 +488,14 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
     whenever it is not positive (an on-policy consistency audit; the
     report's ``violations`` must be zero for a correctly solved pair).
 
-    Episodes are stepped sequentially in blocks of ``_BLOCK``, each as one
-    coordinator-state index per stage (:class:`_ExecPlan`), while one
-    helper thread draws the next block.  ``threads`` changes nothing; it
-    is kept for the benchmark workloads, which still pass it.
+    Episodes are stepped sequentially in blocks of ``_BLOCK`` (16,384),
+    each as one coordinator-state index per stage (:class:`_ExecPlan`),
+    while one helper thread draws the next block.  ``threads`` changes
+    nothing; it is kept for the benchmark workloads, which still pass it.
+
+    Memory is 8 bytes per episode plus O(block), or O(episodes) with
+    ``record``: the per-episode costs are the one array sized by the
+    episode count, and the variance is computed in that array, in place.
 
     Recorded trajectories name each node by its ``id`` in the policy.
 
@@ -527,10 +533,28 @@ def rollout(spec: ProblemSpec, policy, seed: int, episodes: int,
             violations += cur.violations
             if record:
                 trajectories.extend(_trajectories(lo, plan, rec, cur.cost))
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
+    mean, stderr = _mean_stderr(costs)
     return SimReport(episodes=episodes, seed=seed, mean=mean, stderr=stderr,
                      violations=violations, trajectories=trajectories)
+
+
+def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
+    """The mean of ``costs`` and its standard error; overwrites ``costs``.
+
+    The steps are those of ``costs.mean()`` and ``costs.std(ddof=1) /
+    sqrt(n)`` in numpy (``_mean`` and ``_var``): the same pairwise sums
+    over the same contiguous array, the same divisions and the same
+    square root, so the bits are the same.  Only the deviations are
+    written into ``costs`` instead of a second array of its size.
+    """
+    n = len(costs)
+    total = costs.sum(keepdims=True)
+    mean = float(total[0] / n)
+    if n == 1:
+        return mean, 0.0
+    np.subtract(costs, total / n, out=costs)
+    np.multiply(costs, costs, out=costs)
+    return mean, float(np.sqrt(costs.sum() / (n - 1)) / math.sqrt(n))
 
 
 def paired_rollout(spec: ProblemSpec, tree: PolicyTree, strategy: ControlStrategy,

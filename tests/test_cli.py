@@ -539,6 +539,31 @@ def test_environment_seed_and_flag_precedence(capsys, tmp_path, problems_dir,
     assert code == 2 and "CIS_VARIANT" in err and out == ""
 
 
+@pytest.mark.parametrize("variable, value, solve_code, simulate_code", [
+    ("CIS_SEED", "frog", 0, 2), ("CIS_VARIANT", "banana", 2, 0),
+    ("CIS_EPISODES", "x", 0, 2)])
+def test_an_override_is_read_only_by_a_command_with_its_flag(
+        capsys, tmp_path, problems_dir, monkeypatch, variable, value, solve_code,
+        simulate_code):
+    problem = str(problems_dir / "static_team.json")
+    policy = str(tmp_path / "policy.json")
+    run(capsys, "solve", problem, "--output", policy)
+    monkeypatch.setenv(variable, value)
+    code, out, _ = run(capsys, "validate", problem)
+    assert code == 0 and json.loads(out)["ok"] is True
+    # a flag given on the command line is used, and its override not read
+    for argv, expect in ((["solve", problem], solve_code),
+                         (["simulate", problem, policy], simulate_code),
+                         (["simulate", problem, policy, "--seed", "3",
+                           "--episodes", "10"], 0)):
+        code, out, err = run(capsys, *argv)
+        assert code == expect
+        if expect:
+            assert variable in err and out == ""
+        else:
+            assert json.loads(out)
+
+
 def test_solve_rejects_a_nan_in_a_stochastic_table(capsys, tmp_path, problems_dir):
     doc = json.loads((problems_dir / "delayed_sharing_2x2.json").read_text())
     doc["initial_dist"][0] = float("nan")

@@ -5,10 +5,15 @@ import sys
 
 import pytest
 
+from cisolver.dp import solve_finite
+from cisolver.serialize import load_problem
+from cisolver.sim import rollout
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["make_golden.py", "make_fixtures.py", "tree_digest.py"])
+@pytest.mark.parametrize("script", ["make_golden.py", "make_fixtures.py", "tree_digest.py",
+                                    "rollout_memory.py"])
 def test_a_script_imports_the_package_of_its_checkout(script, tmp_path):
     """Each script loads with no ``PYTHONPATH`` and from any directory.
 
@@ -23,3 +28,18 @@ def test_a_script_imports_the_package_of_its_checkout(script, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert pathlib.Path(done.stdout.strip()) == ROOT / "src" / "cisolver" / "__init__.py"
+
+
+def test_rollout_memory_prints_one_line_per_count(tmp_path):
+    """The script rolls out in a fresh interpreter and reports the rollout's mean."""
+    spec, _ = load_problem(str(ROOT / "problems" / "periodic_4stage.json"))
+    _, tree = solve_finite(spec)
+    report = rollout(spec, tree, seed=0, episodes=1000)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "rollout_memory.py"),
+                           "1000", "3"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["1,000 episodes", "3 episodes"]
+    assert "peak RSS " in lines[0]
+    assert f"mean {report.mean!r}; stderr {report.stderr!r}" in lines[0]

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import sys
 import threading
@@ -231,6 +232,41 @@ def test_rollout_memory_does_not_grow_with_the_draws(problems_dir):
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def test_a_long_rollout_keeps_one_episode_sized_array(problems_dir):
+    spec, _ = load_problem(str(problems_dir / "delayed_sharing_2x2.json"))
+    _, tree = solve_finite(spec)
+    episodes = 2_000_000
+    # the per-episode costs, and no second array of their size for the variance
+    bound = 8 * episodes + 8 * 2**20
+    tracemalloc.start()
+    try:
+        rollout(spec, tree, seed=3, episodes=episodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def _cost_vectors():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 7, 8, 9, 127, 128, 129, 130, 10**6):
+        yield np.full(n, 0.1)
+        yield np.full(n, 3.0)
+        # mixed magnitudes
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-3, 7, size=n)
+        # a large offset, so the deviations cancel most of each cost
+        yield 1e6 + rng.random(n)
+        yield np.round(rng.random(n) * 4, 1)  # ties
+
+
+def test_mean_and_stderr_are_those_of_numpy_bit_for_bit():
+    for costs in _cost_vectors():
+        n = len(costs)
+        expect = (float(np.mean(costs)),
+                  float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+        assert sim._mean_stderr(costs.copy()) == expect
 
 
 def test_cumulative_columns_sample_as_the_inverse_cdf():

@@ -270,11 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> str:
+    """``CIS_LOG_LEVEL``, which must name a ``logging`` level, such as ``DEBUG``."""
+    raw = os.environ.get("CIS_LOG_LEVEL", "INFO")
+    if not isinstance(logging.getLevelName(raw), int):
+        raise _BadEnvValue("LOG_LEVEL", raw)
+    return raw
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s",
-                        level=os.environ.get("CIS_LOG_LEVEL", "INFO"))
     try:
+        logging.basicConfig(stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s",
+                            level=_log_level())
         args = _resolve_env(build_parser().parse_args(argv))
     except _BadEnvValue as exc:
         print(str(exc), file=sys.stderr)

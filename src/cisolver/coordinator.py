@@ -41,22 +41,22 @@ ZERO_MASS = 1e-15
 CANON_DECIMALS = 12
 
 
-def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Every row of a batch of belief weight vectors in canonical form.
+def canonical_items(rows: np.ndarray) -> np.ndarray:
+    """The canonical key of every row of a batch of belief weight vectors, as items.
 
     A row is rounded to ``CANON_DECIMALS``, so equal beliefs computed
     along different paths have equal bytes; ``+ 0.0`` turns ``-0.0``
-    into ``0.0``.  The bytes of a canonical row are its belief's key.
+    into ``0.0``.  Each rounded row is viewed as one opaque numpy item,
+    so a batch can be deduplicated by ``np.unique``; the bytes of an
+    item are its belief's key.
     """
-    return np.round(rows, CANON_DECIMALS) + 0.0
+    rounded = np.round(rows, CANON_DECIMALS) + 0.0
+    return rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1]))).reshape(-1)
 
 
 def canonical_keys(rows: np.ndarray) -> list[bytes]:
-    """The canonical key of every row of a batch of belief weight vectors."""
-    rounded = canonical_rows(rows)
-    data = rounded.tobytes()
-    width = rounded.itemsize * rounded.shape[1]
-    return [data[lo:lo + width] for lo in range(0, len(data), width)]
+    """The canonical key of every row of a batch, as ``bytes``."""
+    return canonical_items(rows).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +72,6 @@ class Belief:
     dims: tuple[int, ...]
     weights: np.ndarray
 
-    @property
-    def support_id(self) -> str:
-        return f"t{self.t}|" + "x".join(str(d) for d in self.dims)
-
-    def canonical_key(self) -> tuple[str, bytes]:
-        return (self.support_id, canonical_keys(self.weights[None])[0])
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedBelief:
@@ -88,13 +81,6 @@ class ReducedBelief:
     n: int
     dims: tuple[int, ...]
     weights: np.ndarray
-
-    @property
-    def support_id(self) -> str:
-        return f"r{self.t}|" + "x".join(str(d) for d in self.dims)
-
-    def canonical_key(self) -> tuple[str, bytes]:
-        return (self.support_id, canonical_keys(self.weights[None])[0])
 
 
 class StageLayout:

@@ -22,7 +22,10 @@ value or argmin:
   points and is the smallest full prescription index in its class, and
   classes are ordered by representative, so the documented
   smallest-index tie-break is preserved exactly.  The representative,
-  an exact int, is computed only for the class a node chooses.
+  an exact int, is computed only for the class a node chooses: its
+  full tables are built and encoded by
+  :meth:`~cisolver.coordinator.PrescriptionSpace.encode`, the one
+  encoding of prescription indices.
 * *Observation marginalization*: the current observations are
   conditionally independent of the local memories given the state, so
   a finite solve stores, hashes and interns beliefs over ``(x, m)``
@@ -64,8 +67,9 @@ value or argmin:
   b``, and ``b`` puts the last controller's first point most
   significant, so the smallest minimizing class is the first ``argmin``
   of ``V`` over ``a`` followed by the first ``argmin`` over ``u`` at
-  each ``q``.  Representatives are sums of per-point place values,
-  exact ints computed for the supports of the nodes the policy reaches.
+  each ``q``.  Representatives are encoded the same way, from the
+  lead class and the last controller's actions, for only the nodes the
+  policy reaches.
   The last stage still reports, and checks against the cap, the number
   of classes it would enumerate.
 
@@ -125,12 +129,9 @@ Bellman residual of the final values and ``tail_bound = residual / (1
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -139,7 +140,8 @@ from .coordinator import (
     Belief,
     PrescriptionSpace,
     ReducedBelief,
-    canonical_rows,
+    canonical_items,
+    canonical_keys,
     chi,
     initial_belief,
     stage_layout,
@@ -189,6 +191,9 @@ class PolicyTree:
 
 @dataclass
 class PolicyEntry:
+    """One belief of a stationary policy, under the canonical key it was interned by."""
+
+    key: bytes
     belief: Belief
     gamma_index: int
     value: float
@@ -267,11 +272,9 @@ class _Classes:
     point most significant; ``inv[i][s]`` is the point of support entry
     ``s``.  Joint classes are mixed radix over the controllers,
     controller 0 most significant, so they are ordered by representative.
-    A class's representative plays action 0 off the support, so it is
-    the sum of its actions times their place values: ``place[i][k]``,
-    an exact int in an object array, is the weight of controller ``i``'s
-    action at point ``uniq[i][k]`` in a full prescription index.  It is
-    computed when first read.
+    A class's representative is its full tables, action 0 off the
+    support, encoded by the stage's :class:`PrescriptionSpace`: the
+    smallest full prescription index in the class.
 
     Raises:
         SizeOverflow: there are more than ``cap`` classes.
@@ -279,6 +282,7 @@ class _Classes:
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int):
         layout = stage_layout(spec, t)
+        self.spec, self.t = spec, t
         self.support = support
         self.x_sup = layout.x_of[support]
         self.cards = spec.action_cards
@@ -297,16 +301,6 @@ class _Classes:
             raise SizeOverflow(
                 f"{self.count} support-restricted prescription classes "
                 f"at stage {t}, cap is {cap}", size=self.count)
-
-    @functools.cached_property
-    def place(self) -> list[np.ndarray]:
-        place, cards, n_points = [], self.cards, self.n_points
-        for i, uniq in enumerate(self.uniq):
-            # prescriptions of the controllers after i
-            later = math.prod(nu ** k for nu, k in zip(cards[i + 1:], n_points[i + 1:]))
-            place.append(np.array([cards[i] ** (n_points[i] - 1 - p) * later
-                                   for p in uniq.tolist()], dtype=object))
-        return place
 
     def _check_table(self, entries: int, t: int):
         if entries > _MAX_TABLE_ENTRIES:
@@ -327,16 +321,20 @@ class _Classes:
             out.append(_digits(own, self.cards[i], len(self.uniq[i])))
         return out[::-1]
 
-    def _encode(self, ids, controllers: int, rest=()) -> int:
-        """Full prescription index of a class, action 0 off the support.
+    def representative(self, ids: int, rest=()) -> int:
+        """Smallest full prescription index of a class: action 0 off the support.
 
-        The first ``controllers`` play their joint class ``ids``
-        (:meth:`_point_actions`); ``rest`` lists the later controllers'
-        actions at their points, as ints.
+        The first controllers play their joint class ``ids``
+        (:meth:`_point_actions`); ``rest`` lists the actions of the last
+        ``len(rest)`` controllers at their points.
         """
-        actions = [acts.tolist() for acts in self._point_actions(ids, controllers)]
-        return sum(map(operator.mul, chain.from_iterable(self.place),
-                       chain.from_iterable(actions + list(rest))))
+        actions = self._point_actions(ids, len(self.uniq) - len(rest)) + list(rest)
+        tables = []
+        for uniq, n_points, acts in zip(self.uniq, self.n_points, actions):
+            table = np.zeros(n_points, dtype=np.int64)
+            table[uniq] = acts
+            tables.append(table)
+        return PrescriptionSpace(self.spec, self.t).encode(tables)
 
 
 def _first_ids(keys: np.ndarray):
@@ -438,8 +436,8 @@ class _ClassStructure(_Classes):
     holds four tables of at most ``|classes| * |support|`` entries
     whatever ``|X'|``.  ``entries`` is the size of the largest array one
     node adds to a batch of :func:`_successors` or :func:`_backward`.
-    Representatives are computed once per class.  ``tables`` holds each
-    controller's :func:`_own_tables` for every structure of the solve.
+    ``tables`` holds each controller's :func:`_own_tables` for every
+    structure of the solve.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, support: np.ndarray, cap: int,
@@ -448,8 +446,8 @@ class _ClassStructure(_Classes):
         n, n_sup = spec.n, len(support)
         self._check_table(self.count * n_sup, t)
         layout = stage_layout(spec, t)
-        layout_next = stage_layout(spec, t + 1 if spec.mode == "finite" else 1)
-        mem_strides = [math.prod(layout_next.nm[i + 1:]) for i in range(n)]
+        layout_next = stage_layout(spec, t + 1)  # stage 1 again when discounted
+        mem_strides = layout_next.strides[1 + n:]
         cost = spec.cost(t)
         n_msgs = math.prod(layout.msg_cards)
         # per controller and class of its own, at each support entry: the
@@ -501,14 +499,6 @@ class _ClassStructure(_Classes):
         self.xu = xu[rows, self.sup]
         width = layout_next.nx * layout_next.n_mem  # of a successor over (x', m')
         self.entries = max(len(sig), self.signatures * width, self.branches)
-        self._representatives: dict[int, int] = {}
-
-    def representative(self, c: int) -> int:
-        """Smallest full prescription index in class ``c``, computed once."""
-        rep = self._representatives.get(c)
-        if rep is None:
-            rep = self._representatives[c] = self._encode(c, len(self.uniq))
-        return rep
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -673,8 +663,8 @@ class _LastChoices:
     first node, ``groups`` holds ``(nodes, lead, acts)``: the pattern's
     nodes in increasing order and, for node ``nodes[k]``, its best lead
     class ``lead[k]`` and the last controller's actions ``acts[k]`` at
-    its points.  Place values, which depend on the support's points, are
-    computed only for the supports of the nodes asked for.
+    its points.  The classes of a support, which give its points, are
+    built only for the supports of the nodes asked for.
     """
 
     def __init__(self, spec: ProblemSpec, t: int, cap: int, supports, which, pattern):
@@ -690,8 +680,7 @@ class _LastChoices:
         row = int(np.searchsorted(nodes, node))
         if s not in self._classes:
             self._classes[s] = _Classes(self.spec, self.t, self.supports[s], self.cap)
-        return self._classes[s]._encode(int(lead[row]), self.spec.n - 1,
-                                        [acts[row].tolist()])
+        return self._classes[s].representative(int(lead[row]), [acts[row]])
 
 
 def _solve_last_stage(spec: ProblemSpec, t: int, stored: np.ndarray, cap: int):
@@ -783,10 +772,11 @@ def _successors(spec: ProblemSpec, t: int, structure: _ClassStructure,
 class _BeliefTable:
     """Deduplicated beliefs of one stage, in creation order, at most ``cap``.
 
-    ``keys`` maps each belief's canonical key to its index and lists the
-    keys in creation order.  The rows live in one array that grows by
-    doubling; ``weights`` is a view of its first ``count`` rows, row
-    ``i`` belief ``i``'s.
+    ``keys`` maps each belief's canonical key
+    (:func:`~cisolver.coordinator.canonical_items`) to its index.  The
+    rows live in one array that grows by doubling; ``weights`` is a view
+    of its first ``count`` rows, row ``i`` belief ``i``'s, so
+    ``canonical_keys(weights)[i]`` is belief ``i``'s key.
     """
 
     def __init__(self, width: int, cap: int, what: str):
@@ -806,25 +796,22 @@ class _BeliefTable:
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Index of every row's belief, adding new ones in row order.
 
-        The batch is deduplicated before the table is consulted: one
-        ``np.unique`` over the canonical rows, viewed as one opaque item
-        each, finds the distinct rows, and only those are looked up or
-        added, in order of first occurrence, so beliefs are created in
-        the order a row-by-row pass would create them.  New beliefs are
-        copied into the table's array, so the batch can be freed.
+        The batch is deduplicated before the table is consulted:
+        :func:`_first_ids` over the rows' canonical items finds the
+        distinct rows, and only those are looked up or added, in order of
+        first occurrence, so beliefs are created in the order a row-by-row
+        pass would create them.  New beliefs are copied into the table's
+        array, so the batch can be freed.
 
         Raises:
             Infeasible: the table would hold more than ``cap`` beliefs.
         """
-        rounded = canonical_rows(rows)
-        items = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
-        distinct, first, inverse = np.unique(items.reshape(-1), return_index=True,
-                                             return_inverse=True)
-        order = np.argsort(first)
+        items = canonical_items(rows)
+        which, first = _first_ids(items)
         known = self.count
         # a key not yet in the table gets the next index
         ids = np.array([self.keys.setdefault(key, len(self.keys))
-                        for key in distinct[order].tolist()], dtype=np.int64)
+                        for key in items[first].tolist()], dtype=np.int64)
         self.count = len(self.keys)
         if self.count > self.cap:
             raise Infeasible(f"{self.what} exceed cap {self.cap}", count=self.count)
@@ -832,10 +819,8 @@ class _BeliefTable:
             grown = np.empty((max(self.count, 2 * len(self._rows)), rows.shape[1]))
             grown[:known] = self._rows[:known]
             self._rows = grown
-        self._rows[known:self.count] = rows[first[order[ids >= known]]]
-        out = np.empty(len(ids), dtype=np.int64)
-        out[order] = ids
-        return out[inverse]
+        self._rows[known:self.count] = rows[first[ids >= known]]
+        return ids[which]
 
 
 def _expand_stage(spec: ProblemSpec, t: int, weights: np.ndarray,
@@ -1259,11 +1244,12 @@ def solve_discounted(spec: ProblemSpec, epsilon: float = 1e-4,
     tail = residual / (1.0 - beta)
     value = float(sum(prob * low[i] for (prob, _), i in zip(roots, root_ids.tolist())))
 
-    keys = list(table.keys)  # in creation order, so keys[i] is belief i's key
+    keys = canonical_keys(table.weights)  # the key each belief was interned by
     entries = []
     for i, ((structure, kids), best) in enumerate(zip(rows, choice.tolist())):
         rep, children = _chosen(structure, best, kids)
         entries.append(PolicyEntry(
+            key=keys[i],
             belief=Belief(t=1, n=spec.n, dims=layout.dims,
                           weights=np.copy(table.weights[i])),
             gamma_index=rep, value=float(low[i]),

@@ -952,7 +952,7 @@ def stationary_policy_to_dict(spec: ProblemSpec,
     entries = []
     for entry in policy.entries:
         entries.append({
-            "key": entry.belief.canonical_key()[1].hex(),
+            "key": entry.key.hex(),
             "belief": _belief_to_dict(entry.belief),
             "gamma": gammas[entry.gamma_index],
             "value": float(entry.value),

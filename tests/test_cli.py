@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -562,6 +565,29 @@ def test_an_override_is_read_only_by_a_command_with_its_flag(
             assert variable in err and out == ""
         else:
             assert json.loads(out)
+
+
+@pytest.mark.parametrize("level, code", [("banana", 2), ("debug", 2), ("10", 2),
+                                         ("DEBUG", 0), ("WARNING", 0)])
+def test_a_log_level_must_name_a_logging_level(problems_dir, level, code):
+    """An unknown ``CIS_LOG_LEVEL`` is a usage error that names the variable.
+
+    Run in a fresh interpreter: under pytest the root logger already has
+    handlers, so ``logging.basicConfig`` would ignore the level.
+    """
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, CIS_LOG_LEVEL=level, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cisolver.cli", "validate",
+         str(problems_dir / "static_team.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"environment override CIS_LOG_LEVEL={level!r} is not valid\n")
+    else:
+        assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_solve_rejects_a_nan_in_a_stochastic_table(capsys, tmp_path, problems_dir):

@@ -10,7 +10,7 @@ import reference
 from cisolver.coordinator import (
     Belief,
     PrescriptionSpace,
-    ReducedBelief,
+    canonical_items,
     canonical_keys,
     chi,
     eta_update,
@@ -250,17 +250,16 @@ def test_reduction_and_lift_are_inverse_on_reachable_beliefs(solved_seed1):
 
 
 def test_canonical_key_clears_negative_zero():
-    a = Belief(t=1, n=1, dims=(2, 2, 1), weights=np.array([0.5, 0.5, 0.0, 0.0]))
-    b = Belief(t=1, n=1, dims=(2, 2, 1), weights=np.array([0.5, 0.5, -0.0, 0.0]))
-    assert a.canonical_key() == b.canonical_key()
-    # the solver keys batches of rows with the same bytes; stationary
-    # policy documents carry these bytes in hex
-    key = np.array([0.5, 0.5, 0.0, 0.0]).tobytes()
-    assert a.canonical_key()[1] == key
-    rows = np.stack([a.weights, b.weights, a.weights + 1e-14])
-    assert canonical_keys(rows) == [key] * 3
-    r = ReducedBelief(t=1, n=1, dims=(2, 2), weights=b.weights)
-    assert r.canonical_key()[1] == key
+    a = np.array([0.5, 0.5, 0.0, 0.0])
+    b = np.array([0.5, 0.5, -0.0, 0.0])
+    # the solver interns batches of rows by these items; their bytes are
+    # the keys, which stationary policy documents carry in hex
+    key = a.tobytes()
+    rows = np.stack([a, b, a + 1e-14])
+    items = canonical_items(rows)
+    assert items.shape == (3,)
+    assert items.tolist() == canonical_keys(rows) == [key] * 3
+    assert canonical_keys(b[None]) == [key]
 
 
 def _measure_of(belief):

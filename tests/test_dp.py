@@ -235,15 +235,18 @@ def test_halving_epsilon_is_stable():
     assert abs(coarse.value - fine.value) < 1e-4
 
 
+def _key(belief):
+    return canonical_keys(belief.weights[None])[0]
+
+
 def test_reduced_tree_lifts_to_the_full_beliefs(solved_seed1):
     spec, _, full_tree = solved_seed1
     _, red_tree = solve_finite_reduced(spec)
-    full_keys = {node.belief.canonical_key()[1] for stage in full_tree.stages
-                 for node in stage}
+    full_keys = {_key(node.belief) for stage in full_tree.stages for node in stage}
     for stage in red_tree.stages:
         for node in stage:
             lifted = zeta(spec, node.belief)
-            assert lifted.canonical_key()[1] in full_keys
+            assert _key(lifted) in full_keys
 
 
 def _assert_variants_give_one_tree(spec):
@@ -629,14 +632,13 @@ def test_discounted_entries_take_the_first_argmin(problems_dir, name):
         exact = spec.max_abs_cost / (1.0 - spec.discount)
     assert abs(report.value - exact) <= 1e-12
     assert report.tail_bound <= 1e-12
-    value_of = {entry.belief.canonical_key()[1]: entry.value
-                for entry in policy.entries}
+    value_of = {_key(entry.belief): entry.value for entry in policy.entries}
     for entry in policy.entries:
         # q-values of every full prescription, from the coordinator's own
         # cost, message law and update, under the entries' values
         q = np.array([
             expected_cost(spec, entry.belief, gamma) + spec.discount * sum(
-                p * value_of[eta_update(spec, entry.belief, gamma, z).canonical_key()[1]]
+                p * value_of[_key(eta_update(spec, entry.belief, gamma, z))]
                 for z, p in enumerate(message_distribution(spec, entry.belief, gamma))
                 if p > ZERO_MASS)
             for gamma in PrescriptionSpace(spec, 1)])

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import instances
 from cisolver.dp import solve_finite
 from cisolver.serialize import load_problem
 from cisolver.sim import rollout
@@ -13,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["make_golden.py", "make_fixtures.py", "tree_digest.py",
-                                    "rollout_memory.py"])
+                                    "rollout_memory.py", "solve_memory.py"])
 def test_a_script_imports_the_package_of_its_checkout(script, tmp_path):
     """Each script loads with no ``PYTHONPATH`` and from any directory.
 
@@ -43,3 +44,17 @@ def test_rollout_memory_prints_one_line_per_count(tmp_path):
     assert [line.split(":")[0] for line in lines] == ["1,000 episodes", "3 episodes"]
     assert "peak RSS " in lines[0]
     assert f"mean {report.mean!r}; stderr {report.stderr!r}" in lines[0]
+
+
+def test_solve_memory_prints_one_line_per_horizon(tmp_path):
+    """The script solves each horizon in a fresh interpreter and reports its value."""
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "solve_memory.py"),
+                           "2", "3"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["T = 2", "T = 3"]
+    for horizon, line in zip((2, 3), lines):
+        report, _ = solve_finite(instances.periodic_instance(T=horizon))
+        assert "peak RSS " in line
+        assert line.endswith(f"; value {report.value!r}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import instances
+from cisolver.coordinator import canonical_keys
 from cisolver.dp import (
     extract_control_strategy,
     solve_discounted,
@@ -422,6 +423,33 @@ def test_stationary_policy_document_shape(problems_dir):
         # the solved graph is closed: every child names an entry
         assert all(child in keys
                    for e in entries for child in e["children"].values())
+
+
+def test_stationary_entries_carry_the_keys_of_their_beliefs(problems_dir):
+    """Each entry's key is the canonical key of the belief it stores.
+
+    The document's weights round-trip exactly, so the key can be
+    recomputed from the document alone.
+    """
+    solved = 0
+    for path in sorted(problems_dir.glob("*.json")):
+        spec, report = load_problem(str(path))
+        if spec is None or not report.ok or spec.mode != "discounted":
+            continue
+        _, policy = solve_discounted(spec)
+        entries = stationary_policy_to_dict(spec, policy)["entries"]
+        keys = [bytes.fromhex(entry["key"]) for entry in entries]
+        weights = np.array([entry["belief"]["weights"] for entry in entries])
+        assert keys == canonical_keys(weights)
+        assert keys == [entry.key for entry in policy.entries]
+        assert len(set(keys)) == len(keys)
+        for entry, doc_entry in zip(policy.entries, entries):
+            assert doc_entry["children"] == {
+                str(z): key.hex() for z, key in sorted(entry.children.items())}
+            assert all(bytes.fromhex(child) in keys
+                       for child in doc_entry["children"].values())
+        solved += 1
+    assert solved == 3
 
 
 def test_reports_do_not_carry_runtimes(solved_seed1):
